@@ -9,7 +9,7 @@ import sys
 
 import numpy as np
 
-from .errors import OscilabError
+from .errors import ConfigError, OscilabError
 from .functionals import garo_norm
 from .generators import GENERATOR_KINDS, generate
 from .grid import read_grid_csv, write_grid_csv
@@ -72,7 +72,8 @@ def build_parser() -> argparse.ArgumentParser:
     k.add_argument("--s", type=float, default=DEFAULT_S)
     k.add_argument("--p", type=float, default=0.5, help="exponent for PACK_P")
     k.add_argument("--points", type=int, default=0,
-                   help="override t-grid with this many log points")
+                   help="override t-grid with this many log points "
+                   "(0: the default grid)")
     k.add_argument("--out", required=True)
 
     v = sub.add_parser("verify", help="run a verification suite")
@@ -155,6 +156,8 @@ def _cmd_garo(args) -> int:
 
 
 def _cmd_kprofile(args) -> int:
+    if args.points < 0:
+        raise ConfigError(f"--points must be >= 0, got {args.points}")
     f = read_grid_csv(args.grid_csv)
     if args.points > 0:
         tg = np.geomspace(max(f.cell_measure / 2, 1e-6), 1.0, args.points)

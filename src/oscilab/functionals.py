@@ -25,6 +25,7 @@ from .grid import (
 from .maximal import DEFAULT_S, FULL_GUARD_1D, FULL_GUARD_2D, local_maximal
 from .packing import (
     ENUM_GUARD_2D,
+    _dp_unbudgeted_1d,
     additive_pareto_1d,
     enumerate_packings,
     max_additive_packing,
@@ -385,7 +386,10 @@ def garo_p_lambda(f: GridFunction, p: float, lam: float) -> float:
     single-cube supremum.  For finite p with lam < 0 the measure budget is
     no longer integer-valued, so the value is a certified lower bound: the
     best over single cubes, the unit partition, and packings produced by an
-    exact Lagrangian sweep on the penalized weights doubleosc - mu * budget.
+    exact Lagrangian sweep on the penalized weights doubleosc - mu * budget
+    over 33 multipliers mu.  In 1D the sweep is one batched DP with a weight
+    row per mu, O(N) numpy steps over all 33 rows; in 2D it is one packing
+    solve per mu.
     """
     d = f.dim
     if not -d < lam <= 0:
@@ -417,19 +421,23 @@ def garo_p_lambda(f: GridFunction, p: float, lam: float) -> float:
             float(np.max(pos / budget_arr[do_arr > 0])) + 1.0,
             33,
         )
-        for mu in mu_grid:
-            if d == 1:
-                weights = {
-                    k: tables[k]["do"] - mu * ((k / n) ** expo) for k in tables
-                }
-                packing, _ = max_additive_packing(weights, (1, n))
-            else:
+        if d == 1:
+            # one DP over all multipliers: a weight row per mu
+            weights = {
+                k: tables[k]["do"] - mu_grid[:, None] * ((k / n) ** expo)
+                for k in tables
+            }
+            packings = [chosen for chosen, _ in _dp_unbudgeted_1d(weights, n)]
+        else:
+            packings = []
+            for mu in mu_grid:
                 def weight(qc: Cube, _mu=mu) -> float:
                     return float(
                         tables[qc.side]["do"][_oidx(qc, n)]
                         - _mu * qc.measure(n) ** expo
                     )
-                packing, _ = max_additive_packing(weight, (2, n))
+                packings.append(max_additive_packing(weight, (2, n))[0])
+        for packing in packings:
             keys = [(qc.side, _oidx(qc, n)) for qc in packing]
             if keys:
                 best = max(best, ratio_of(keys))

@@ -366,22 +366,30 @@ def write_grid_csv(f: GridFunction, path) -> None:
 
 
 def read_grid_csv(path) -> GridFunction:
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if not header.startswith(CSV_HEADER_PREFIX):
-            raise ConfigError(
-                f"missing grid header '{CSV_HEADER_PREFIX} d=<d> N=<N>' in {path}"
-            )
+    try:
+        with open(path) as fh:
+            header = fh.readline().strip()
+            rows = [line.strip() for line in fh if line.strip()]
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read grid file {path}: {exc}") from exc
+    if not header.startswith(CSV_HEADER_PREFIX):
+        raise ConfigError(
+            f"missing grid header '{CSV_HEADER_PREFIX} d=<d> N=<N>' in {path}"
+        )
+    try:
         fields = dict(
             tok.split("=") for tok in header[len(CSV_HEADER_PREFIX):].split()
         )
-        try:
-            d, n = int(fields["d"]), int(fields["N"])
-        except (KeyError, ValueError) as exc:
-            raise ConfigError(f"malformed grid header: {header!r}") from exc
-        rows = [line.strip() for line in fh if line.strip()]
-    if d == 1:
-        vals = np.array([float(r) for r in rows])
-    else:
-        vals = np.array([[float(tok) for tok in r.split(",")] for r in rows]).ravel()
+        d, n = int(fields["d"]), int(fields["N"])
+    except (KeyError, ValueError) as exc:
+        raise ConfigError(f"malformed grid header: {header!r}") from exc
+    if d != 1 and len({r.count(",") for r in rows}) > 1:
+        raise ConfigError(f"ragged rows in grid file {path}")
+    try:
+        if d == 1:
+            vals = np.array([float(r) for r in rows])
+        else:
+            vals = np.array([float(tok) for r in rows for tok in r.split(",")])
+    except ValueError as exc:
+        raise ConfigError(f"non-numeric cell in grid file {path}: {exc}") from exc
     return GridFunction(d, n, vals)

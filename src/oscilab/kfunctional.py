@@ -9,11 +9,13 @@ K(t)/t are non-increasing for every route, and remain so after the
 correction.
 
 The packing route evaluates F(t) = sup over packings of the rearranged
-mean-oscillation step function at t, through a level sweep: F(t) is the
-largest oscillation level v for which the maximal total measure of a
-disjoint family of cubes with oscillation >= v exceeds t.  Measures are
-compared in integer cell counts so the sweep and the exhaustive oracle use
-bitwise-identical comparisons.
+mean-oscillation step function at t: F(t) is the largest oscillation level
+v for which the maximal total measure of a disjoint family of cubes with
+oscillation >= v exceeds t.  In 1D one bottleneck (max-min) DP over cell
+positions gives the largest minimum oscillation for every packed cell
+count, hence F at every t at once, exactly; in 2D a level sweep counts the
+packed cells per level.  Measures are compared in integer cell counts so
+both routes and the exhaustive oracle use bitwise-identical comparisons.
 """
 
 from __future__ import annotations
@@ -185,24 +187,49 @@ def k_l1_bmo(
 # the packing profile F
 
 class _LevelSweep:
-    """Shared state for evaluating F(t) at many t.
+    """Per-cube statistics and F(t) at many t.
 
-    Levels are the distinct per-cube statistics; cells(i) is the maximal
-    total cell count of a disjoint subfamily among cubes with statistic >=
-    level[i], non-increasing in i.  F(t) = largest level with cells > t*N^d.
-    In 1D the count is an exact interval-scheduling DP; 2D grids with
-    N <= 4 are searched exhaustively (greedy is not optimal on arbitrary
-    cube subsets, nor monotone across nested families), larger 2D grids use
-    the greedy selection by size, a certified lower bound.
+    stat is flat over (side, origin lex) and cube_at maps a flat index back
+    to its Cube.  F(t) is the largest statistic level v for which the
+    maximal cell count of a disjoint family of cubes with statistic >= v
+    exceeds t*N^d.
+
+    1D is one bottleneck (max-min) DP over cell positions that serves every
+    t at once.  B[j][c] is the largest minimum statistic over packings
+    inside [0, j) covering exactly c cells (+inf for the empty packing,
+    -inf where unreachable); step j is one numpy gather over every cube
+    ending at j:
+        B[j][c] = max(B[j-1][c], max_k min(B[j-k][c-k], stat[j-k, j))),
+    and F(t) = max over c > t*N of B[N][c].  Rows are stored by uncovered
+    cell count u = j - c, which turns the shifted read B[j-k][c-k] into the
+    aligned read of row j-k at u.  Full mode costs O(N * #cubes) = O(N^3)
+    time and O(N^2) memory.  Dyadic cubes are nested or disjoint, so there
+    the suffix maxima of B[N] are the sorted per-cell maxima of the
+    statistic, O(N log N).
+
+    2D counts cells per level: grids with N <= 4 are searched exhaustively
+    (greedy is not optimal on arbitrary cube subsets, nor monotone across
+    nested families), larger grids use the greedy selection by size, a
+    certified lower bound, and F(t) is a binary search over the levels.
     """
 
     def __init__(self, f: GridFunction, stat: np.ndarray, sides_list, dyadic: bool):
         self.n, self.d = f.res, f.dim
         self.dyadic = dyadic
         self.stat = stat  # flat over (side, origin lex)
-        self._build_entries(sides_list)
+        n, d = self.n, self.d
+        sides, origins = [], []
+        for k in sides_list:
+            cnt = (n // k) ** d if dyadic else (n - k + 1) ** d
+            sides.append(np.full(cnt, k, dtype=int))
+            origins.append(np.arange(cnt))
+        self.sides = np.concatenate(sides)
+        self.origins = np.concatenate(origins)
+        if d == 1:
+            return
+        self.order = np.lexsort((self.origins, -self.sides))
         levels = np.unique(stat[stat > 0])
-        if self.d == 2 and levels.size > _LEVEL_CAP_2D and self.n > ENUM_GUARD_2D:
+        if levels.size > _LEVEL_CAP_2D and n > ENUM_GUARD_2D:
             # keep the exact top levels and the whole-cube statistic (the
             # ||f||_1 witness near t=1), thin the rest uniformly
             top = levels[-32:]
@@ -216,26 +243,6 @@ class _LevelSweep:
         self.levels = levels
         self._cache: dict = {}
 
-    def _build_entries(self, sides_list) -> None:
-        n, d = self.n, self.d
-        sides, origins = [], []
-        for k in sides_list:
-            cnt = (n // k) ** d if self.dyadic else (n - k + 1) ** d
-            sides.append(np.full(cnt, k, dtype=int))
-            origins.append(np.arange(cnt))
-        self.sides = np.concatenate(sides)
-        self.origins = np.concatenate(origins)
-        if d == 1:
-            starts = self.origins * (self.sides if self.dyadic else 1)
-            by_end = [[] for _ in range(n + 1)]
-            for i in range(self.sides.size):
-                by_end[int(starts[i]) + int(self.sides[i])].append(
-                    (int(starts[i]), int(self.sides[i]), i)
-                )
-            self.by_end = by_end
-        else:
-            self.order = np.lexsort((self.origins, -self.sides))
-
     def cube_at(self, i: int) -> Cube:
         k = int(self.sides[i])
         o = int(self.origins[i])
@@ -247,24 +254,49 @@ class _LevelSweep:
             r, c = r * k, c * k
         return Cube((r, c), k)
 
-    def cells(self, level_idx: int) -> int:
+    def values(self, ts: np.ndarray) -> np.ndarray:
+        """F at every t of ts, each inside (0, 1]."""
+        if not np.all((ts > 0) & (ts <= 1)):
+            raise ConfigError("F is defined on (0, 1]")
+        if self.d == 2:
+            return np.array([self._value_2d(float(t)) for t in ts])
+        n = self.n
+        best = np.append(self._best_by_cells_1d(), -np.inf)  # c = 0..N+1
+        # smallest cell count c with c > t*N, the float comparison of 2D
+        vals = best[np.searchsorted(np.arange(n + 1), ts * n, side="right")]
+        return np.where(vals > 0, vals, 0.0)
+
+    def _best_by_cells_1d(self) -> np.ndarray:
+        """best[c] = max over c' >= c of B[N][c'], for c = 0..N."""
+        n, stat = self.n, self.stat
+        if self.dyadic:
+            # dyadic cubes are nested or disjoint, so the maximal cubes with
+            # statistic >= v pack their whole union: best[c] is the c-th
+            # largest over cells of the top statistic of a cube holding it
+            top = np.full(n, -np.inf)
+            for k in np.unique(self.sides):
+                np.maximum(top, np.repeat(stat[self.sides == k], k), out=top)
+            return np.concatenate(([np.inf], np.sort(top)[::-1]))
+        # stat_end[j, s] = statistic of [s, j); g[j, u] = B[j][j - u]
+        stat_end = np.full((n + 1, n), -np.inf)
+        stat_end[self.origins + self.sides, self.origins] = stat
+        g = np.full((n + 1, n + 1), -np.inf)
+        g[0, 0] = np.inf
+        for j in range(1, n + 1):
+            g[j, 1:j + 1] = g[j - 1, :j]  # cell j-1 left uncovered
+            np.maximum(
+                g[j, :j],
+                np.minimum(g[:j, :j], stat_end[j, :j, None]).max(axis=0),
+                out=g[j, :j],
+            )
+        return np.maximum.accumulate(g[n])[::-1]
+
+    def _cells_2d(self, level_idx: int) -> int:
         if level_idx in self._cache:
             return self._cache[level_idx]
         lam = self.levels[level_idx]
-        n, d = self.n, self.d
-        if d == 1:
-            best = [0] * (n + 1)
-            stat = self.stat
-            for j in range(1, n + 1):
-                b = best[j - 1]
-                for start, length, i in self.by_end[j]:
-                    if stat[i] >= lam:
-                        cand = best[start] + length
-                        if cand > b:
-                            b = cand
-                best[j] = b
-            val = best[n]
-        elif n <= ENUM_GUARD_2D:
+        n = self.n
+        if n <= ENUM_GUARD_2D:
             from .packing import _exact_search
 
             entries = [
@@ -291,19 +323,17 @@ class _LevelSweep:
         self._cache[level_idx] = val
         return val
 
-    def value_at(self, t: float) -> float:
-        """Largest level whose maximal packed cell count exceeds t*N^d."""
-        if not 0 < t <= 1:
-            raise ConfigError("F is defined on (0, 1]")
+    def _value_2d(self, t: float) -> float:
+        """Largest level whose maximal packed cell count exceeds t*N^2."""
         threshold = t * self.n**self.d
-        if self.levels.size == 0 or self.cells(0) <= threshold:
+        if self.levels.size == 0 or self._cells_2d(0) <= threshold:
             return 0.0
         lo, hi = 0, self.levels.size - 1  # predicate cells(i) > thr decreasing
-        if self.cells(hi) > threshold:
+        if self._cells_2d(hi) > threshold:
             return float(self.levels[hi])
         while hi - lo > 1:
             mid = (lo + hi) // 2
-            if self.cells(mid) > threshold:
+            if self._cells_2d(mid) > threshold:
                 lo = mid
             else:
                 hi = mid
@@ -356,8 +386,7 @@ def f_sharp_curve(
 ) -> np.ndarray:
     """F(t) (or its L_p variant) on a grid of t values."""
     ts = np.asarray(t_grid, dtype=float)
-    sweep = _sweep_for(f, p, cube_mode)
-    return np.array([sweep.value_at(float(t)) for t in ts])
+    return _sweep_for(f, p, cube_mode).values(ts)
 
 
 def f_sharp_profile(
@@ -371,8 +400,7 @@ def f_sharp_profile(
     With exact_small the value is cross-checked against the literal brute
     force over every packing (guarded grid sizes); a mismatch raises.
     """
-    sweep = _sweep_for(f, None, cube_mode)
-    val = sweep.value_at(float(t))
+    val = float(f_sharp_curve(f, [t], cube_mode=cube_mode)[0])
     if exact_small:
         if (f.dim == 1 and f.res > ENUM_GUARD_1D) or (
             f.dim == 2 and f.res > ENUM_GUARD_2D
@@ -393,8 +421,7 @@ def f_sharp_profile_p(
     ((1/|Q|) int_Q |f-f_Q|^p)^(1/p)."""
     if not 0 < p < 1:
         raise ConfigError(f"p must lie in (0,1), got {p}")
-    sweep = _sweep_for(f, p, cube_mode)
-    return sweep.value_at(float(t))
+    return float(f_sharp_curve(f, [t], p=p, cube_mode=cube_mode)[0])
 
 
 def vitali_threshold_estimate(

@@ -1,11 +1,14 @@
 """Optimization over cube packings: exhaustive enumeration, exact 1D dynamic
 programs, greedy Vitali selection.
 
-1D problems are solved exactly (weighted interval scheduling and a budgeted
-DP over (cell position, cells used)).  2D maximum-weight square packing is
-combinatorially hard: tiny grids (N <= 4) are solved exactly by pruned search
-over the cube family, larger grids fall back to deterministic greedy
-selection whose value is a certified lower bound.
+1D problems are solved exactly: weighted interval scheduling, and DPs over
+cell positions, each O(N) numpy steps that gather the weights of the cubes
+ending at the current cell.  The unbudgeted DP solves a stack of weight rows
+at once (O(N^2) work per row); the budgeted DP tracks cells used (O(N^3)
+work, O(N^2) memory).  2D maximum-weight square packing is combinatorially
+hard: tiny grids (N <= 4) are solved exactly by pruned search over the cube
+family, larger grids fall back to deterministic greedy selection whose value
+is a certified lower bound.
 """
 
 from __future__ import annotations
@@ -195,29 +198,64 @@ def max_measure_packing(cubes: Iterable[Cube], grid) -> tuple:
     return Packing(chosen), val
 
 
-def _dp_unbudgeted_1d(w: dict, n: int) -> tuple:
-    """DP over cell positions; w maps side -> per-origin weight array."""
-    best = [0.0] * (n + 1)
-    parent = [(0, 0)] * (n + 1)  # (prev position, side or 0=skip)
+def _weights_by_end_1d(w: dict, n: int) -> tuple:
+    """(sides, at_end) with at_end(j)[i, r] the weight in row r of the cube
+    [j - sides[i], j), -inf where sides[i] > j.
+
+    w maps side -> per-origin weights of shape (origins,) or (rows,
+    origins); sides keep w's order, which breaks ties between sides.  The
+    weights sit in one flat (rows, cubes) table, side after side, with a
+    trailing -inf column that sides longer than j read.
+    """
+    items = [(int(k), np.atleast_2d(np.asarray(v, dtype=float)))
+             for k, v in w.items() if int(k) <= n]
+    sides = np.array([k for k, _ in items], dtype=int)
+    rows = items[0][1].shape[0] if items else 1
+    flat = np.concatenate(
+        [v[:, : n - k + 1] for k, v in items] + [np.full((rows, 1), -np.inf)],
+        axis=1,
+    )
+    first = np.cumsum([0] + [n - k + 1 for k, _ in items])[:-1] - sides
+
+    def at_end(j: int) -> np.ndarray:
+        return flat[:, np.where(sides <= j, first + j, -1)].T
+
+    return sides, at_end
+
+
+def _dp_unbudgeted_1d(w: dict, n: int) -> list:
+    """Max-weight packing for every weight row of w in one DP.
+
+    best[j, r] is the best weight of row r inside [0, j); step j compares,
+    for all rows at once, skipping cell j-1 with every cube ending at j.
+    Skipping wins a tie, then the first side in w's order.  Returns one
+    (chosen cubes, value) per row.
+    """
+    sides, at_end = _weights_by_end_1d(w, n)
+    choice = np.concatenate(([0], sides))  # 0 = skip
+    rows = at_end(0).shape[1]
+    best = np.zeros((n + 1, rows))
+    taken = np.zeros((n + 1, rows), dtype=int)
+    cand = np.empty((sides.size + 1, rows))
+    cols = np.arange(rows)
     for j in range(1, n + 1):
-        b, pk = best[j - 1], 0
-        for k in w:
-            if k > j:
-                continue
-            cand = best[j - k] + float(w[k][j - k])
-            if cand > b:
-                b, pk = cand, k
-        best[j] = b
-        parent[j] = (j - pk if pk else j - 1, pk)
-    chosen = []
-    j = n
-    while j > 0:
-        prev, k = parent[j]
-        if k:
-            chosen.append(Cube((prev,), k))
-        j = prev
-    chosen.sort()
-    return chosen, best[n]
+        cand[0] = best[j - 1]
+        np.add(best[np.maximum(j - sides, 0)], at_end(j), out=cand[1:])
+        i = cand.argmax(axis=0)
+        best[j] = cand[i, cols]
+        taken[j] = choice[i]
+    out = []
+    for r in range(rows):
+        chosen = []
+        j = n
+        while j > 0:
+            k = int(taken[j, r])
+            if k:
+                chosen.append(Cube((j - k,), k))
+            j -= k or 1
+        chosen.sort()
+        out.append((chosen, float(best[n, r])))
+    return out
 
 
 def additive_pareto_1d(weights, grid) -> np.ndarray:
@@ -229,14 +267,13 @@ def additive_pareto_1d(weights, grid) -> np.ndarray:
     d, n = int(grid[0]), int(grid[1])
     if d != 1:
         raise ConfigError("the exact budgeted DP is 1D only")
-    w = _side_tables_1d(weights, n)
-    rows, _ = _dp_budgeted_1d(w, n)
-    return rows[n]
+    g, _ = _dp_budgeted_1d(_side_tables_1d(weights, n), n)
+    return g[n, ::-1].copy()
 
 
 def _side_tables_1d(weights, n: int) -> dict:
     if isinstance(weights, dict):
-        return {int(k): np.asarray(v, dtype=float) for k, v in weights.items()}
+        return weights
     look = weights
     return {
         k: np.array([float(look(Cube((o,), k))) for o in range(n - k + 1)])
@@ -248,25 +285,26 @@ def max_additive_packing(weights, grid, measure_budget: int | None = None) -> tu
     """Maximize the sum of cube weights over packings.
 
     weights: callable Cube -> real, or {side: per-origin array}.  1D is an
-    exact DP (O(N^2), budgeted variant O(N^3)); 2D is exact for N <= 4 and
-    greedy otherwise.  With measure_budget = m the packing must cover exactly
-    m cells.  Returns (Packing, value); the empty packing (value 0) wins when
-    every weight is <= 0.
+    exact DP over cell positions in O(N) numpy steps: O(N^2) work, and
+    O(N^3) work with O(N^2) memory for the budgeted variant.  2D is exact
+    for N <= 4 and greedy otherwise.  With measure_budget = m the packing
+    must cover exactly m cells.  Returns (Packing, value); the empty packing
+    (value 0) wins when every weight is <= 0.
     """
     d, n = int(grid[0]), int(grid[1])
     if d == 1:
         w = _side_tables_1d(weights, n)
         if measure_budget is None:
-            chosen, val = _dp_unbudgeted_1d(w, n)
+            chosen, val = _dp_unbudgeted_1d(w, n)[0]
             return Packing(chosen), val
         m = int(measure_budget)
         if not 0 <= m <= n:
             raise ConfigError(f"measure budget {m} outside 0..{n}")
-        table, parents = _dp_budgeted_1d(w, n, track=True)
-        if not math.isfinite(table[n][m]):
+        g, taken = _dp_budgeted_1d(w, n)
+        if not math.isfinite(g[n, n - m]):
             raise ConfigError(f"no packing covers exactly {m} cells")
-        chosen = _reconstruct_budgeted(parents, n, m)
-        return Packing(chosen), float(table[n][m])
+        chosen = _reconstruct_budgeted(taken, n, m)
+        return Packing(chosen), float(g[n, n - m])
     if measure_budget is not None:
         raise ConfigError("measure budgets are supported in 1D only")
     look = _weight_lookup(weights, n)
@@ -278,42 +316,42 @@ def max_additive_packing(weights, grid, measure_budget: int | None = None) -> tu
     return Packing(chosen), val
 
 
-def _dp_budgeted_1d(w: dict, n: int, track: bool = False) -> tuple:
-    neg = -math.inf
-    rows = [np.full(n + 1, neg)]
-    rows[0][0] = 0.0
-    parents = [dict()]
+def _dp_budgeted_1d(w: dict, n: int) -> tuple:
+    """(g, taken): g[j, u] is the best weight of a packing inside [0, j)
+    leaving exactly u of its cells uncovered (-inf where unreachable), and
+    taken[j, u] the side of the cube ending at j in it, 0 for a skip.
+
+    Indexing by uncovered count reads every earlier row unshifted: a cube
+    [j-k, j) extends g[j-k, u] to g[j, u], skipping cell j-1 extends
+    g[j-1, u-1].  Ties break as in _dp_unbudgeted_1d.
+    """
+    sides, at_end = _weights_by_end_1d(w, n)
+    choice = np.concatenate(([0], sides))
+    g = np.full((n + 1, n + 1), -np.inf)
+    g[0, 0] = 0.0
+    taken = np.zeros((n + 1, n + 1), dtype=int)
     for j in range(1, n + 1):
-        new = rows[j - 1].copy()
-        par: dict = {}
-        for k in w:
-            if k > j:
-                continue
-            wk = float(w[k][j - k])
-            cand = rows[j - k][:-k] + wk
-            better = cand > new[k:]
-            if better.any():
-                idx = np.nonzero(better)[0]
-                new[k + idx] = cand[idx]
-                if track:
-                    for m in idx.tolist():
-                        par[m + k] = (j - k, k)
-        rows.append(new)
-        parents.append(par)
-    return rows, parents
+        cand = np.empty((sides.size + 1, j))
+        cand[0, 0] = -np.inf
+        cand[0, 1:] = g[j - 1, : j - 1]
+        np.add(g[np.maximum(j - sides, 0), :j], at_end(j), out=cand[1:])
+        i = cand.argmax(axis=0)
+        g[j, :j] = cand[i, np.arange(j)]
+        g[j, j] = g[j - 1, j - 1]
+        taken[j, :j] = choice[i]
+    return g, taken
 
 
-def _reconstruct_budgeted(parents, n: int, m: int) -> list:
+def _reconstruct_budgeted(taken: np.ndarray, n: int, m: int) -> list:
     chosen = []
-    j = n
-    while j > 0 and m > 0:
-        par = parents[j]
-        if m in par:
-            prev, k = par[m]
-            chosen.append(Cube((prev,), k))
-            j, m = prev, m - k
+    j, u = n, n - m
+    while j > u:
+        k = int(taken[j, u])
+        if k:
+            chosen.append(Cube((j - k,), k))
+            j -= k
         else:
-            j -= 1
+            j, u = j - 1, u - 1
     chosen.sort()
     return chosen
 

@@ -165,3 +165,37 @@ def test_error_exit_code(tmp_path):
 
 def test_dump_json_canonical():
     assert dump_json({"b": 1, "a": 2}) == '{"a":2,"b":1}'
+
+
+@pytest.mark.parametrize(
+    "name,text",
+    [
+        ("missing", None),
+        ("token", "# oscilab d=1 N=2 junk\n1.0\n2.0\n"),
+        ("nonnumeric", "# oscilab d=1 N=2\n1.0\nx\n"),
+        ("ragged", "# oscilab d=2 N=2\n1.0,2.0\n3.0\n"),
+    ],
+)
+def test_kprofile_bad_grid_is_config_error(tmp_path, capsys, name, text):
+    grid = tmp_path / f"{name}.csv"
+    if text is not None:
+        grid.write_text(text)
+    rc = main(["kprofile", str(grid), "--out", str(tmp_path / "k.csv")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    from oscilab import ConfigError
+
+    with pytest.raises(ConfigError):
+        read_grid_csv(grid)
+
+
+def test_kprofile_negative_points_rejected(tmp_path, capsys):
+    grid = tmp_path / "f.csv"
+    main(["gen", "indicator", "--d", "1", "--N", "8", "--out", str(grid)])
+    out = tmp_path / "k.csv"
+    argv = ["kprofile", str(grid), "--method", "PACK", "--out", str(out)]
+    assert main(argv + ["--points", "-3"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+    assert main(argv + ["--points", "0"]) == 0  # 0 keeps the default grid
+    assert out.exists()

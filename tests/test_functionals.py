@@ -28,6 +28,8 @@ from oscilab import (
     sobolev_seminorm,
     weak_lp,
 )
+from oscilab.grid import cube_stat_tables
+from oscilab.packing import max_additive_packing
 
 
 def gf(vals, d=1):
@@ -248,3 +250,44 @@ def test_morrey_chain_1d(rng):
         camp = campanato_norm(f, lam)
         if sob > 0:
             assert camp <= sob * (1 + 1e-12)
+
+
+def _garo_p_lambda_per_mu(f, p, lam):
+    """1D garo_p_lambda with one max_additive_packing per multiplier, each
+    packing's ratio summed in Cube order."""
+    n = f.res
+    tables = cube_stat_tables(f, stats=("do",))
+    expo = 1.0 + lam
+    q = 1.0 - 1.0 / p
+    do_arr = np.concatenate([tables[k]["do"] for k in tables])
+    budget_arr = np.concatenate(
+        [np.full(tables[k]["do"].size, k / n) for k in tables]
+    ) ** expo
+
+    def ratio_of(keys):
+        do = sum(float(tables[k]["do"][o]) for k, o in keys)
+        budget = sum((k / n) ** expo for k, _ in keys)
+        return do / budget**q if budget > 0 else 0.0
+
+    best = max(
+        float(np.max(do_arr / budget_arr**q, initial=0.0)),
+        ratio_of([(1, o) for o in range(n)]),
+    )
+    pos = do_arr > 0
+    ratios = do_arr[pos] / budget_arr[pos]
+    lo, hi = max(float(ratios.min()), 1e-12), float(ratios.max()) + 1.0
+    for mu in np.geomspace(lo, hi, 33):
+        weights = {k: tables[k]["do"] - mu * ((k / n) ** expo) for k in tables}
+        packing, _ = max_additive_packing(weights, (1, n))
+        keys = [(qc.side, qc.origin[0]) for qc in packing]
+        if keys:
+            best = max(best, ratio_of(keys))
+    return best
+
+
+@pytest.mark.parametrize("n", [16, 64])
+@pytest.mark.parametrize("kind", ["random_steps", "cosine_mix"])
+@pytest.mark.parametrize("lam", [-0.3, -0.7])
+def test_garo_p_lambda_batched_sweep_matches_per_mu(n, kind, lam):
+    f = generate(kind, 1, n, seed=n + 1)
+    assert garo_p_lambda(f, 2.0, lam) == _garo_p_lambda_per_mu(f, 2.0, lam)

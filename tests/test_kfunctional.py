@@ -13,13 +13,16 @@ from oscilab import (
     f_sharp_curve,
     f_sharp_profile,
     f_sharp_profile_p,
+    generate,
     k_l1_bmo,
     k_l1_linf,
     rearrange,
     sharp_maximal,
     vitali_threshold_estimate,
 )
+from oscilab.grid import Cube, cube_windows, sides_for
 from oscilab.kfunctional import KProfile, running_max
+from oscilab.packing import max_measure_packing
 
 
 def gf(vals, d=1):
@@ -213,3 +216,43 @@ def test_kprofile_csv(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "t,value,method"
     assert lines[1].endswith(",BS")
+
+
+def _level_search_f(f, ts, p, dyadic):
+    """For each t, the largest distinct statistic level v whose cubes with
+    statistic >= v pack more than t*N cells, by the exact interval
+    scheduling of max_measure_packing at each level."""
+    n = f.res
+    cubes, stats = [], []
+    for k in sides_for(n, dyadic):
+        w = cube_windows(f, k, dyadic)
+        dev = np.abs(w - w.mean(axis=1)[:, None])
+        stat = dev.mean(axis=1) if p is None else (dev**p).mean(axis=1) ** (1.0 / p)
+        cubes += [Cube((o * (k if dyadic else 1),), k) for o in range(w.shape[0])]
+        stats += stat.tolist()
+    levels = sorted({s for s in stats if s > 0}, reverse=True)
+    cells = {}
+
+    def packed(v):
+        if v not in cells:
+            keep = [q for q, s in zip(cubes, stats) if s >= v]
+            cells[v] = max_measure_packing(keep, (1, n))[0].total_cells()
+        return cells[v]
+
+    return np.array(
+        [next((v for v in levels if packed(v) > t * n), 0.0) for t in ts]
+    )
+
+
+@pytest.mark.parametrize(
+    "n,mode", [(24, "full"), (48, "full"), (32, "dyadic"), (64, "dyadic")]
+)
+@pytest.mark.parametrize("p", [None, 0.5])
+def test_f_sharp_curve_matches_level_search(rng, n, mode, p):
+    # beyond the brute-force guard; t = c/N for every cell count c puts the
+    # strict inequality cells > t*N on every threshold
+    ts = np.union1d(np.geomspace(0.5 / n, 1.0, 64), np.arange(1, n + 1) / n)
+    for f in (gf(rng.normal(size=n)), generate("random_steps", 1, n, seed=n)):
+        got = f_sharp_curve(f, ts, p=p, cube_mode=mode)
+        want = _level_search_f(f, ts, p, mode == "dyadic")
+        assert want.max() > 0 and np.array_equal(got, want)

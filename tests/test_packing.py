@@ -187,3 +187,24 @@ def test_budget_validation():
         max_additive_packing(lambda q: 1.0, (1, 4), measure_budget=7)
     with pytest.raises(ConfigError):
         max_additive_packing(lambda q: 1.0, (2, 3), measure_budget=2)
+
+
+def test_max_additive_tie_break_pinned():
+    # tied optima: skipping a cell wins a tie, then the first side in the
+    # weight dict's order
+    n = 6
+    per_cell = {k: np.full(n - k + 1, float(k)) for k in range(1, n + 1)}
+    reverse = dict(reversed(list(per_cell.items())))
+    zero = {k: np.zeros(n - k + 1) for k in range(1, n + 1)}
+    units = [Cube((o,), 1) for o in range(n)]
+    for w, m, want, value in (
+        (per_cell, None, units, 6.0),
+        (reverse, None, [Cube((0,), 6)], 6.0),
+        (zero, None, [], 0.0),
+        (per_cell, 3, units[:3], 3.0),
+        (per_cell, 4, units[:4], 4.0),
+        (reverse, 4, [Cube((0,), 4)], 4.0),
+        (zero, 3, units[:3], 0.0),
+    ):
+        pk, val = max_additive_packing(w, (1, n), measure_budget=m)
+        assert pk.cubes == want and val == value
