@@ -56,6 +56,7 @@ from .maximal import (
 )
 from .packing import (
     additive_pareto_1d,
+    additive_pareto_2d,
     enumerate_packings,
     max_additive_packing,
     max_measure_packing,

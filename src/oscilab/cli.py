@@ -176,7 +176,13 @@ def _cmd_kprofile(args) -> int:
 def _cmd_verify(args) -> int:
     config = {}
     if args.config:
-        config.update(json.loads(args.config))
+        try:
+            overrides = json.loads(args.config)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"--config is not valid JSON: {exc}") from exc
+        if not isinstance(overrides, dict):
+            raise ConfigError("--config must be a JSON object")
+        config.update(overrides)
     config["seed"] = args.seed
     if args.s is not None:
         config["s"] = args.s

@@ -1,13 +1,15 @@
 """Optimization over cube packings: exhaustive enumeration, exact 1D dynamic
-programs, greedy Vitali selection.
+programs, an exact 2D subset DP for tiny grids, greedy Vitali selection.
 
 1D problems are solved exactly: weighted interval scheduling, and DPs over
 cell positions, each O(N) numpy steps that gather the weights of the cubes
 ending at the current cell.  The unbudgeted DP solves a stack of weight rows
 at once (O(N^2) work per row); the budgeted DP tracks cells used (O(N^3)
 work, O(N^2) memory).  2D maximum-weight square packing is combinatorially
-hard: tiny grids (N <= 4) are solved exactly by pruned search over the cube
-family, larger grids fall back to deterministic greedy selection whose value
+hard: on tiny grids (N <= 4) the best weight per covered cell count comes
+from an include/exclude DP over bitmasks of covered cells (cubes x 2^(N^2)
+numpy work) and the unconstrained optimum from pruned search over the cube
+family; larger grids fall back to deterministic greedy selection whose value
 is a certified lower bound.
 """
 
@@ -27,6 +29,7 @@ __all__ = [
     "max_measure_packing",
     "max_additive_packing",
     "additive_pareto_1d",
+    "additive_pareto_2d",
     "vitali_select",
     "union_measure",
     "ENUM_GUARD_1D",
@@ -198,24 +201,27 @@ def max_measure_packing(cubes: Iterable[Cube], grid) -> tuple:
     return Packing(chosen), val
 
 
-def _weights_by_end_1d(w: dict, n: int) -> tuple:
+def _weights_by_end_1d(sides, row_of, n: int) -> tuple:
     """(sides, at_end) with at_end(j)[i, r] the weight in row r of the cube
     [j - sides[i], j), -inf where sides[i] > j.
 
-    w maps side -> per-origin weights of shape (origins,) or (rows,
-    origins); sides keep w's order, which breaks ties between sides.  The
-    weights sit in one flat (rows, cubes) table, side after side, with a
-    trailing -inf column that sides longer than j read.
+    row_of(k) gives the per-origin weights of side k, of shape (origins,) or
+    (rows, origins); it is called once per side, and each result is copied
+    straight into one flat (rows, cubes) table, side after side in the order
+    of sides, which breaks ties between sides.  A trailing -inf column is
+    what sides longer than j read.
     """
-    items = [(int(k), np.atleast_2d(np.asarray(v, dtype=float)))
-             for k, v in w.items() if int(k) <= n]
-    sides = np.array([k for k, _ in items], dtype=int)
-    rows = items[0][1].shape[0] if items else 1
-    flat = np.concatenate(
-        [v[:, : n - k + 1] for k, v in items] + [np.full((rows, 1), -np.inf)],
-        axis=1,
-    )
-    first = np.cumsum([0] + [n - k + 1 for k, _ in items])[:-1] - sides
+    keys = [k for k in sides if int(k) <= n]
+    sides = np.array([int(k) for k in keys], dtype=int)
+    width = n - sides + 1
+    starts = np.cumsum(width) - width
+    flat = np.full((1, 1), -np.inf)  # no sides: only the -inf column
+    for i, (k, a, w) in enumerate(zip(keys, starts, width)):
+        v = np.atleast_2d(np.asarray(row_of(k), dtype=float))
+        if i == 0:  # the first side's rows give the row count
+            flat = np.full((v.shape[0], width.sum() + 1), -np.inf)
+        flat[:, a: a + w] = v[:, :w]
+    first = starts - sides
 
     def at_end(j: int) -> np.ndarray:
         return flat[:, np.where(sides <= j, first + j, -1)].T
@@ -223,15 +229,16 @@ def _weights_by_end_1d(w: dict, n: int) -> tuple:
     return sides, at_end
 
 
-def _dp_unbudgeted_1d(w: dict, n: int) -> list:
-    """Max-weight packing for every weight row of w in one DP.
+def _dp_unbudgeted_1d(sides, row_of, n: int) -> list:
+    """Max-weight packing for every weight row in one DP; the weights are
+    read as in _weights_by_end_1d.
 
     best[j, r] is the best weight of row r inside [0, j); step j compares,
     for all rows at once, skipping cell j-1 with every cube ending at j.
-    Skipping wins a tie, then the first side in w's order.  Returns one
-    (chosen cubes, value) per row.
+    Skipping wins a tie, then the first side in the order of sides.  Returns
+    one (chosen cubes, value) per row.
     """
-    sides, at_end = _weights_by_end_1d(w, n)
+    sides, at_end = _weights_by_end_1d(sides, row_of, n)
     choice = np.concatenate(([0], sides))  # 0 = skip
     rows = at_end(0).shape[1]
     best = np.zeros((n + 1, rows))
@@ -267,18 +274,52 @@ def additive_pareto_1d(weights, grid) -> np.ndarray:
     d, n = int(grid[0]), int(grid[1])
     if d != 1:
         raise ConfigError("the exact budgeted DP is 1D only")
-    g, _ = _dp_budgeted_1d(_side_tables_1d(weights, n), n)
+    g, _ = _dp_budgeted_1d(*_side_rows_1d(weights, n), n)
     return g[n, ::-1].copy()
 
 
-def _side_tables_1d(weights, n: int) -> dict:
+def _side_rows_1d(weights, n: int) -> tuple:
+    """(sides, row_of) for _weights_by_end_1d: the keys and values of a
+    {side: per-origin array} dict, or every side of a Cube -> weight
+    callable."""
     if isinstance(weights, dict):
-        return weights
-    look = weights
-    return {
-        k: np.array([float(look(Cube((o,), k))) for o in range(n - k + 1)])
-        for k in range(1, n + 1)
-    }
+        return list(weights), weights.__getitem__
+    return range(1, n + 1), lambda k: [
+        float(weights(Cube((o,), k))) for o in range(n - k + 1)
+    ]
+
+
+def additive_pareto_2d(weights, grid) -> np.ndarray:
+    """value[m] = max sum of weights over 2D packings covering exactly m
+    cells, for N <= ENUM_GUARD_2D; -inf marks unreachable m.
+
+    Exact include/exclude DP over the cubes in enumerate_cubes order on one
+    row of 2^(N^2) floats, best[mask] = the largest weight sum of a packing
+    covering exactly the cells of mask.  Each cube is one numpy gather over
+    the masks disjoint from it: cubes x 2^(N^2) work (30 x 65536 at N=4),
+    one 512 KB row.  Weights are added in cube order, the order a
+    left-to-right sum over enumerate_packings adds them, and x -> fl(x + w)
+    is monotone, so value[m] equals the largest such sum bit for bit.
+    """
+    d, n = int(grid[0]), int(grid[1])
+    if d != 2:
+        raise ConfigError("additive_pareto_2d is 2D only")
+    if n > ENUM_GUARD_2D:
+        raise SizeGuardError(
+            f"the 2D subset DP is guarded at N <= {ENUM_GUARD_2D}, got N={n}"
+        )
+    look = _weight_lookup(weights, n)
+    masks = np.arange(1 << (n * n))
+    best = np.full(masks.size, -np.inf)
+    best[0] = 0.0
+    for q in enumerate_cubes(grid):
+        m = _cube_mask(q, n)
+        src = masks[(masks & m) == 0]
+        dst = src + m
+        best[dst] = np.maximum(best[dst], best[src] + float(look(q)))
+    value = np.full(n * n + 1, -np.inf)
+    np.maximum.at(value, np.bitwise_count(masks), best)
+    return value
 
 
 def max_additive_packing(weights, grid, measure_budget: int | None = None) -> tuple:
@@ -293,14 +334,14 @@ def max_additive_packing(weights, grid, measure_budget: int | None = None) -> tu
     """
     d, n = int(grid[0]), int(grid[1])
     if d == 1:
-        w = _side_tables_1d(weights, n)
+        sides, row_of = _side_rows_1d(weights, n)
         if measure_budget is None:
-            chosen, val = _dp_unbudgeted_1d(w, n)[0]
+            chosen, val = _dp_unbudgeted_1d(sides, row_of, n)[0]
             return Packing(chosen), val
         m = int(measure_budget)
         if not 0 <= m <= n:
             raise ConfigError(f"measure budget {m} outside 0..{n}")
-        g, taken = _dp_budgeted_1d(w, n)
+        g, taken = _dp_budgeted_1d(sides, row_of, n)
         if not math.isfinite(g[n, n - m]):
             raise ConfigError(f"no packing covers exactly {m} cells")
         chosen = _reconstruct_budgeted(taken, n, m)
@@ -316,7 +357,7 @@ def max_additive_packing(weights, grid, measure_budget: int | None = None) -> tu
     return Packing(chosen), val
 
 
-def _dp_budgeted_1d(w: dict, n: int) -> tuple:
+def _dp_budgeted_1d(sides, row_of, n: int) -> tuple:
     """(g, taken): g[j, u] is the best weight of a packing inside [0, j)
     leaving exactly u of its cells uncovered (-inf where unreachable), and
     taken[j, u] the side of the cube ending at j in it, 0 for a skip.
@@ -325,7 +366,7 @@ def _dp_budgeted_1d(w: dict, n: int) -> tuple:
     [j-k, j) extends g[j-k, u] to g[j, u], skipping cell j-1 extends
     g[j-1, u-1].  Ties break as in _dp_unbudgeted_1d.
     """
-    sides, at_end = _weights_by_end_1d(w, n)
+    sides, at_end = _weights_by_end_1d(sides, row_of, n)
     choice = np.concatenate(([0], sides))
     g = np.full((n + 1, n + 1), -np.inf)
     g[0, 0] = 0.0

@@ -116,12 +116,22 @@ class TablePhi:
         return f"table[{self.s.size} knots]"
 
 
+def _parse_float(text: str, what: str) -> float:
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise ConfigError(f"{what} must be a number, got {text!r}") from exc
+    if math.isnan(value):
+        raise ConfigError(f"{what} must be a number, got {text!r}")
+    return value
+
+
 def phi_preset(name: str):
     """Built-in phi presets: 'power:p' and 'log-slow'."""
     if name == "log-slow":
         return LogSlowPhi()
     if name.startswith("power:"):
-        p = float(name.split(":", 1)[1])
+        p = _parse_float(name.split(":", 1)[1], "power preset exponent")
         if p < 1:
             raise ConfigError("power preset needs p >= 1")
         return PowerPhi(1.0 / p if math.isfinite(p) else 0.0)
@@ -131,17 +141,23 @@ def phi_preset(name: str):
 def phi_from_csv(path) -> TablePhi:
     """Load a phi table from CSV rows 's,phi(s)' (optional header)."""
     ss, vs = [], []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            a, b = line.split(",")[:2]
-            try:
-                ss.append(float(a))
-                vs.append(float(b))
-            except ValueError:
-                continue  # header row
+    try:
+        with open(path) as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read phi table {path}: {exc}") from exc
+    for line in lines:
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        fields = line.split(",")
+        if len(fields) < 2:
+            raise ConfigError(f"phi table row needs 's,phi(s)', got {line!r}")
+        try:
+            ss.append(float(fields[0]))
+            vs.append(float(fields[1]))
+        except ValueError:
+            continue  # header row
     return TablePhi(ss, vs)
 
 
@@ -197,9 +213,10 @@ def space_from_string(spec: str) -> RISpaceSpec:
     """Parse 'lp:p' | 'weak:p' | 'marcinkiewicz:<preset or csv path>'."""
     head, _, rest = spec.partition(":")
     if head == "lp":
-        return lp(math.inf if rest in ("inf", "infinity") else float(rest))
+        return lp(math.inf if rest in ("inf", "infinity")
+                  else _parse_float(rest, "Lp exponent"))
     if head == "weak":
-        return weak_lp(float(rest))
+        return weak_lp(_parse_float(rest, "weak-Lp exponent"))
     if head == "marcinkiewicz":
         if rest == "log-slow" or rest.startswith("power:"):
             return marcinkiewicz(phi_preset(rest))

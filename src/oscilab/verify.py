@@ -59,7 +59,11 @@ __all__ = ["SUITE_IDS", "run_suite"]
 
 
 def _pmap(fn, items):
-    cap = int(os.environ.get("OSCILAB_THREADS", "1") or "1")
+    raw = os.environ.get("OSCILAB_THREADS", "1") or "1"
+    try:
+        cap = int(raw)
+    except ValueError as exc:
+        raise ConfigError(f"OSCILAB_THREADS must be an integer, got {raw!r}") from exc
     items = list(items)
     if cap <= 1 or len(items) <= 1:
         return [fn(x) for x in items]

@@ -199,3 +199,28 @@ def test_kprofile_negative_points_rejected(tmp_path, capsys):
     assert not out.exists()
     assert main(argv + ["--points", "0"]) == 0  # 0 keeps the default grid
     assert out.exists()
+
+
+@pytest.mark.parametrize(
+    "space",
+    ["lp:abc", "lp:nan", "weak:x", "marcinkiewicz:power:y", "marcinkiewicz:MISSING"],
+)
+def test_norm_bad_space_is_config_error(tmp_path, capsys, space):
+    grid = tmp_path / "f.csv"
+    main(["gen", "indicator", "--d", "1", "--N", "8", "--out", str(grid)])
+    capsys.readouterr()
+    space = space.replace("MISSING", str(tmp_path / "missing.csv"))
+    assert main(["norm", str(grid), "--space", space]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("config", ["{bad", "[1]", "3"])
+def test_verify_bad_config_is_config_error(capsys, config):
+    assert main(["verify", "rearr", "--config", config]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_verify_non_integer_threads_is_config_error(monkeypatch, capsys):
+    monkeypatch.setenv("OSCILAB_THREADS", "abc")
+    assert main(["verify", "maximal"]) == 2
+    assert "OSCILAB_THREADS" in capsys.readouterr().err

@@ -13,7 +13,9 @@ from oracles import (
 
 from oscilab import (
     ConfigError,
+    Cube,
     GridFunction,
+    Packing,
     SizeGuardError,
     campanato_norm,
     gamma_membership,
@@ -29,7 +31,7 @@ from oscilab import (
     weak_lp,
 )
 from oscilab.grid import cube_stat_tables
-from oscilab.packing import max_additive_packing
+from oscilab.packing import enumerate_packings, max_additive_packing
 
 
 def gf(vals, d=1):
@@ -291,3 +293,55 @@ def _garo_p_lambda_per_mu(f, p, lam):
 def test_garo_p_lambda_batched_sweep_matches_per_mu(n, kind, lam):
     f = generate(kind, 1, n, seed=n + 1)
     assert garo_p_lambda(f, 2.0, lam) == _garo_p_lambda_per_mu(f, 2.0, lam)
+
+
+def _gp_by_enumeration(f: GridFunction, ps) -> list:
+    """gp_norm on a 2D N <= 4 grid as every packing gives it: the do values
+    summed left to right in cube order, Packing.total_measure, and the
+    running max from 0.0, for each p in ps."""
+    n = f.res
+    tables = cube_stat_tables(f, stats=("osc", "do"))
+    sums = []
+    for packing in enumerate_packings((2, n)):
+        do = sum(
+            float(tables[qc.side]["do"][qc.origin[0] * (n - qc.side + 1)
+                                        + qc.origin[1]])
+            for qc in packing
+        )
+        sums.append((do, packing.total_measure(n)))
+    out = []
+    for p in ps:
+        q = 1.0 - 1.0 / p
+        best = 0.0
+        for do, meas in sums:
+            best = max(best, do / meas**q)
+        out.append(best)
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_packing_measure_depends_on_cell_count_only(n):
+    # gp_norm's 2D subset DP keys packings by cells covered: every side
+    # composition that fits must give the fsum of that many unit cells
+    def compositions(k, room):
+        if k > n:
+            yield []
+            return
+        for c in range(room // (k * k) + 1):
+            for rest in compositions(k + 1, room - c * k * k):
+                yield [c] + rest
+
+    for counts in compositions(1, n * n):
+        # total_measure reads the sides only, so the origins may coincide
+        cubes = [Cube((0, 0), k) for k, c in enumerate(counts, 1) for _ in range(c)]
+        cells = sum(k * k * c for k, c in enumerate(counts, 1))
+        assert Packing(cubes).total_measure(n) == math.fsum([(1 / n) ** 2] * cells)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("kind", ["indicator", "random_steps", "cosine_mix"])
+def test_gp_norm_2d_small_equals_enumeration(n, kind):
+    ps = (1.1, 1.5, 2.0, 4.0)
+    f = generate(kind, 2, n, seed=10 * n + 3)
+    got = [repr(gp_norm(f, p)) for p in ps]
+    assert got == [repr(v) for v in _gp_by_enumeration(f, ps)]

@@ -10,6 +10,7 @@ from oscilab import (
     Cube,
     SizeGuardError,
     additive_pareto_1d,
+    additive_pareto_2d,
     enumerate_cubes,
     enumerate_packings,
     max_additive_packing,
@@ -137,6 +138,25 @@ def test_max_additive_2d_exact_small(rng):
         for p in enumerate_packings((2, 3)):
             best = max(best, sum(weights[q] for q in p))
         assert val == pytest.approx(best, abs=1e-12)
+
+
+def test_additive_pareto_2d_matches_enumeration(rng):
+    for trial in range(4):
+        weights = {q: float(rng.normal()) for q in enumerate_cubes((2, 3))}
+        if trial == 3:  # ties and exact zeros
+            weights = {q: float(rng.integers(-1, 2)) for q in weights}
+        expect = [0.0] + [-math.inf] * 9
+        for p in enumerate_packings((2, 3)):
+            m = p.total_cells()
+            expect[m] = max(expect[m], sum(weights[q] for q in p))
+        assert additive_pareto_2d(lambda q: weights[q], (2, 3)).tolist() == expect
+
+
+def test_additive_pareto_2d_guards():
+    with pytest.raises(SizeGuardError):
+        additive_pareto_2d(lambda q: 1.0, (2, 5))
+    with pytest.raises(ConfigError):
+        additive_pareto_2d(lambda q: 1.0, (1, 4))
 
 
 def test_budgeted_dp_and_pareto(rng):
