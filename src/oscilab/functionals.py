@@ -7,7 +7,9 @@ maximum over every enumerated packing; JN_p and the other suprema by pruned
 exhaustive search); larger 2D grids are estimated
 over a shared deterministic family of candidate packings, which keeps the
 per-packing Holder comparison between the functionals valid for the
-reported values.
+reported values.  Each greedy packing there, and in the 2D sweep of
+garo_p_lambda, is one pass of the cell-bitmask kernel
+packing._greedy_disjoint over integer cube indices (11,440 cubes at N=32).
 """
 
 from __future__ import annotations
@@ -29,6 +31,8 @@ from .maximal import DEFAULT_S, FULL_GUARD_1D, FULL_GUARD_2D, local_maximal
 from .packing import (
     ENUM_GUARD_2D,
     _dp_unbudgeted_1d,
+    _family,
+    _greedy_disjoint,
     additive_pareto_1d,
     additive_pareto_2d,
     max_additive_packing,
@@ -62,10 +66,7 @@ def _require_desk_scale(f: GridFunction) -> None:
 
 
 def _cube_at(f: GridFunction, side: int, oidx: int) -> Cube:
-    if f.dim == 1:
-        return Cube((oidx,), side)
-    m = f.res - side + 1
-    return Cube((oidx // m, oidx % m), side)
+    return Cube((oidx,) if f.dim == 1 else divmod(oidx, f.res - side + 1), side)
 
 
 def _conjugate_exponent(p: float) -> float:
@@ -80,33 +81,16 @@ def _conjugate_exponent(p: float) -> float:
 # ---------------------------------------------------------------------------
 # shared 2D candidate packings
 
-def _greedy_packing(order_key: np.ndarray, sides, origins, f: GridFunction):
-    n, d = f.res, f.dim
-    occupied = np.zeros((n, n) if d == 2 else n, dtype=bool)
-    chosen = []
-    for idx in np.argsort(-order_key, kind="stable"):
-        k, o = sides[idx], origins[idx]
-        if d == 1:
-            sl = (slice(o, o + k),)
-        else:
-            m = n - k + 1
-            i, j = divmod(o, m)
-            sl = (slice(i, i + k), slice(j, j + k))
-        if occupied[sl].any():
-            continue
-        occupied[sl] = True
-        chosen.append((k, o))
-    return chosen
-
-
 def _packing_family_2d(f: GridFunction, tables: dict, p: float) -> list:
     """Deterministic candidate packings beyond the exact-small regime:
-    the unit-cell partition plus greedy selections under several weight
-    orderings.  Single-cube packings are handled separately (vectorized)."""
-    sides_arr, origins_arr, osc_arr, do_arr, meas_arr = _flatten_tables(f, tables)
-    family = []
+    the unit-cell partition plus greedy selections in stable key-descending
+    order under several weight keys.  Single-cube packings are handled
+    separately (vectorized)."""
+    sides, origins, osc_arr, do_arr, meas_arr = _flatten_tables(
+        f, tables, "side", "origin", "osc", "do", "meas")
     n = f.res
-    family.append([(1, o) for o in range(n * n)])  # unit partition
+    starts = _family(n, 2, tables)[1]
+    family = [[(1, o) for o in range(n * n)]]  # unit partition
     q = _conjugate_exponent(p)
     pw = p if math.isfinite(p) else 8.0
     keys = [
@@ -117,21 +101,24 @@ def _packing_family_2d(f: GridFunction, tables: dict, p: float) -> list:
         np.where(meas_arr > 0, do_arr / meas_arr**q, 0.0),
     ]
     for key in keys:
-        family.append(_greedy_packing(key, sides_arr, origins_arr, f))
+        order = np.argsort(-key, kind="stable")
+        kept = order[_greedy_disjoint(sides[order], starts[order], n, 2)]
+        family.append(list(zip(sides[kept], origins[kept])))
     return family
 
 
-def _flatten_tables(f: GridFunction, tables: dict):
-    sides, origins, osc, do, meas = [], [], [], [], []
+def _flatten_tables(f: GridFunction, tables: dict, *names: str) -> tuple:
+    """The named flat arrays over (side, origin lex), from "side", "origin",
+    "meas" and the statistics the tables hold."""
+    parts: dict = {"side": [], "origin": [], "meas": []}
     for k, entry in tables.items():
-        cnt = entry["osc"].size
-        sides.append(np.full(cnt, k, dtype=int))
-        origins.append(np.arange(cnt))
-        osc.append(entry["osc"])
-        do.append(entry["do"])
-        meas.append(np.full(cnt, (k / f.res) ** f.dim))
-    cat = lambda xs: np.concatenate(xs)
-    return cat(sides), cat(origins), cat(osc), cat(do), cat(meas)
+        cnt = next(iter(entry.values())).size
+        parts["side"].append(np.full(cnt, k, dtype=int))
+        parts["origin"].append(np.arange(cnt))
+        parts["meas"].append(np.full(cnt, (k / f.res) ** f.dim))
+        for name, arr in entry.items():
+            parts.setdefault(name, []).append(arr)
+    return tuple(np.concatenate(parts[name]) for name in names)
 
 
 def _packing_stats(packing, tables: dict, f: GridFunction):
@@ -170,13 +157,12 @@ def jn_norm(f: GridFunction, p: float) -> float:
         return float(value ** (1.0 / p))
     tables = cube_stat_tables(f, stats=("osc", "do"))
     if n <= ENUM_GUARD_2D:
-        def weight(q: Cube) -> float:
-            m = n - q.side + 1
-            o = q.origin[0] * m + q.origin[1]
-            return q.measure(n) * float(tables[q.side]["osc"][o]) ** p
-        _, value = max_additive_packing(weight, (2, n))
+        # scalar pow per cube: numpy's array power may round differently
+        weights = {k: np.array([(k / n) ** 2 * x**p for x in tables[k]["osc"].tolist()])
+                   for k in tables}
+        _, value = max_additive_packing(weights, (2, n))
         return float(value ** (1.0 / p))
-    _, _, osc_arr, _, meas_arr = _flatten_tables(f, tables)
+    meas_arr, osc_arr = _flatten_tables(f, tables, "meas", "osc")
     best = float(np.max(meas_arr * osc_arr**p, initial=0.0))
     for packing in _packing_family_2d(f, tables, p):
         _, _, oscs, measures = _packing_stats(packing, tables, f)
@@ -200,7 +186,7 @@ def gp_norm(f: GridFunction, p: float) -> float:
     """
     _require_desk_scale(f)
     tables = cube_stat_tables(f, stats=("osc", "do"))
-    _, _, _, do_arr, meas_arr = _flatten_tables(f, tables)
+    do_arr, meas_arr = _flatten_tables(f, tables, "do", "meas")
     if math.isinf(p):
         return float(np.max(do_arr / meas_arr, initial=0.0))
     q = _conjugate_exponent(p)
@@ -228,13 +214,6 @@ def gp_norm(f: GridFunction, p: float) -> float:
         if meas > 0:
             best = max(best, do / meas**q)
     return float(best)
-
-
-def _oidx(q: Cube, n: int) -> int:
-    if q.dim == 1:
-        return q.origin[0]
-    m = n - q.side + 1
-    return q.origin[0] * m + q.origin[1]
 
 
 def gamma_membership(f: GridFunction, gamma: GridFunction):
@@ -356,11 +335,7 @@ def garo_norm(
     if kind != "other" and desk:
         tables = cube_stat_tables(f, stats=("do",))
         if kind == "l1":
-            weights = (
-                {k: tables[k]["do"] for k in tables}
-                if f.dim == 1
-                else (lambda q: float(tables[q.side]["do"][_oidx(q, f.res)]))
-            )
+            weights = {k: tables[k]["do"] for k in tables}
             packing, value = max_additive_packing(weights, (f.dim, f.res))
             est.witness_packing, est.lower = packing, float(value)
         else:
@@ -400,7 +375,7 @@ def garo_p_lambda(f: GridFunction, p: float, lam: float) -> float:
     exact Lagrangian sweep on the penalized weights doubleosc - mu * budget
     over 33 multipliers mu.  In 1D the sweep is one batched DP with a weight
     row per mu, O(N) numpy steps over all 33 rows; in 2D it is one packing
-    solve per mu.
+    solve per mu on {side: array} weights.
     """
     d = f.dim
     if not -d < lam <= 0:
@@ -411,20 +386,20 @@ def garo_p_lambda(f: GridFunction, p: float, lam: float) -> float:
     tables = cube_stat_tables(f, stats=("do",))
     n = f.res
     expo = 1.0 + lam / d
-    _, _, _, do_arr, meas_arr = _flatten_tables_do(f, tables)
+    do_arr, meas_arr = _flatten_tables(f, tables, "do", "meas")
     budget_arr = meas_arr**expo
     if math.isinf(p):
         return float(np.max(do_arr / budget_arr, initial=0.0))
     q = _conjugate_exponent(p)
     best = float(np.max(do_arr / budget_arr**q, initial=0.0))
+    do_at = {k: tables[k]["do"].reshape((n - k + 1,) * d) for k in tables}
 
-    def ratio_of(packing) -> float:
-        do = sum(float(tables[k]["do"][o]) for k, o in packing)
-        budget = sum(((k / n) ** d) ** expo for k, _ in packing)
+    def ratio_of(sides, dos) -> float:
+        do = sum(dos)
+        budget = sum(((k / n) ** d) ** expo for k in sides)
         return do / budget**q if budget > 0 else 0.0
 
-    unit = [(1, o) for o in range(n**d)]
-    best = max(best, ratio_of(unit))
+    best = max(best, ratio_of([1] * n**d, tables[1]["do"].tolist()))  # unit
     pos = do_arr[do_arr > 0]
     if pos.size:
         mu_grid = np.geomspace(
@@ -440,32 +415,15 @@ def garo_p_lambda(f: GridFunction, p: float, lam: float) -> float:
                 lambda k: tables[k]["do"] - mu_grid[:, None] * ((k / n) ** expo),
                 n,
             )]
-        else:
-            packings = []
-            for mu in mu_grid:
-                def weight(qc: Cube, _mu=mu) -> float:
-                    return float(
-                        tables[qc.side]["do"][_oidx(qc, n)]
-                        - _mu * qc.measure(n) ** expo
-                    )
-                packings.append(max_additive_packing(weight, (2, n))[0])
-        for packing in packings:
-            keys = [(qc.side, _oidx(qc, n)) for qc in packing]
-            if keys:
-                best = max(best, ratio_of(keys))
+        else:  # weights do - mu * |Q|^expo by side, in numpy
+            packings = [max_additive_packing(
+                {k: tables[k]["do"] - mu * ((k / n) ** d) ** expo for k in tables},
+                (2, n))[0] for mu in mu_grid]
+        for pk in packings:
+            if len(pk):
+                best = max(best, ratio_of([q.side for q in pk],
+                                          [float(do_at[q.side][q.origin]) for q in pk]))
     return best
-
-
-def _flatten_tables_do(f: GridFunction, tables: dict):
-    sides, origins, do, meas = [], [], [], []
-    for k, entry in tables.items():
-        cnt = entry["do"].size
-        sides.append(np.full(cnt, k, dtype=int))
-        origins.append(np.arange(cnt))
-        do.append(entry["do"])
-        meas.append(np.full(cnt, (k / f.res) ** f.dim))
-    cat = np.concatenate
-    return cat(sides), cat(origins), None, cat(do), cat(meas)
 
 
 def campanato_norm(f: GridFunction, lam: float) -> float:

@@ -28,7 +28,8 @@ import numpy as np
 from .errors import ConfigError, InvariantViolation, SizeGuardError
 from .grid import Cube, GridFunction, cube_windows, sides_for
 from .maximal import DEFAULT_S, local_maximal, resolve_cube_mode, sharp_maximal
-from .packing import ENUM_GUARD_1D, ENUM_GUARD_2D, enumerate_packings, vitali_select
+from .packing import (ENUM_GUARD_1D, ENUM_GUARD_2D, _cube, _exact_search, _family,
+                      _greedy_disjoint, _vitali, enumerate_packings)
 from .rearrange import StepProfile, rearrange
 
 __all__ = [
@@ -122,9 +123,12 @@ def equivalence_report(profiles: dict, function_id: str) -> list:
     return out
 
 
-def default_t_grid(f: GridFunction, cube_mode: str = "auto") -> np.ndarray:
-    """Breakpoints of (f#)* joined with a 64-point logarithmic grid."""
-    prof = rearrange(sharp_maximal(f, cube_mode))
+def default_t_grid(
+    f: GridFunction, cube_mode: str = "auto", sharp: StepProfile | None = None
+) -> np.ndarray:
+    """Breakpoints of (f#)* joined with a 64-point logarithmic grid; sharp
+    is (f#)* when the caller has it already."""
+    prof = rearrange(sharp_maximal(f, cube_mode)) if sharp is None else sharp
     lo = max(min(0.5 * f.cell_measure, 0.5), 1e-6)
     grid = np.union1d(prof.breakpoints[1:], np.geomspace(lo, 1.0, 64))
     grid = grid[(grid > 0) & (grid <= 1.0)]
@@ -162,12 +166,12 @@ def k_l1_bmo(
     PACK_P -> t * F_p(t), the L_p variant (needs p in (0,1))
     """
     f0 = _mean_zero(f)
+    sharp = rearrange(sharp_maximal(f0, cube_mode)) if method == "BS" else None
     if t_grid is None:
-        t_grid = default_t_grid(f0, cube_mode)
+        t_grid = default_t_grid(f0, cube_mode, sharp)
     t_grid = np.asarray(t_grid, dtype=float)
     if method == "BS":
-        prof = rearrange(sharp_maximal(f0, cube_mode))
-        raw = t_grid * prof.sample(t_grid)
+        raw = t_grid * sharp.sample(t_grid)
     elif method == "JT":
         prof = rearrange(local_maximal(f0, s, cube_mode))
         raw = prof.integral_to(t_grid)
@@ -189,10 +193,10 @@ def k_l1_bmo(
 class _LevelSweep:
     """Per-cube statistics and F(t) at many t.
 
-    stat is flat over (side, origin lex) and cube_at maps a flat index back
-    to its Cube.  F(t) is the largest statistic level v for which the
-    maximal cell count of a disjoint family of cubes with statistic >= v
-    exceeds t*N^d.
+    stat, sides and starts (first cells) are flat over (side, origin lex)
+    and cube_at maps a flat index back to its Cube.  F(t) is the largest
+    statistic level v for which the maximal cell count of a disjoint family
+    of cubes with statistic >= v exceeds t*N^d.
 
     1D is one bottleneck (max-min) DP over cell positions that serves every
     t at once.  B[j][c] is the largest minimum statistic over packings
@@ -211,6 +215,11 @@ class _LevelSweep:
     (greedy is not optimal on arbitrary cube subsets, nor monotone across
     nested families), larger grids use the greedy selection by size, a
     certified lower bound, and F(t) is a binary search over the levels.
+    With full cubes a level is one packing._greedy_disjoint pass, side
+    descending then origin lex, over the cubes with statistic >= level.
+    Dyadic cubes are nested or disjoint, so that pass would cover exactly
+    the cells whose top statistic is >= level: one searchsorted in the
+    sorted per-cell tops, after an O(N^2 log N) set-up.
     """
 
     def __init__(self, f: GridFunction, stat: np.ndarray, sides_list, dyadic: bool):
@@ -218,16 +227,12 @@ class _LevelSweep:
         self.dyadic = dyadic
         self.stat = stat  # flat over (side, origin lex)
         n, d = self.n, self.d
-        sides, origins = [], []
-        for k in sides_list:
-            cnt = (n // k) ** d if dyadic else (n - k + 1) ** d
-            sides.append(np.full(cnt, k, dtype=int))
-            origins.append(np.arange(cnt))
-        self.sides = np.concatenate(sides)
-        self.origins = np.concatenate(origins)
+        self.sides, self.starts = _family(n, d, sides_list, dyadic)
         if d == 1:
             return
-        self.order = np.lexsort((self.origins, -self.sides))
+        # full cubes: the greedy order; dyadic cubes: the sorted per-cell tops
+        self.order = None if dyadic else np.lexsort((self.starts, -self.sides))
+        self.top_sorted = np.sort(self._top_by_cell()) if dyadic else None
         levels = np.unique(stat[stat > 0])
         if levels.size > _LEVEL_CAP_2D and n > ENUM_GUARD_2D:
             # keep the exact top levels and the whole-cube statistic (the
@@ -244,15 +249,16 @@ class _LevelSweep:
         self._cache: dict = {}
 
     def cube_at(self, i: int) -> Cube:
-        k = int(self.sides[i])
-        o = int(self.origins[i])
-        if self.d == 1:
-            return Cube((o * (k if self.dyadic else 1),), k)
-        m_axis = self.n // k if self.dyadic else self.n - k + 1
-        r, c = divmod(o, m_axis)
-        if self.dyadic:
-            r, c = r * k, c * k
-        return Cube((r, c), k)
+        return _cube(int(self.sides[i]), int(self.starts[i]), self.n, self.d)
+
+    def _top_by_cell(self) -> np.ndarray:
+        """Per cell, the largest statistic of a dyadic cube holding it."""
+        n, d = self.n, self.d
+        top = np.full(n**d, -np.inf)
+        for k in np.unique(self.sides):  # each cube's value over its k^d cells
+            s = self.stat[self.sides == k].reshape((n // k,) * d)
+            np.maximum(top, np.kron(s, np.ones((k,) * d)).ravel(), out=top)
+        return top
 
     def values(self, ts: np.ndarray) -> np.ndarray:
         """F at every t of ts, each inside (0, 1]."""
@@ -273,13 +279,10 @@ class _LevelSweep:
             # dyadic cubes are nested or disjoint, so the maximal cubes with
             # statistic >= v pack their whole union: best[c] is the c-th
             # largest over cells of the top statistic of a cube holding it
-            top = np.full(n, -np.inf)
-            for k in np.unique(self.sides):
-                np.maximum(top, np.repeat(stat[self.sides == k], k), out=top)
-            return np.concatenate(([np.inf], np.sort(top)[::-1]))
+            return np.concatenate(([np.inf], np.sort(self._top_by_cell())[::-1]))
         # stat_end[j, s] = statistic of [s, j); g[j, u] = B[j][j - u]
         stat_end = np.full((n + 1, n), -np.inf)
-        stat_end[self.origins + self.sides, self.origins] = stat
+        stat_end[self.starts + self.sides, self.starts] = stat
         g = np.full((n + 1, n + 1), -np.inf)
         g[0, 0] = np.inf
         for j in range(1, n + 1):
@@ -297,29 +300,18 @@ class _LevelSweep:
         lam = self.levels[level_idx]
         n = self.n
         if n <= ENUM_GUARD_2D:
-            from .packing import _exact_search
-
             entries = [
                 (self.cube_at(int(i)), float(self.sides[i] ** 2))
                 for i in np.nonzero(self.stat >= lam)[0]
             ]
             _, val_f = _exact_search(entries, n)
             val = int(round(val_f))
+        elif self.dyadic:  # the cells of the union of cubes with stat >= lam
+            val = n * n - int(np.searchsorted(self.top_sorted, lam))
         else:
-            occupied = np.zeros((n, n), dtype=bool)
-            val = 0
-            stat = self.stat
-            for i in self.order:
-                if stat[i] < lam:
-                    continue
-                q = self.cube_at(int(i))
-                k = q.side
-                sl = (slice(q.origin[0], q.origin[0] + k),
-                      slice(q.origin[1], q.origin[1] + k))
-                if occupied[sl].any():
-                    continue
-                occupied[sl] = True
-                val += k * k
+            idx = self.order[self.stat[self.order] >= lam]
+            kept = _greedy_disjoint(self.sides[idx], self.starts[idx], n, 2)
+            val = int((self.sides[idx[kept]] ** 2).sum())
         self._cache[level_idx] = val
         return val
 
@@ -444,14 +436,9 @@ def vitali_threshold_estimate(
         return 0.0
     sweep = _sweep_for(f, None, cube_mode)
     keep = np.nonzero(sweep.stat >= tau)[0]
-    stat_by_cube = {}
-    for i in keep:
-        q = sweep.cube_at(int(i))
-        stat_by_cube[q] = float(sweep.stat[int(i)])
-    packing = vitali_select(list(stat_by_cube), (d, n))
-    pairs = sorted(
-        ((stat_by_cube[q], q.measure(n)) for q in packing), reverse=True
-    )
+    kept = keep[_vitali(sweep.sides[keep], sweep.starts[keep], n, d)]
+    meas = [(k / n) ** d for k in sweep.sides[kept].tolist()]
+    pairs = sorted(zip(sweep.stat[kept].tolist(), meas), reverse=True)
     widths = [m for _, m in pairs]
     values = [v for v, _ in pairs]
     total = math.fsum(widths)

@@ -10,14 +10,15 @@ hard: on tiny grids (N <= 4) the best weight per covered cell count comes
 from an include/exclude DP over bitmasks of covered cells (cubes x 2^(N^2)
 numpy work) and the unconstrained optimum from pruned search over the cube
 family; larger grids fall back to deterministic greedy selection whose value
-is a certified lower bound.
+is a certified lower bound.  Every greedy selection, here and in
+functionals and kfunctional, is one pass of _greedy_disjoint.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -41,11 +42,60 @@ ENUM_GUARD_2D = 4
 VITALI_COVER_FACTOR = 5  # per-dimension constant of the covering argument
 
 
+def _block(k: int, n: int, d: int) -> int:
+    """Mask of the side-k cube at the origin of an N^d grid, bit c = cell c."""
+    row = (1 << k) - 1
+    return row if d == 1 else sum(row << (r * n) for r in range(k))
+
+
+def _first_cell(q: Cube, n: int) -> int:
+    return q.origin[0] if q.dim == 1 else q.origin[0] * n + q.origin[1]
+
+
 def _cube_mask(q: Cube, res: int) -> int:
-    mask = 0
-    for c in q.flat_cells(res).tolist():
-        mask |= 1 << c
-    return mask
+    return _block(q.side, res, q.dim) << _first_cell(q, res)
+
+
+def _family(n: int, d: int, sides_list, dyadic: bool = False) -> tuple:
+    """(sides, first cells) of every cube of the given sides, in the (side,
+    origin lex) order of cube_stat_tables and enumerate_cubes."""
+    sides, starts = [], []
+    for k in sides_list:
+        o = np.arange(0, n - k + 1, k if dyadic else 1)
+        sides.append(np.full(o.size**d, k))
+        starts.append(o if d == 1 else (o[:, None] * n + o).ravel())
+    return np.concatenate(sides), np.concatenate(starts)
+
+
+def _index(cubes: Sequence[Cube], n: int) -> tuple:
+    """(sides, first cells) integer arrays of a list of cubes."""
+    sides = np.array([q.side for q in cubes], dtype=int)
+    return sides, np.array([_first_cell(q, n) for q in cubes], dtype=int)
+
+
+def _cube(k: int, s: int, n: int, d: int) -> Cube:
+    return Cube((s,) if d == 1 else divmod(s, n), k)
+
+
+def _greedy_disjoint(sides, starts, n: int, d: int) -> list:
+    """The one greedy disjoint selection: walk the cubes (side, first cell)
+    in the given order, keep each that misses every cube kept so far, and
+    return the kept positions in acceptance order.  The kept union is one
+    Python int over the N^d cells and a cube's mask its side's block shifted
+    to its first cell: one `&` per cube and one `|=` per keep, each on
+    N^d-bit ints; the walk stops once every cell is covered."""
+    sides, starts = sides.tolist(), starts.tolist()
+    blocks = {k: _block(k, n, d) for k in set(sides)}
+    full = (1 << n**d) - 1
+    occ, kept = 0, []
+    for i, (k, s) in enumerate(zip(sides, starts)):
+        m = blocks[k] << s
+        if not occ & m:
+            occ |= m
+            kept.append(i)
+            if occ == full:
+                break
+    return kept
 
 
 def enumerate_packings(grid) -> Iterator[Packing]:
@@ -78,18 +128,17 @@ def enumerate_packings(grid) -> Iterator[Packing]:
 # ---------------------------------------------------------------------------
 # weight normalization
 
-def _weight_lookup(weights, res: int) -> Callable[[Cube], float]:
-    if callable(weights):
-        return weights
+def _weight_vector_2d(weights, n: int) -> np.ndarray:
+    """Weights of the cubes of enumerate_cubes((2, n)), in that order, from
+    a {side: per-origin array in lexicographic origin order} dict (numpy,
+    no Cube objects) or a Cube -> weight callable."""
     if isinstance(weights, dict):
-        # dict form: {side: per-origin array in lexicographic origin order}
-        def look(q: Cube, _w=weights):
-            arr = np.asarray(_w[q.side])
-            if q.dim == 1:
-                return float(arr[q.origin[0]])
-            m = int(round(math.sqrt(arr.size)))
-            return float(arr[q.origin[0] * m + q.origin[1]])
-        return look
+        rows = [np.asarray(weights[k], dtype=float).ravel() for k in range(1, n + 1)]
+        if any(r.size != (n - k + 1) ** 2 for k, r in enumerate(rows, 1)):
+            raise ConfigError("weights[k] needs one entry per origin, (N-k+1)^2")
+        return np.concatenate(rows)
+    if callable(weights):
+        return np.array([float(weights(q)) for q in enumerate_cubes((2, n))])
     raise ConfigError("weights must be a callable or {side: array} dict")
 
 
@@ -160,22 +209,16 @@ def _exact_search(entries: Sequence[tuple], res: int) -> tuple:
     return best_set, best_val
 
 
-def _greedy(entries: Sequence[tuple], res: int, d: int) -> tuple:
-    """Deterministic greedy: weight descending, canonical tie-break."""
-    entries = [e for e in entries if e[1] > 0]
-    entries.sort(key=lambda e: (-e[1], e[0]))
-    occupied = np.zeros(res**d, dtype=bool)
-    chosen = []
-    val = 0.0
-    for q, w in entries:
-        cells = q.flat_cells(res)
-        if occupied[cells].any():
-            continue
-        occupied[cells] = True
-        chosen.append(q)
-        val += w
-    chosen.sort()
-    return chosen, val
+def _greedy(sides, starts, w, n: int) -> tuple:
+    """Deterministic 2D greedy: cubes with w > 0 by weight descending, ties
+    by (side, origin) ascending.  Returns (kept positions sorted by (side,
+    origin), the kept weights summed in acceptance order)."""
+    pos = np.nonzero(w > 0)[0]
+    order = pos[np.lexsort((starts[pos], sides[pos], -w[pos]))]
+    kept = order[_greedy_disjoint(sides[order], starts[order], n, 2)]
+    # cumsum adds left to right, the order of a running sum over acceptances
+    val = float(np.cumsum(w[kept])[-1]) if kept.size else 0.0
+    return kept[np.lexsort((starts[kept], sides[kept]))], val
 
 
 def max_measure_packing(cubes: Iterable[Cube], grid) -> tuple:
@@ -192,12 +235,12 @@ def max_measure_packing(cubes: Iterable[Cube], grid) -> tuple:
             (q.origin[0], q.origin[0] + q.side, q.measure(n), q) for q in cubes
         ]
         chosen, val = _wis_1d(items, n)
+    elif n <= ENUM_GUARD_2D:
+        chosen, val = _exact_search([(q, q.measure(n)) for q in cubes], n)
     else:
-        entries = [(q, q.measure(n)) for q in cubes]
-        if n <= ENUM_GUARD_2D:
-            chosen, val = _exact_search(entries, n)
-        else:
-            chosen, val = _greedy(entries, n, d)
+        w = np.array([q.measure(n) for q in cubes], dtype=float)
+        kept, val = _greedy(*_index(cubes, n), w, n)
+        chosen = [cubes[i] for i in kept]
     return Packing(chosen), val
 
 
@@ -308,15 +351,14 @@ def additive_pareto_2d(weights, grid) -> np.ndarray:
         raise SizeGuardError(
             f"the 2D subset DP is guarded at N <= {ENUM_GUARD_2D}, got N={n}"
         )
-    look = _weight_lookup(weights, n)
     masks = np.arange(1 << (n * n))
     best = np.full(masks.size, -np.inf)
     best[0] = 0.0
-    for q in enumerate_cubes(grid):
+    for q, w in zip(enumerate_cubes(grid), _weight_vector_2d(weights, n).tolist()):
         m = _cube_mask(q, n)
         src = masks[(masks & m) == 0]
         dst = src + m
-        best[dst] = np.maximum(best[dst], best[src] + float(look(q)))
+        best[dst] = np.maximum(best[dst], best[src] + w)
     value = np.full(n * n + 1, -np.inf)
     np.maximum.at(value, np.bitwise_count(masks), best)
     return value
@@ -328,9 +370,12 @@ def max_additive_packing(weights, grid, measure_budget: int | None = None) -> tu
     weights: callable Cube -> real, or {side: per-origin array}.  1D is an
     exact DP over cell positions in O(N) numpy steps: O(N^2) work, and
     O(N^3) work with O(N^2) memory for the budgeted variant.  2D is exact
-    for N <= 4 and greedy otherwise.  With measure_budget = m the packing
-    must cover exactly m cells.  Returns (Packing, value); the empty packing
-    (value 0) wins when every weight is <= 0.
+    for N <= 4 and otherwise one _greedy_disjoint pass over the cubes with
+    weight > 0, weight descending, ties by (side, origin); dict weights are
+    read with numpy, a callable is called once per cube.  With
+    measure_budget = m the packing must cover exactly m cells.  Returns
+    (Packing, value); the empty packing (value 0) wins when every weight is
+    <= 0.
     """
     d, n = int(grid[0]), int(grid[1])
     if d == 1:
@@ -348,13 +393,14 @@ def max_additive_packing(weights, grid, measure_budget: int | None = None) -> tu
         return Packing(chosen), float(g[n, n - m])
     if measure_budget is not None:
         raise ConfigError("measure budgets are supported in 1D only")
-    look = _weight_lookup(weights, n)
-    entries = [(q, float(look(q))) for q in enumerate_cubes(grid)]
+    w = _weight_vector_2d(weights, n)
     if n <= ENUM_GUARD_2D:
-        chosen, val = _exact_search(entries, n)
-    else:
-        chosen, val = _greedy(entries, n, d)
-    return Packing(chosen), val
+        chosen, val = _exact_search(list(zip(enumerate_cubes(grid), w.tolist())), n)
+        return Packing(chosen), val
+    sides, starts = _family(n, 2, range(1, n + 1))
+    kept, val = _greedy(sides, starts, w, n)
+    return Packing([_cube(k, s, n, 2) for k, s in
+                    zip(sides[kept].tolist(), starts[kept].tolist())]), val
 
 
 def _dp_budgeted_1d(sides, row_of, n: int) -> tuple:
@@ -397,12 +443,32 @@ def _reconstruct_budgeted(taken: np.ndarray, n: int, m: int) -> list:
     return chosen
 
 
+def _union_cells(sides, starts, n: int, d: int) -> int:
+    occ = 0
+    blocks = {k: _block(k, n, d) for k in set(sides.tolist())}
+    for k, s in zip(sides.tolist(), starts.tolist()):
+        occ |= blocks[k] << s
+    return occ.bit_count()
+
+
 def union_measure(cubes: Iterable[Cube], grid) -> float:
     d, n = int(grid[0]), int(grid[1])
-    occ = np.zeros(n**d, dtype=bool)
-    for q in cubes:
-        occ[q.flat_cells(n)] = True
-    return float(occ.sum()) / n**d
+    return _union_cells(*_index(list(cubes), n), n, d) / n**d
+
+
+def _vitali(sides, starts, n: int, d: int) -> np.ndarray:
+    """Positions kept by the Vitali selection of the cubes (side, first
+    cell), sorted by (side, origin); asserts the 5^d covering bound."""
+    order = np.lexsort((starts, -sides))
+    kept = order[_greedy_disjoint(sides[order], starts[order], n, d)]
+    selected = math.fsum((k / n) ** d for k in sides[kept].tolist())
+    covered = _union_cells(sides, starts, n, d) / n**d
+    if covered > VITALI_COVER_FACTOR**d * selected + 1e-12:
+        raise InvariantViolation(
+            f"covering factor exceeded: union {covered} > "
+            f"{VITALI_COVER_FACTOR ** d} * {selected}"
+        )
+    return kept[np.lexsort((starts[kept], sides[kept]))]
 
 
 def vitali_select(cubes: Iterable[Cube], grid) -> Packing:
@@ -412,21 +478,4 @@ def vitali_select(cubes: Iterable[Cube], grid) -> Packing:
     """
     d, n = int(grid[0]), int(grid[1])
     cubes = list(cubes)
-    entries = sorted(cubes, key=lambda q: (-q.side, q.origin))
-    occ = np.zeros(n**d, dtype=bool)
-    chosen = []
-    for q in entries:
-        cells = q.flat_cells(n)
-        if occ[cells].any():
-            continue
-        occ[cells] = True
-        chosen.append(q)
-    chosen.sort()
-    selected = math.fsum(q.measure(n) for q in chosen)
-    covered = union_measure(cubes, grid)
-    if covered > VITALI_COVER_FACTOR**d * selected + 1e-12:
-        raise InvariantViolation(
-            f"covering factor exceeded: union {covered} > "
-            f"{VITALI_COVER_FACTOR ** d} * {selected}"
-        )
-    return Packing(chosen)
+    return Packing([cubes[i] for i in _vitali(*_index(cubes, n), n, d)])

@@ -662,6 +662,8 @@ _SUITES = {
     "morrey": suite_morrey,
     "blowup": suite_blowup,
 }
+# config keys each suite reads besides seed and s, which every suite accepts
+_SUITE_KEYS = {"morrey": ("count",), "blowup": ("res_j", "kmax", "n_fs")}
 
 
 def run_suite(suite_id: str, config: dict | None = None) -> dict:
@@ -669,6 +671,10 @@ def run_suite(suite_id: str, config: dict | None = None) -> dict:
     if suite_id not in _SUITES:
         raise ConfigError(f"unknown suite {suite_id!r}; choose from {SUITE_IDS}")
     config = dict(config or {})
+    known = ("seed", "s") + _SUITE_KEYS.get(suite_id, ())
+    if set(config) - set(known):
+        raise ConfigError(f"suite {suite_id!r} reads only the config keys {known}, "
+                          f"got {sorted(config)}")
     config.setdefault("seed", 0)
     checks = _SUITES[suite_id](config)
     return suite_report(suite_id, config, checks)

@@ -220,6 +220,22 @@ def test_verify_bad_config_is_config_error(capsys, config):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_verify_unknown_config_key_is_config_error(capsys):
+    from oscilab import ConfigError
+    from oscilab.verify import SUITE_IDS
+
+    assert main(["verify", "rearr", "--config", '{"n_1d": "x"}']) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "n_1d" in err
+    for sid in SUITE_IDS:  # checked before any work, so every suite is cheap
+        with pytest.raises(ConfigError):
+            run_suite(sid, {"seed": 0, "s": 0.3, "count": 1, "n_fs": 8,
+                            "res_j": 1, "kmax": 2, "typo": 1})
+    # seed and s pass everywhere, a suite's own keys pass for that suite
+    assert main(["verify", "morrey", "--seed", "1", "--s", "0.3",
+                 "--config", '{"count": 2}']) == 0
+
+
 def test_verify_non_integer_threads_is_config_error(monkeypatch, capsys):
     monkeypatch.setenv("OSCILAB_THREADS", "abc")
     assert main(["verify", "maximal"]) == 2
