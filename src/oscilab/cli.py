@@ -78,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="run a verification suite")
     v.add_argument("suite", choices=SUITE_IDS)
-    v.add_argument("--seed", type=int, default=0)
+    v.add_argument("--seed", type=int, default=None)
     v.add_argument("--s", type=float, default=None)
     v.add_argument("--config", default=None, help="JSON config overrides")
     v.add_argument("--out", default=None, help="write the JSON report here")
@@ -183,7 +183,8 @@ def _cmd_verify(args) -> int:
         if not isinstance(overrides, dict):
             raise ConfigError("--config must be a JSON object")
         config.update(overrides)
-    config["seed"] = args.seed
+    if args.seed is not None:
+        config["seed"] = args.seed
     if args.s is not None:
         config["s"] = args.s
     report = run_suite(args.suite, config)

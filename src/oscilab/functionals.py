@@ -147,9 +147,9 @@ def jn_norm(f: GridFunction, p: float) -> float:
     if not p > 1:
         raise ConfigError(f"JN functional needs p > 1, got {p}")
     _require_desk_scale(f)
-    tables = cube_stat_tables(f, stats=("osc",))
     n = f.res
     if f.dim == 1:
+        tables = cube_stat_tables(f, stats=("osc",))
         weights = {
             k: (k / n) * tables[k]["osc"] ** p for k in tables
         }

@@ -304,6 +304,17 @@ def cube_windows(f: GridFunction, side: int, dyadic: bool = False) -> np.ndarray
     return w.reshape(m * m, k * k)
 
 
+def _window_osc(w: np.ndarray, mu: np.ndarray, p: float | None = None) -> np.ndarray:
+    """Per row of cube windows, the mean oscillation about the row mean mu,
+    or with p the L_p oscillation (mean |w - mu|^p)^(1/p).  The deviations
+    are a fresh array, so w (often a view of f's values) is never written."""
+    dev = w - mu[:, None]
+    np.abs(dev, out=dev)
+    if p is None:
+        return dev.mean(axis=1)
+    return (dev**p).mean(axis=1) ** (1.0 / p)
+
+
 def cube_stat_tables(
     f: GridFunction,
     stats: Sequence[str] = ("mean", "osc"),
@@ -327,7 +338,7 @@ def cube_stat_tables(
         if "mean" in stats:
             entry["mean"] = mu
         if "osc" in stats:
-            entry["osc"] = np.abs(w - mu[:, None]).mean(axis=1)
+            entry["osc"] = _window_osc(w, mu)
         if "do" in stats:
             ws = np.sort(w, axis=1)
             coef = 2.0 * (2.0 * np.arange(1, m + 1) - 1.0 - m)

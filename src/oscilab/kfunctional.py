@@ -26,8 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, InvariantViolation, SizeGuardError
-from .grid import Cube, GridFunction, cube_windows, sides_for
-from .maximal import DEFAULT_S, local_maximal, resolve_cube_mode, sharp_maximal
+from .grid import Cube, GridFunction, _window_osc, cube_windows, sides_for
+from .maximal import (DEFAULT_S, _cover_max, local_maximal, resolve_cube_mode,
+                      sharp_maximal)
 from .packing import (ENUM_GUARD_1D, ENUM_GUARD_2D, _cube, _exact_search, _family,
                       _greedy_disjoint, _vitali, enumerate_packings)
 from .rearrange import StepProfile, rearrange
@@ -255,9 +256,9 @@ class _LevelSweep:
         """Per cell, the largest statistic of a dyadic cube holding it."""
         n, d = self.n, self.d
         top = np.full(n**d, -np.inf)
-        for k in np.unique(self.sides):  # each cube's value over its k^d cells
-            s = self.stat[self.sides == k].reshape((n // k,) * d)
-            np.maximum(top, np.kron(s, np.ones((k,) * d)).ravel(), out=top)
+        for k in np.unique(self.sides).tolist():
+            cover = _cover_max(self.stat[self.sides == k], k, n, d, dyadic=True)
+            np.maximum(top, cover.ravel(), out=top)
         return top
 
     def values(self, ts: np.ndarray) -> np.ndarray:
@@ -338,12 +339,7 @@ def _sweep_for(f: GridFunction, p: float | None, cube_mode: str) -> _LevelSweep:
     stats = []
     for k in sides_list:
         w = cube_windows(f, k, dyadic)
-        mu = w.mean(axis=1)
-        dev = np.abs(w - mu[:, None])
-        if p is None:
-            stats.append(dev.mean(axis=1))
-        else:
-            stats.append((dev**p).mean(axis=1) ** (1.0 / p))
+        stats.append(_window_osc(w, w.mean(axis=1), p))
     return _LevelSweep(f, np.concatenate(stats), sides_list, dyadic)
 
 

@@ -4,6 +4,10 @@ All three take the pointwise supremum of a per-cube statistic over every
 grid cube containing the cell.  The statistic sweeps are vectorized per cube
 side; beyond the full-enumeration guards (N > 256 in 1D, N > 48 in 2D) the
 operators switch to dyadic cubes, which requires N to be a power of two.
+
+Each side's statistics reach the cells through _cover_max: with full cubes
+a separable sliding maximum by power-of-two doubling, O(N^d log k) work in
+O(d log k) numpy calls for side k; with dyadic cubes one np.repeat per axis.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ import math
 import numpy as np
 
 from .errors import ConfigError
-from .grid import Cube, GridFunction, cube_windows, sides_for
+from .grid import Cube, GridFunction, _window_osc, cube_windows, sides_for
 from .rearrange import rearrange
 from .spaces import RISpaceSpec, norm
 
@@ -57,28 +61,44 @@ def exceedance_count(s: float, m: int) -> int:
     return max(math.ceil(s * m - 1e-9) - 1, 0)
 
 
+def _window_max(a: np.ndarray, k: int, axis: int) -> None:
+    """In place along one axis: a[x] <- max(a[x-k+1 .. x]), indices below 0
+    left out.  Power-of-two doubling: after the step with shift j each entry
+    holds the max of the 2j entries ending at it; floor(log2 k) steps reach
+    the largest power of two L <= k, and one step with shift k - L joins the
+    two overlapping L-windows that make up the k-window.  numpy buffers an
+    input that overlaps the output, so each step reads the values from
+    before it."""
+    a = np.moveaxis(a, axis, 0)
+    j = 1
+    while 2 * j <= k:
+        np.maximum(a[j:], a[:-j], out=a[j:])
+        j *= 2
+    if k > j:
+        np.maximum(a[k - j:], a[:j - k], out=a[k - j:])
+
+
 def _cover_max(stat: np.ndarray, k: int, n: int, d: int, dyadic: bool) -> np.ndarray:
     """Scatter per-origin statistics to cells: out[x] = max over cubes of
-    side k containing x."""
-    if d == 1:
-        if dyadic:
-            return np.repeat(stat, k)
-        m = n - k + 1
-        out = np.full(n, -np.inf)
-        for delta in range(k):
-            seg = out[delta:delta + m]
-            np.maximum(seg, stat, out=seg)
-        return out
+    side k containing x.
+
+    Dyadic cubes tile the grid, so each statistic is repeated over its k^d
+    cells.  Full mode pads the (N-k+1)^d origin table to N^d with -inf and
+    takes, per axis, the max over the k origins o with x-k < o <= x: a
+    separable sliding maximum of O(N^d log k) work in d*(floor(log2 k)+1)
+    numpy calls, with temporaries of at most N^d floats.  A max of the same
+    floats is exact, whichever order it is taken in.
+    """
     if dyadic:
-        m = n // k
-        return np.repeat(np.repeat(stat.reshape(m, m), k, 0), k, 1)
+        out = stat.reshape((n // k,) * d)
+        for axis in range(d):
+            out = np.repeat(out, k, axis)
+        return out
     m = n - k + 1
-    st = stat.reshape(m, m)
-    out = np.full((n, n), -np.inf)
-    for di in range(k):
-        for dj in range(k):
-            seg = out[di:di + m, dj:dj + m]
-            np.maximum(seg, st, out=seg)
+    out = np.full((n,) * d, -np.inf)
+    out[(slice(0, m),) * d] = stat.reshape((m,) * d)
+    for axis in range(d):
+        _window_max(out, k, axis)
     return out
 
 
@@ -110,8 +130,7 @@ def sharp_maximal(f: GridFunction, cube_mode: str = "auto") -> GridFunction:
 
     def stat(k, dyadic):
         w = cube_windows(f, k, dyadic)
-        mu = w.mean(axis=1)
-        return np.abs(w - mu[:, None]).mean(axis=1)
+        return _window_osc(w, w.mean(axis=1))
 
     return _sup_over_cubes(f, stat, cube_mode)
 

@@ -10,6 +10,7 @@ machine-readable front door.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 
@@ -544,7 +545,7 @@ def suite_morrey(config: dict) -> list:
     rng = np.random.default_rng(seed)
     worst = 0.0
     violations = 0
-    count = int(config.get("count", 50))
+    count = config.get("count", 50)
     for i in range(count):
         n = int(rng.choice([16, 24, 32]))
         kind = ["cosine_mix", "random_steps", "logspike", "indicator"][i % 4]
@@ -605,8 +606,8 @@ def suite_blowup(config: dict) -> list:
     # resolution scales with the spike: fixed cells per spike width; a fixed
     # grid would leave the slowly-varying norm floor-dominated and flatten
     # the ratio growth
-    res_j = int(config.get("res_j", 11))
-    ks = list(range(2, int(config.get("kmax", 10)) + 1))
+    res_j = config.get("res_j", 11)
+    ks = list(range(2, config.get("kmax", 10) + 1))
     xlog = marcinkiewicz(phi_preset("log-slow"))
 
     def ratio_for(space, k):
@@ -635,7 +636,7 @@ def suite_blowup(config: dict) -> list:
         band < 2.0, measured={"band": band}, tolerance=2.0,
     ))
 
-    n_fs = int(config.get("n_fs", 2**14))
+    n_fs = config.get("n_fs", 2**14)
     l1 = lp(1)
     growth_seq = []
     for k in range(2, 9):
@@ -664,6 +665,22 @@ _SUITES = {
 }
 # config keys each suite reads besides seed and s, which every suite accepts
 _SUITE_KEYS = {"morrey": ("count",), "blowup": ("res_j", "kmax", "n_fs")}
+# least value of each integer key: the blowup ratios need two spikes to
+# compare, and its smallest spike (a = 2^-8) needs a cell center inside it
+_INT_MIN = {"seed": 0, "count": 1, "res_j": 1, "kmax": 2, "n_fs": 2**8}
+
+
+def _check_config(config: dict) -> None:
+    for key, value in config.items():
+        if key == "s":
+            if (not isinstance(value, numbers.Real) or isinstance(value, bool)
+                    or not 0 < value < 1):
+                raise ConfigError(f"config key 's' must be a number in (0,1), "
+                                  f"got {value!r}")
+        elif (not isinstance(value, numbers.Integral) or isinstance(value, bool)
+                or value < _INT_MIN[key]):
+            raise ConfigError(f"config key {key!r} must be an integer >= "
+                              f"{_INT_MIN[key]}, got {value!r}")
 
 
 def run_suite(suite_id: str, config: dict | None = None) -> dict:
@@ -675,6 +692,7 @@ def run_suite(suite_id: str, config: dict | None = None) -> dict:
     if set(config) - set(known):
         raise ConfigError(f"suite {suite_id!r} reads only the config keys {known}, "
                           f"got {sorted(config)}")
+    _check_config(config)
     config.setdefault("seed", 0)
     checks = _SUITES[suite_id](config)
     return suite_report(suite_id, config, checks)

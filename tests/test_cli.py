@@ -229,11 +229,41 @@ def test_verify_unknown_config_key_is_config_error(capsys):
     assert err.startswith("error: ") and "n_1d" in err
     for sid in SUITE_IDS:  # checked before any work, so every suite is cheap
         with pytest.raises(ConfigError):
-            run_suite(sid, {"seed": 0, "s": 0.3, "count": 1, "n_fs": 8,
+            run_suite(sid, {"seed": 0, "s": 0.3, "count": 1, "n_fs": 256,
                             "res_j": 1, "kmax": 2, "typo": 1})
     # seed and s pass everywhere, a suite's own keys pass for that suite
     assert main(["verify", "morrey", "--seed", "1", "--s", "0.3",
                  "--config", '{"count": 2}']) == 0
+
+
+@pytest.mark.parametrize("suite,config", [
+    ("morrey", '{"count": "x"}'),
+    ("morrey", '{"count": true}'),
+    ("morrey", '{"count": 0}'),
+    ("blowup", '{"kmax": "x"}'),
+    ("blowup", '{"kmax": 1}'),
+    ("blowup", '{"n_fs": 1.5}'),
+    ("blowup", '{"n_fs": 128}'),
+    ("blowup", '{"res_j": 0}'),
+    ("kfun", '{"s": "x"}'),
+    ("kfun", '{"s": 1.0}'),
+    ("maximal", '{"s": true}'),
+    ("rearr", '{"seed": "x"}'),
+    ("rearr", '{"seed": -1}'),
+])
+def test_verify_bad_config_value_is_config_error(capsys, suite, config):
+    assert main(["verify", suite, "--config", config]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and next(iter(json.loads(config))) in err
+
+
+def test_verify_config_seed_reaches_suite(tmp_path):
+    # --seed is an override: without it the seed of --config is the one run
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    main(["verify", "morrey", "--config", '{"seed": 1, "count": 2}', "--out", str(a)])
+    main(["verify", "morrey", "--seed", "1", "--config", '{"count": 2}', "--out", str(b)])
+    assert json.loads(a.read_text())["config"]["seed"] == 1
+    assert a.read_bytes() == b.read_bytes()
 
 
 def test_verify_non_integer_threads_is_config_error(monkeypatch, capsys):

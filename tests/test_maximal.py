@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -19,7 +20,8 @@ from oscilab import (
     sharp_maximal,
     sharp_norm,
 )
-from oscilab.maximal import exceedance_count, resolve_cube_mode
+from oscilab.maximal import _cover_max, exceedance_count, resolve_cube_mode
+from oracles import cube_stats_map
 
 
 def gf(vals, d=1):
@@ -65,6 +67,51 @@ def test_maximal_ops_match_enumeration_oracle(rng):
                 f, lambda ff, q, s=s: quantile_oscillation(ff, q, s)
             )
             assert np.allclose(got, want, atol=1e-12)
+
+
+def scatter_cover_max(stat, k, n, d, dyadic):
+    """Reference for _cover_max: each cube's statistic written over its own
+    cells, one cube at a time, origins in lex order."""
+    origins = range(0, n - k + 1, k if dyadic else 1)
+    out = np.full((n,) * d, -np.inf)
+    for value, origin in zip(stat, itertools.product(origins, repeat=d)):
+        block = tuple(slice(o, o + k) for o in origin)
+        out[block] = np.maximum(out[block], value)
+    return out
+
+
+@pytest.mark.parametrize("d,n_max", [(1, 40), (2, 17)])
+def test_cover_max_matches_per_cube_scatter(d, n_max):
+    # every side k of every N: the doubling's edge cases k = 2^j (no joining
+    # step), k = 2^j + 1 (the shortest joining shift) and k = N are all in
+    rng = np.random.default_rng(d)
+    for n in range(1, n_max + 1):
+        for k in range(1, n + 1):
+            m = (n - k + 1) ** d
+            # few distinct values with negatives (ties everywhere), or normals
+            stat = rng.integers(-4, 4, size=m) / 2.0 if k % 2 else rng.normal(size=m)
+            got = _cover_max(stat, k, n, d, dyadic=False)
+            assert np.array_equal(got, scatter_cover_max(stat, k, n, d, False)), (n, k)
+            if n & (n - 1) == 0 and k & (k - 1) == 0:
+                stat = rng.integers(-4, 4, size=(n // k) ** d) / 2.0
+                got = _cover_max(stat, k, n, d, dyadic=True)
+                assert np.array_equal(got, scatter_cover_max(stat, k, n, d, True))
+
+
+@pytest.mark.parametrize("n", [5, 8])
+def test_maximal_ops_match_cube_stats_oracle(rng, n):
+    f = GridFunction(2, n, rng.normal(size=n * n))
+    absf = f.with_values(np.abs(f.values))
+    s = 0.3
+    want = {op: np.full(n * n, -np.inf) for op in ("hl", "sharp", "local")}
+    for q, (osc, _, _) in cube_stats_map(f).items():
+        cells = q.flat_cells(n)
+        for op, v in (("hl", cube_mean(absf, q)), ("sharp", osc),
+                      ("local", quantile_oscillation(f, q, s))):
+            want[op][cells] = np.maximum(want[op][cells], v)
+    for op, got in (("hl", hl_maximal(f, "full")), ("sharp", sharp_maximal(f, "full")),
+                    ("local", local_maximal(f, s, "full"))):
+        assert np.allclose(got.values, want[op], rtol=0, atol=1e-12), op
 
 
 def test_hl_dominates_pointwise(rng):
