@@ -3,7 +3,7 @@
 Rearrangements, maximal operators (Hardy-Littlewood, sharp, local quantile),
 rearrangement-invariant norms, packing functionals (John-Nirenberg,
 Garsia-Rodemich, Campanato) and K-functional profiles for (L1, Linf) and
-(L1, BMO), with exhaustive small-scale oracles for every optimization.
+(L1, BMO), with exact small-scale oracles for every optimization in the tests.
 """
 
 from .errors import (
@@ -57,7 +57,6 @@ from .maximal import (
 from .packing import (
     additive_pareto_1d,
     additive_pareto_2d,
-    enumerate_packings,
     max_additive_packing,
     max_measure_packing,
     union_measure,

@@ -1,10 +1,10 @@
 """Packing functionals and related norms.
 
 The packing suprema are exact in 1D (dynamic programs over cell positions)
-and for tiny 2D grids (N <= 4: G_p from the subset DP over bitmasks of
-covered cells, cubes x 2^(N^2) numpy work, equal bit for bit to taking the
-maximum over every enumerated packing; JN_p and the other suprema by pruned
-exhaustive search); larger 2D grids are estimated
+and for tiny 2D grids (N <= 4: one subset DP over bitmasks of covered
+cells, packing._mask_dp, cubes x 2^(N^2) numpy work, equal bit for bit to
+the maximum over every packing of its weights summed in a fixed cube
+order); larger 2D grids are estimated
 over a shared deterministic family of candidate packings, which keeps the
 per-packing Holder comparison between the functionals valid for the
 reported values.  Each greedy packing there, and in the 2D sweep of
@@ -29,7 +29,7 @@ from .grid import (
 )
 from .maximal import DEFAULT_S, FULL_GUARD_1D, FULL_GUARD_2D, local_maximal
 from .packing import (
-    ENUM_GUARD_2D,
+    EXACT_GUARD_2D,
     _dp_unbudgeted_1d,
     _family,
     _greedy_disjoint,
@@ -141,8 +141,9 @@ def _packing_stats(packing, tables: dict, f: GridFunction):
 def jn_norm(f: GridFunction, p: float) -> float:
     """sup over packings of (sum |Q_i| osc(Q_i)^p)^(1/p).
 
-    Exact in 1D via the additive packing DP and for 2D N <= 4 by exhaustive
-    search; estimated over the shared candidate family otherwise.
+    Exact in 1D via the additive packing DP and for 2D N <= 4 via the
+    subset DP over bitmasks of covered cells; estimated over the shared
+    candidate family otherwise.
     """
     if not p > 1:
         raise ConfigError(f"JN functional needs p > 1, got {p}")
@@ -156,7 +157,7 @@ def jn_norm(f: GridFunction, p: float) -> float:
         _, value = max_additive_packing(weights, (1, n))
         return float(value ** (1.0 / p))
     tables = cube_stat_tables(f, stats=("osc", "do"))
-    if n <= ENUM_GUARD_2D:
+    if n <= EXACT_GUARD_2D:
         # scalar pow per cube: numpy's array power may round differently
         weights = {k: np.array([(k / n) ** 2 * x**p for x in tables[k]["osc"].tolist()])
                    for k in tables}
@@ -198,7 +199,7 @@ def gp_norm(f: GridFunction, p: float) -> float:
         vals = pareto[1:]
         ok = np.isfinite(vals)
         return float(np.max(vals[ok] / (ms[ok] / n) ** q, initial=0.0))
-    if n <= ENUM_GUARD_2D:
+    if n <= EXACT_GUARD_2D:
         pareto = additive_pareto_2d({k: tables[k]["do"] for k in tables}, (2, n))
         best = 0.0
         for m in range(1, n * n + 1):  # unit cells reach every m

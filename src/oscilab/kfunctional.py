@@ -11,11 +11,12 @@ correction.
 The packing route evaluates F(t) = sup over packings of the rearranged
 mean-oscillation step function at t: F(t) is the largest oscillation level
 v for which the maximal total measure of a disjoint family of cubes with
-oscillation >= v exceeds t.  In 1D one bottleneck (max-min) DP over cell
-positions gives the largest minimum oscillation for every packed cell
-count, hence F at every t at once, exactly; in 2D a level sweep counts the
-packed cells per level.  Measures are compared in integer cell counts so
-both routes and the exhaustive oracle use bitwise-identical comparisons.
+oscillation >= v exceeds t.  Wherever it is exact (1D, dyadic cubes, and
+2D full cubes with N <= 4) one bottleneck (max-min) computation gives the
+largest minimum oscillation for every packed cell count, hence F at every
+t at once; larger 2D full-cube grids count greedily packed cells per level,
+a lower bound.  Measures are compared in integer cell counts so every
+route and the exhaustive oracle use bitwise-identical comparisons.
 """
 
 from __future__ import annotations
@@ -25,12 +26,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, InvariantViolation, SizeGuardError
+from .errors import ConfigError, InvariantViolation
 from .grid import Cube, GridFunction, _window_osc, cube_windows, sides_for
 from .maximal import (DEFAULT_S, _cover_max, local_maximal, resolve_cube_mode,
                       sharp_maximal)
-from .packing import (ENUM_GUARD_1D, ENUM_GUARD_2D, _cube, _exact_search, _family,
-                      _greedy_disjoint, _vitali, enumerate_packings)
+from .packing import (EXACT_GUARD_2D, _cube, _family, _greedy_disjoint, _mask_dp,
+                      _max_by_cells, _vitali)
 from .rearrange import StepProfile, rearrange
 
 __all__ = [
@@ -197,45 +198,44 @@ class _LevelSweep:
     stat, sides and starts (first cells) are flat over (side, origin lex)
     and cube_at maps a flat index back to its Cube.  F(t) is the largest
     statistic level v for which the maximal cell count of a disjoint family
-    of cubes with statistic >= v exceeds t*N^d.
+    of cubes with statistic >= v exceeds t*N^d, that is the largest minimum
+    statistic over packings of more than t*N^d cells.
 
-    1D is one bottleneck (max-min) DP over cell positions that serves every
-    t at once.  B[j][c] is the largest minimum statistic over packings
-    inside [0, j) covering exactly c cells (+inf for the empty packing,
-    -inf where unreachable); step j is one numpy gather over every cube
-    ending at j:
-        B[j][c] = max(B[j-1][c], max_k min(B[j-k][c-k], stat[j-k, j))),
-    and F(t) = max over c > t*N of B[N][c].  Rows are stored by uncovered
-    cell count u = j - c, which turns the shifted read B[j-k][c-k] into the
-    aligned read of row j-k at u.  Full mode costs O(N * #cubes) = O(N^3)
-    time and O(N^2) memory.  Dyadic cubes are nested or disjoint, so there
-    the suffix maxima of B[N] are the sorted per-cell maxima of the
-    statistic, O(N log N).
-
-    2D counts cells per level: grids with N <= 4 are searched exhaustively
-    (greedy is not optimal on arbitrary cube subsets, nor monotone across
-    nested families), larger grids use the greedy selection by size, a
-    certified lower bound, and F(t) is a binary search over the levels.
-    With full cubes a level is one packing._greedy_disjoint pass, side
-    descending then origin lex, over the cubes with statistic >= level.
-    Dyadic cubes are nested or disjoint, so that pass would cover exactly
-    the cells whose top statistic is >= level: one searchsorted in the
-    sorted per-cell tops, after an O(N^2 log N) set-up.
+    Every exact case reads F(t) from one table best[c], the largest minimum
+    statistic over packings of at least c cells, with one searchsorted:
+    - 1D full cubes: one bottleneck (max-min) DP over cell positions.
+      B[j][c] is the largest minimum statistic over packings inside [0, j)
+      covering exactly c cells (+inf for the empty packing, -inf where
+      unreachable); step j is one numpy gather over every cube ending at j:
+          B[j][c] = max(B[j-1][c], max_k min(B[j-k][c-k], stat[j-k, j))),
+      and best is the suffix maximum of B[N].  Rows are stored by uncovered
+      cell count u = j - c, which turns the shifted read B[j-k][c-k] into
+      the aligned read of row j-k at u.  O(N * #cubes) = O(N^3) time and
+      O(N^2) memory.
+    - dyadic cubes, 1D and 2D: they are nested or disjoint, so the maximal
+      cubes with statistic >= v pack their whole union and best[c] is the
+      c-th largest over cells of the top statistic of a cube holding it,
+      O(N^d log N).
+    - 2D full cubes, N <= EXACT_GUARD_2D: packing._mask_dp with np.minimum,
+      the maximum per cell count, then the suffix maximum.
+    2D full cubes beyond that guard count cells per level with the greedy
+    selection by size, a certified lower bound, and F(t) is a binary
+    search over the levels: a level is one packing._greedy_disjoint pass,
+    side descending then origin lex, over the cubes with statistic >= level.
     """
 
     def __init__(self, f: GridFunction, stat: np.ndarray, sides_list, dyadic: bool):
         self.n, self.d = f.res, f.dim
         self.dyadic = dyadic
         self.stat = stat  # flat over (side, origin lex)
-        n, d = self.n, self.d
-        self.sides, self.starts = _family(n, d, sides_list, dyadic)
-        if d == 1:
+        n = self.n
+        self.sides, self.starts = _family(n, self.d, sides_list, dyadic)
+        self.levels = None  # the greedy level search only
+        if self.d == 1 or dyadic or n <= EXACT_GUARD_2D:
             return
-        # full cubes: the greedy order; dyadic cubes: the sorted per-cell tops
-        self.order = None if dyadic else np.lexsort((self.starts, -self.sides))
-        self.top_sorted = np.sort(self._top_by_cell()) if dyadic else None
+        self.order = np.lexsort((self.starts, -self.sides))
         levels = np.unique(stat[stat > 0])
-        if levels.size > _LEVEL_CAP_2D and n > ENUM_GUARD_2D:
+        if levels.size > _LEVEL_CAP_2D:
             # keep the exact top levels and the whole-cube statistic (the
             # ||f||_1 witness near t=1), thin the rest uniformly
             top = levels[-32:]
@@ -265,22 +265,23 @@ class _LevelSweep:
         """F at every t of ts, each inside (0, 1]."""
         if not np.all((ts > 0) & (ts <= 1)):
             raise ConfigError("F is defined on (0, 1]")
-        if self.d == 2:
+        if self.levels is not None:
             return np.array([self._value_2d(float(t)) for t in ts])
-        n = self.n
-        best = np.append(self._best_by_cells_1d(), -np.inf)  # c = 0..N+1
-        # smallest cell count c with c > t*N, the float comparison of 2D
-        vals = best[np.searchsorted(np.arange(n + 1), ts * n, side="right")]
+        cells = self.n**self.d
+        best = np.append(self._best_by_cells(), -np.inf)  # c = 0..N^d+1
+        # smallest cell count c with c > t*N^d
+        vals = best[np.searchsorted(np.arange(cells + 1), ts * cells, side="right")]
         return np.where(vals > 0, vals, 0.0)
 
-    def _best_by_cells_1d(self) -> np.ndarray:
-        """best[c] = max over c' >= c of B[N][c'], for c = 0..N."""
+    def _best_by_cells(self) -> np.ndarray:
+        """best[c] = the largest minimum statistic over packings of at least
+        c cells, for c = 0..N^d."""
         n, stat = self.n, self.stat
         if self.dyadic:
-            # dyadic cubes are nested or disjoint, so the maximal cubes with
-            # statistic >= v pack their whole union: best[c] is the c-th
-            # largest over cells of the top statistic of a cube holding it
             return np.concatenate(([np.inf], np.sort(self._top_by_cell())[::-1]))
+        if self.d == 2:
+            best, _ = _mask_dp(self.sides, self.starts, stat, n, np.minimum)
+            return np.maximum.accumulate(_max_by_cells(best, n * n)[::-1])[::-1]
         # stat_end[j, s] = statistic of [s, j); g[j, u] = B[j][j - u]
         stat_end = np.full((n + 1, n), -np.inf)
         stat_end[self.starts + self.sides, self.starts] = stat
@@ -296,28 +297,14 @@ class _LevelSweep:
         return np.maximum.accumulate(g[n])[::-1]
 
     def _cells_2d(self, level_idx: int) -> int:
-        if level_idx in self._cache:
-            return self._cache[level_idx]
-        lam = self.levels[level_idx]
-        n = self.n
-        if n <= ENUM_GUARD_2D:
-            entries = [
-                (self.cube_at(int(i)), float(self.sides[i] ** 2))
-                for i in np.nonzero(self.stat >= lam)[0]
-            ]
-            _, val_f = _exact_search(entries, n)
-            val = int(round(val_f))
-        elif self.dyadic:  # the cells of the union of cubes with stat >= lam
-            val = n * n - int(np.searchsorted(self.top_sorted, lam))
-        else:
-            idx = self.order[self.stat[self.order] >= lam]
-            kept = _greedy_disjoint(self.sides[idx], self.starts[idx], n, 2)
-            val = int((self.sides[idx[kept]] ** 2).sum())
-        self._cache[level_idx] = val
-        return val
+        if level_idx not in self._cache:
+            idx = self.order[self.stat[self.order] >= self.levels[level_idx]]
+            kept = _greedy_disjoint(self.sides[idx], self.starts[idx], self.n, 2)
+            self._cache[level_idx] = int((self.sides[idx[kept]] ** 2).sum())
+        return self._cache[level_idx]
 
     def _value_2d(self, t: float) -> float:
-        """Largest level whose maximal packed cell count exceeds t*N^2."""
+        """Largest level whose greedy packed cell count exceeds t*N^2."""
         threshold = t * self.n**self.d
         if self.levels.size == 0 or self._cells_2d(0) <= threshold:
             return 0.0
@@ -343,29 +330,6 @@ def _sweep_for(f: GridFunction, p: float | None, cube_mode: str) -> _LevelSweep:
     return _LevelSweep(f, np.concatenate(stats), sides_list, dyadic)
 
 
-def _bruteforce_f(f: GridFunction, ts: np.ndarray, p: float | None) -> np.ndarray:
-    """Literal sup over every packing of the rearranged step value at t,
-    with the cell-count comparisons of the level sweep."""
-    n, d = f.res, f.dim
-    thresholds = ts * n**d
-    best = np.zeros(ts.size)
-    for packing in enumerate_packings((d, n)):
-        pairs = []
-        for q in packing:
-            w = f.values[q.flat_cells(n)]
-            mu = w.mean()
-            dev = np.abs(w - mu)
-            stat = dev.mean() if p is None else (dev**p).mean() ** (1.0 / p)
-            pairs.append((stat, q.ncells()))
-        pairs.sort(reverse=True)
-        cum = 0
-        for stat, ncells in pairs:
-            cum += ncells
-            sel = (cum > thresholds) & (stat > best)
-            best[sel] = stat
-    return best
-
-
 def f_sharp_curve(
     f: GridFunction,
     t_grid,
@@ -377,29 +341,9 @@ def f_sharp_curve(
     return _sweep_for(f, p, cube_mode).values(ts)
 
 
-def f_sharp_profile(
-    f: GridFunction,
-    t: float,
-    exact_small: bool = False,
-    cube_mode: str = "auto",
-) -> float:
-    """The packing profile F(t) = sup over packings of (S_pi)*(t).
-
-    With exact_small the value is cross-checked against the literal brute
-    force over every packing (guarded grid sizes); a mismatch raises.
-    """
-    val = float(f_sharp_curve(f, [t], cube_mode=cube_mode)[0])
-    if exact_small:
-        if (f.dim == 1 and f.res > ENUM_GUARD_1D) or (
-            f.dim == 2 and f.res > ENUM_GUARD_2D
-        ):
-            raise SizeGuardError("exact_small cross-check beyond enumeration guard")
-        brute = float(_bruteforce_f(f, np.array([float(t)]), None)[0])
-        if abs(brute - val) > 1e-9 * max(1.0, abs(brute)):
-            raise InvariantViolation(
-                f"level sweep {val} != brute force {brute} at t={t}"
-            )
-    return val
+def f_sharp_profile(f: GridFunction, t: float, cube_mode: str = "auto") -> float:
+    """The packing profile F(t) = sup over packings of (S_pi)*(t)."""
+    return float(f_sharp_curve(f, [t], cube_mode=cube_mode)[0])
 
 
 def f_sharp_profile_p(

@@ -1,44 +1,39 @@
-"""Optimization over cube packings: exhaustive enumeration, exact 1D dynamic
-programs, an exact 2D subset DP for tiny grids, greedy Vitali selection.
+"""Optimization over cube packings: exact 1D dynamic programs, one exact
+2D subset DP for tiny grids, greedy Vitali selection.
 
-1D problems are solved exactly: weighted interval scheduling, and DPs over
-cell positions, each O(N) numpy steps that gather the weights of the cubes
-ending at the current cell.  The unbudgeted DP solves a stack of weight rows
-at once (O(N^2) work per row); the budgeted DP tracks cells used (O(N^3)
-work, O(N^2) memory).  2D maximum-weight square packing is combinatorially
-hard: on tiny grids (N <= 4) the best weight per covered cell count comes
-from an include/exclude DP over bitmasks of covered cells (cubes x 2^(N^2)
-numpy work) and the unconstrained optimum from pruned search over the cube
-family; larger grids fall back to deterministic greedy selection whose value
-is a certified lower bound.  Every greedy selection, here and in
-functionals and kfunctional, is one pass of _greedy_disjoint.
+1D problems are solved exactly by DPs over cell positions, each O(N) numpy
+steps that gather the weights of the cubes ending at the current cell.  The
+unbudgeted DP solves a stack of weight rows at once (O(N^2) work per row);
+the budgeted DP tracks cells used (O(N^3) work, O(N^2) memory).  2D
+maximum-weight square packing is combinatorially hard: on tiny grids
+(N <= EXACT_GUARD_2D) every exact answer comes from one include/exclude DP
+over bitmasks of covered cells, _mask_dp (cubes x 2^(N^2) numpy work);
+larger grids fall back to deterministic greedy selection whose value is a
+certified lower bound.  Every greedy selection, here and in functionals
+and kfunctional, is one pass of _greedy_disjoint.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, InvariantViolation, SizeGuardError
-from .grid import Cube, Packing, enumerate_cubes
+from .grid import Cube, Packing, _check_grid
 
 __all__ = [
-    "enumerate_packings",
     "max_measure_packing",
     "max_additive_packing",
     "additive_pareto_1d",
     "additive_pareto_2d",
     "vitali_select",
     "union_measure",
-    "ENUM_GUARD_1D",
-    "ENUM_GUARD_2D",
+    "EXACT_GUARD_2D",
 ]
 
-ENUM_GUARD_1D = 12
-ENUM_GUARD_2D = 4
+EXACT_GUARD_2D = 4  # 2D packings are exact up to N = 4: 2^16 cell masks
 VITALI_COVER_FACTOR = 5  # per-dimension constant of the covering argument
 
 
@@ -46,14 +41,6 @@ def _block(k: int, n: int, d: int) -> int:
     """Mask of the side-k cube at the origin of an N^d grid, bit c = cell c."""
     row = (1 << k) - 1
     return row if d == 1 else sum(row << (r * n) for r in range(k))
-
-
-def _first_cell(q: Cube, n: int) -> int:
-    return q.origin[0] if q.dim == 1 else q.origin[0] * n + q.origin[1]
-
-
-def _cube_mask(q: Cube, res: int) -> int:
-    return _block(q.side, res, q.dim) << _first_cell(q, res)
 
 
 def _family(n: int, d: int, sides_list, dyadic: bool = False) -> tuple:
@@ -70,7 +57,9 @@ def _family(n: int, d: int, sides_list, dyadic: bool = False) -> tuple:
 def _index(cubes: Sequence[Cube], n: int) -> tuple:
     """(sides, first cells) integer arrays of a list of cubes."""
     sides = np.array([q.side for q in cubes], dtype=int)
-    return sides, np.array([_first_cell(q, n) for q in cubes], dtype=int)
+    starts = [q.origin[0] if q.dim == 1 else q.origin[0] * n + q.origin[1]
+              for q in cubes]
+    return sides, np.array(starts, dtype=int)
 
 
 def _cube(k: int, s: int, n: int, d: int) -> Cube:
@@ -98,150 +87,99 @@ def _greedy_disjoint(sides, starts, n: int, d: int) -> list:
     return kept
 
 
-def enumerate_packings(grid) -> Iterator[Packing]:
-    """Stream every nonempty packing exactly once, in canonical DFS order.
+def _mask_dp(sides, starts, w, n: int, op) -> tuple:
+    """Include/exclude DP over the 2D cubes (side, first cell) in the given
+    order, on one row of 2^(N^2) floats indexed by bitmasks of covered cells.
 
-    Guarded: feasible only for 1D N <= 12 and 2D N <= 4.
+    op=np.add (start 0): best[mask] is the largest weight sum of a packing
+    covering exactly the cells of mask, its weights added in cube order.
+    op=np.minimum (start +inf): the largest minimum weight, the bottleneck
+    twin of the 1D max-min DP.  -inf marks masks no packing covers.
+    take[i, mask] is set where cube i raised best[mask]: walked backwards
+    over the cubes from a mask, the set flags give the packing.  Each cube
+    is one numpy gather over the masks disjoint from it, cubes x 2^(N^2)
+    work (30 x 65536 at N=4).  x -> op(x, w) is monotone, so best[mask] is
+    the optimum over the packings of mask bit for bit.
     """
-    d, n = int(grid[0]), int(grid[1])
-    if (d == 1 and n > ENUM_GUARD_1D) or (d == 2 and n > ENUM_GUARD_2D):
-        raise SizeGuardError(
-            f"packing enumeration refused for d={d}, N={n} "
-            f"(guards: 1D N<={ENUM_GUARD_1D}, 2D N<={ENUM_GUARD_2D})"
-        )
-    cubes = enumerate_cubes(grid)
-    masks = [_cube_mask(q, n) for q in cubes]
-    chosen: list = []
+    masks = np.arange(1 << (n * n))
+    best = np.full(masks.size, -np.inf)
+    best[0] = 0.0 if op is np.add else np.inf
+    take = np.zeros((sides.size, masks.size), dtype=bool)
+    for i, (k, s, wi) in enumerate(zip(sides.tolist(), starts.tolist(), w.tolist())):
+        m = _block(k, n, 2) << s
+        src = masks[(masks & m) == 0]
+        cand = op(best[src], wi)
+        up = cand > best[src + m]
+        dst = src[up] + m
+        take[i, dst] = True
+        best[dst] = cand[up]
+    return best, take
 
-    def rec(start: int, used: int) -> Iterator[Packing]:
-        for i in range(start, len(cubes)):
-            if masks[i] & used:
-                continue
-            chosen.append(cubes[i])
-            yield Packing(list(chosen))
-            yield from rec(i + 1, used | masks[i])
-            chosen.pop()
 
-    yield from rec(0, 0)
+def _max_by_cells(best: np.ndarray, cells: int) -> np.ndarray:
+    """value[c] = max of best over the masks with c cells, c = 0..cells."""
+    value = np.full(cells + 1, -np.inf)
+    np.maximum.at(value, np.bitwise_count(np.arange(best.size)), best)
+    return value
+
+
+def _mask_dp_packing(sides, starts, w, n: int) -> list:
+    """Positions, ascending, of a maximum-weight packing of the cubes in
+    the given order: the take flags of _mask_dp walked back from the first
+    mask of largest sum."""
+    best, take = _mask_dp(sides, starts, w, n, np.add)
+    mask, kept = int(np.argmax(best)), []
+    for i in range(sides.size - 1, -1, -1):
+        if take[i, mask]:
+            kept.append(i)
+            mask ^= _block(int(sides[i]), n, 2) << int(starts[i])
+    return kept[::-1]
 
 
 # ---------------------------------------------------------------------------
 # weight normalization
 
-def _weight_vector_2d(weights, n: int) -> np.ndarray:
-    """Weights of the cubes of enumerate_cubes((2, n)), in that order, from
-    a {side: per-origin array in lexicographic origin order} dict (numpy,
-    no Cube objects) or a Cube -> weight callable."""
-    if isinstance(weights, dict):
-        rows = [np.asarray(weights[k], dtype=float).ravel() for k in range(1, n + 1)]
-        if any(r.size != (n - k + 1) ** 2 for k, r in enumerate(rows, 1)):
-            raise ConfigError("weights[k] needs one entry per origin, (N-k+1)^2")
-        return np.concatenate(rows)
-    if callable(weights):
-        return np.array([float(weights(q)) for q in enumerate_cubes((2, n))])
-    raise ConfigError("weights must be a callable or {side: array} dict")
+def _weight_rows(weights, n: int, d: int) -> dict:
+    """{side: flat float row over origins in lex order}.
 
-
-# ---------------------------------------------------------------------------
-# 1D exact solvers
-
-def _wis_1d(items: Sequence[tuple], n: int) -> tuple:
-    """Weighted interval scheduling: items are (start, end, weight, cube).
-
-    Exact max-weight disjoint subset; negative weights are never selected.
-    Returns (chosen cubes, value).
+    From a {side: per-origin array} dict, in the dict's order (the 1D DPs
+    break ties by it), which must hold every side 1..N, side k with one
+    entry per origin, (N-k+1)^d; or from a Cube -> weight callable, called
+    once per cube in (side, origin lex) order.
     """
-    items = sorted(items, key=lambda it: (it[1], it[0]))
-    ends = [it[1] for it in items]
-    m = len(items)
-    best = [0.0] * (m + 1)
-    take = [False] * (m + 1)
-    pred = [0] * (m + 1)
-    for i in range(1, m + 1):
-        s, e, w, _ = items[i - 1]
-        j = bisect_right(ends, s, 0, i - 1)
-        cand = best[j] + w
-        if cand > best[i - 1]:
-            best[i], take[i], pred[i] = cand, True, j
-        else:
-            best[i] = best[i - 1]
-    chosen = []
-    i = m
-    while i > 0:
-        if take[i]:
-            chosen.append(items[i - 1][3])
-            i = pred[i]
-        else:
-            i -= 1
-    chosen.sort()
-    return chosen, best[m]
-
-
-def _exact_search(entries: Sequence[tuple], res: int) -> tuple:
-    """Exact max-weight packing by pruned DFS over (cube, weight) entries."""
-    entries = [e for e in entries if e[1] > 0]
-    entries.sort(key=lambda e: (-e[1], e[0]))
-    masks = [_cube_mask(q, res) for q, _ in entries]
-    suffix = [0.0] * (len(entries) + 1)
-    for i in range(len(entries) - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + entries[i][1]
-    best_val = 0.0
-    best_set: list = []
-    cur: list = []
-
-    def rec(i: int, used: int, acc: float):
-        nonlocal best_val, best_set
-        if acc > best_val:
-            best_val, best_set = acc, list(cur)
-        if i >= len(entries) or acc + suffix[i] <= best_val:
-            return
-        for j in range(i, len(entries)):
-            if acc + suffix[j] <= best_val:
-                return
-            if masks[j] & used:
-                continue
-            cur.append(entries[j][0])
-            rec(j + 1, used | masks[j], acc + entries[j][1])
-            cur.pop()
-
-    rec(0, 0, 0.0)
-    best_set.sort()
-    return best_set, best_val
-
-
-def _greedy(sides, starts, w, n: int) -> tuple:
-    """Deterministic 2D greedy: cubes with w > 0 by weight descending, ties
-    by (side, origin) ascending.  Returns (kept positions sorted by (side,
-    origin), the kept weights summed in acceptance order)."""
-    pos = np.nonzero(w > 0)[0]
-    order = pos[np.lexsort((starts[pos], sides[pos], -w[pos]))]
-    kept = order[_greedy_disjoint(sides[order], starts[order], n, 2)]
-    # cumsum adds left to right, the order of a running sum over acceptances
-    val = float(np.cumsum(w[kept])[-1]) if kept.size else 0.0
-    return kept[np.lexsort((starts[kept], sides[kept]))], val
+    if isinstance(weights, dict):
+        rows = {k: np.asarray(v, dtype=float).ravel() for k, v in weights.items()}
+        if set(rows) != set(range(1, n + 1)) or any(
+            r.size != (n - k + 1) ** d for k, r in rows.items()
+        ):
+            raise ConfigError(
+                f"weights need every side k = 1..{n}, each with one entry "
+                f"per origin, (N-k+1)^{d}"
+            )
+        return rows
+    if callable(weights):
+        sides, starts = _family(n, d, range(1, n + 1))
+        return {k: np.array([float(weights(_cube(k, s, n, d)))
+                             for s in starts[sides == k].tolist()])
+                for k in range(1, n + 1)}
+    raise ConfigError("weights must be a callable or {side: array} dict")
 
 
 def max_measure_packing(cubes: Iterable[Cube], grid) -> tuple:
     """Maximum total measure of pairwise-disjoint cubes from the candidates.
 
-    1D: exact (weighted interval scheduling).  2D: exact for N <= 4, greedy
-    by size descending otherwise (a certified lower bound).
-    Returns (Packing, total measure).
+    max_additive_packing on the weights |Q| for the candidates and -inf for
+    every other cube: exact in 1D and for 2D N <= 4, greedy by size
+    descending otherwise (a certified lower bound).  A candidate offered
+    twice is kept at most once.  Returns (Packing, total measure).
     """
-    d, n = int(grid[0]), int(grid[1])
-    cubes = list(cubes)
-    if d == 1:
-        items = [
-            (q.origin[0], q.origin[0] + q.side, q.measure(n), q) for q in cubes
-        ]
-        chosen, val = _wis_1d(items, n)
-    elif n <= ENUM_GUARD_2D:
-        chosen, val = _exact_search([(q, q.measure(n)) for q in cubes], n)
-    else:
-        w = np.array([q.measure(n) for q in cubes], dtype=float)
-        kept, val = _greedy(*_index(cubes, n), w, n)
-        chosen = [cubes[i] for i in kept]
-    return Packing(chosen), val
+    d, n = _check_grid(grid)
+    rows = {k: np.full((n - k + 1) ** d, -np.inf) for k in range(1, n + 1)}
+    for q in cubes:
+        q.check(n, d)
+        o = q.origin[0] if d == 1 else q.origin[0] * (n - q.side + 1) + q.origin[1]
+        rows[q.side][o] = q.measure(n)
+    return max_additive_packing(rows, grid)
 
 
 def _weights_by_end_1d(sides, row_of, n: int) -> tuple:
@@ -314,72 +252,53 @@ def additive_pareto_1d(weights, grid) -> np.ndarray:
     Exact DP over (cell position, cells used); -inf marks unreachable m for
     restricted candidate sets.  Non-decreasing in m when all weights >= 0.
     """
-    d, n = int(grid[0]), int(grid[1])
+    d, n = _check_grid(grid)
     if d != 1:
         raise ConfigError("the exact budgeted DP is 1D only")
-    g, _ = _dp_budgeted_1d(*_side_rows_1d(weights, n), n)
+    rows = _weight_rows(weights, n, 1)
+    g, _ = _dp_budgeted_1d(list(rows), rows.__getitem__, n)
     return g[n, ::-1].copy()
-
-
-def _side_rows_1d(weights, n: int) -> tuple:
-    """(sides, row_of) for _weights_by_end_1d: the keys and values of a
-    {side: per-origin array} dict, or every side of a Cube -> weight
-    callable."""
-    if isinstance(weights, dict):
-        return list(weights), weights.__getitem__
-    return range(1, n + 1), lambda k: [
-        float(weights(Cube((o,), k))) for o in range(n - k + 1)
-    ]
 
 
 def additive_pareto_2d(weights, grid) -> np.ndarray:
     """value[m] = max sum of weights over 2D packings covering exactly m
-    cells, for N <= ENUM_GUARD_2D; -inf marks unreachable m.
+    cells, for N <= EXACT_GUARD_2D; -inf marks unreachable m.
 
-    Exact include/exclude DP over the cubes in enumerate_cubes order on one
-    row of 2^(N^2) floats, best[mask] = the largest weight sum of a packing
-    covering exactly the cells of mask.  Each cube is one numpy gather over
-    the masks disjoint from it: cubes x 2^(N^2) work (30 x 65536 at N=4),
-    one 512 KB row.  Weights are added in cube order, the order a
-    left-to-right sum over enumerate_packings adds them, and x -> fl(x + w)
-    is monotone, so value[m] equals the largest such sum bit for bit.
+    _mask_dp with np.add over the cubes in (side, origin lex) order, the
+    order a left-to-right sum over a packing's cubes adds their weights, so
+    value[m] equals the largest such sum bit for bit.
     """
-    d, n = int(grid[0]), int(grid[1])
+    d, n = _check_grid(grid)
     if d != 2:
         raise ConfigError("additive_pareto_2d is 2D only")
-    if n > ENUM_GUARD_2D:
+    if n > EXACT_GUARD_2D:
         raise SizeGuardError(
-            f"the 2D subset DP is guarded at N <= {ENUM_GUARD_2D}, got N={n}"
+            f"the 2D subset DP is guarded at N <= {EXACT_GUARD_2D}, got N={n}"
         )
-    masks = np.arange(1 << (n * n))
-    best = np.full(masks.size, -np.inf)
-    best[0] = 0.0
-    for q, w in zip(enumerate_cubes(grid), _weight_vector_2d(weights, n).tolist()):
-        m = _cube_mask(q, n)
-        src = masks[(masks & m) == 0]
-        dst = src + m
-        best[dst] = np.maximum(best[dst], best[src] + w)
-    value = np.full(n * n + 1, -np.inf)
-    np.maximum.at(value, np.bitwise_count(masks), best)
-    return value
+    rows = _weight_rows(weights, n, 2)
+    w = np.concatenate([rows[k] for k in range(1, n + 1)])
+    best, _ = _mask_dp(*_family(n, 2, range(1, n + 1)), w, n, np.add)
+    return _max_by_cells(best, n * n)
 
 
 def max_additive_packing(weights, grid, measure_budget: int | None = None) -> tuple:
     """Maximize the sum of cube weights over packings.
 
-    weights: callable Cube -> real, or {side: per-origin array}.  1D is an
-    exact DP over cell positions in O(N) numpy steps: O(N^2) work, and
-    O(N^3) work with O(N^2) memory for the budgeted variant.  2D is exact
-    for N <= 4 and otherwise one _greedy_disjoint pass over the cubes with
-    weight > 0, weight descending, ties by (side, origin); dict weights are
-    read with numpy, a callable is called once per cube.  With
-    measure_budget = m the packing must cover exactly m cells.  Returns
-    (Packing, value); the empty packing (value 0) wins when every weight is
-    <= 0.
+    weights: callable Cube -> real, or {side: per-origin array} holding
+    every side.  1D is an exact DP over cell positions in O(N) numpy steps:
+    O(N^2) work, and O(N^3) work with O(N^2) memory for the budgeted
+    variant.  2D takes the cubes with weight > 0, weight descending, ties by
+    (side, origin): for N <= 4 the exact packing comes from _mask_dp over
+    them, which adds each packing's weights in that order; larger grids
+    take one _greedy_disjoint pass over them.  The value is the kept
+    weights summed in that order.  With measure_budget = m the packing must
+    cover exactly m cells.  Returns (Packing, value); the empty packing
+    (value 0) wins when every weight is <= 0.
     """
-    d, n = int(grid[0]), int(grid[1])
+    d, n = _check_grid(grid)
+    rows = _weight_rows(weights, n, d)
     if d == 1:
-        sides, row_of = _side_rows_1d(weights, n)
+        sides, row_of = list(rows), rows.__getitem__
         if measure_budget is None:
             chosen, val = _dp_unbudgeted_1d(sides, row_of, n)[0]
             return Packing(chosen), val
@@ -393,12 +312,17 @@ def max_additive_packing(weights, grid, measure_budget: int | None = None) -> tu
         return Packing(chosen), float(g[n, n - m])
     if measure_budget is not None:
         raise ConfigError("measure budgets are supported in 1D only")
-    w = _weight_vector_2d(weights, n)
-    if n <= ENUM_GUARD_2D:
-        chosen, val = _exact_search(list(zip(enumerate_cubes(grid), w.tolist())), n)
-        return Packing(chosen), val
     sides, starts = _family(n, 2, range(1, n + 1))
-    kept, val = _greedy(sides, starts, w, n)
+    w = np.concatenate([rows[k] for k in range(1, n + 1)])
+    pos = np.nonzero(w > 0)[0]
+    order = pos[np.lexsort((starts[pos], sides[pos], -w[pos]))]
+    if n <= EXACT_GUARD_2D:
+        kept = order[_mask_dp_packing(sides[order], starts[order], w[order], n)]
+    else:
+        kept = order[_greedy_disjoint(sides[order], starts[order], n, 2)]
+    # cumsum adds left to right, as the DP and a running sum over acceptances
+    val = float(np.cumsum(w[kept])[-1]) if kept.size else 0.0
+    kept = kept[np.lexsort((starts[kept], sides[kept]))]
     return Packing([_cube(k, s, n, 2) for k, s in
                     zip(sides[kept].tolist(), starts[kept].tolist())]), val
 

@@ -8,6 +8,7 @@ summation formulas.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -15,11 +16,50 @@ import numpy as np
 
 from oscilab import (
     GridFunction,
+    Packing,
+    SizeGuardError,
     double_oscillation,
     enumerate_cubes,
-    enumerate_packings,
     mean_oscillation,
 )
+
+ENUM_GUARD_1D = 12
+ENUM_GUARD_2D = 4
+
+
+def enumerate_packings(grid):
+    """Iterate every nonempty packing exactly once, in canonical DFS order
+    over the cubes of enumerate_cubes (each prefix before its extensions).
+
+    Guarded: feasible only for 1D N <= 12 and 2D N <= 4.
+    """
+    d, n = int(grid[0]), int(grid[1])
+    if (d == 1 and n > ENUM_GUARD_1D) or (d == 2 and n > ENUM_GUARD_2D):
+        raise SizeGuardError(
+            f"packing enumeration refused for d={d}, N={n} "
+            f"(guards: 1D N<={ENUM_GUARD_1D}, 2D N<={ENUM_GUARD_2D})"
+        )
+    return iter(_packings(d, n))
+
+
+@functools.cache
+def _packings(d: int, n: int) -> tuple:
+    """All nonempty packings of the grid, built once per (d, N)."""
+    cubes = enumerate_cubes((d, n))
+    masks = [sum(1 << c for c in q.flat_cells(n).tolist()) for q in cubes]
+    out: list = []
+
+    def rec(start: int, used: int, chosen: list) -> None:
+        for i in range(start, len(cubes)):
+            if masks[i] & used:
+                continue
+            chosen.append(cubes[i])
+            out.append(Packing(list(chosen)))
+            rec(i + 1, used | masks[i], chosen)
+            chosen.pop()
+
+    rec(0, 0, [])
+    return tuple(out)
 
 
 def cube_stats_map(f: GridFunction) -> dict:
@@ -60,20 +100,26 @@ def brute_garo_l1_lower(f: GridFunction) -> float:
     return best
 
 
-def brute_f_sharp(f: GridFunction, ts: np.ndarray, p: float | None = None) -> np.ndarray:
-    """sup over packings of the rearranged mean-oscillation step value,
-    inf-convention, comparing masses in integer cells."""
+def brute_f_sharp(
+    f: GridFunction, ts: np.ndarray, p: float | None = None, dyadic: bool = False
+) -> np.ndarray:
+    """sup over packings (of dyadic cubes only, with dyadic) of the
+    rearranged mean-oscillation step value, inf-convention, comparing masses
+    in integer cells."""
     n, d = f.res, f.dim
     thresholds = np.asarray(ts) * n**d
     best = np.zeros(len(ts))
+    stat_of = {}
+    for q in enumerate_cubes((d, n)):
+        vals = f.values[q.flat_cells(n)]
+        dev = np.abs(vals - vals.mean())
+        stat = dev.mean() if p is None else (dev**p).mean() ** (1.0 / p)
+        stat_of[q] = (stat, q.ncells())
     for packing in enumerate_packings((d, n)):
-        pairs = []
-        for q in packing:
-            vals = f.values[q.flat_cells(n)]
-            dev = np.abs(vals - vals.mean())
-            stat = dev.mean() if p is None else (dev**p).mean() ** (1.0 / p)
-            pairs.append((stat, q.ncells()))
-        pairs.sort(reverse=True)
+        if dyadic and any(q.side & (q.side - 1) or any(o % q.side for o in q.origin)
+                          for q in packing):
+            continue
+        pairs = sorted((stat_of[q] for q in packing), reverse=True)
         cum = 0
         for stat, ncells in pairs:
             cum += ncells

@@ -7,6 +7,7 @@ from oracles import (
     brute_garo_l1_lower,
     brute_gp,
     brute_jn,
+    enumerate_packings,
     garo_l1_exact_oracle,
     garo_linf_exact_oracle,
 )
@@ -31,7 +32,7 @@ from oscilab import (
     weak_lp,
 )
 from oscilab.grid import cube_stat_tables
-from oscilab.packing import enumerate_packings, max_additive_packing
+from oscilab.packing import max_additive_packing
 
 
 def gf(vals, d=1):
@@ -88,7 +89,7 @@ def test_gamma_membership_examples(rng):
 
 def test_gamma_membership_equals_packing_verification(rng):
     # per-cube reduction == exhaustive packing check (both sides additive)
-    from oscilab import double_oscillation, enumerate_packings
+    from oscilab import double_oscillation
 
     for trial in range(6):
         n = int(rng.integers(2, 7))
@@ -178,7 +179,7 @@ def test_garo_p_lambda_infty_single_cube(rng):
 
 
 def test_garo_p_lambda_is_lower_bound_vs_bruteforce(rng):
-    from oscilab import double_oscillation, enumerate_packings
+    from oscilab import double_oscillation
 
     for trial in range(6):
         n = int(rng.integers(3, 8))

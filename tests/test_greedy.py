@@ -125,7 +125,7 @@ def test_packing_family_2d_pinned(n, kind, p):
     assert [[(int(k), int(o)) for k, o in pk] for pk in family] == expect
 
 
-@pytest.mark.parametrize("n,mode", [(8, "full"), (16, "full"), (64, "dyadic")])
+@pytest.mark.parametrize("n,mode", [(8, "full"), (16, "full")])
 def test_f_sharp_curve_2d_greedy_pinned(n, mode):
     f = generate("random_steps", 2, n, seed=7 + n)
     sweep = _sweep_for(f, None, mode)

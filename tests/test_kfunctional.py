@@ -8,7 +8,6 @@ from oracles import brute_f_sharp
 from oscilab import (
     ConfigError,
     GridFunction,
-    SizeGuardError,
     default_t_grid,
     f_sharp_curve,
     f_sharp_profile,
@@ -21,7 +20,7 @@ from oscilab import (
     vitali_threshold_estimate,
 )
 from oscilab.grid import Cube, cube_windows, sides_for
-from oscilab.kfunctional import KProfile, running_max
+from oscilab.kfunctional import KProfile, _sweep_for, running_max
 from oscilab.packing import max_measure_packing
 
 
@@ -125,13 +124,40 @@ def test_f_sharp_2d_exact_where_greedy_fails():
     assert got[2] == pytest.approx(4.075, abs=1e-9)
 
 
-def test_f_sharp_exact_small_flag(rng):
-    f = gf(rng.normal(size=6))
-    v = f_sharp_profile(f, 0.37, exact_small=True)  # raises on mismatch
-    assert v >= 0
-    big = gf(rng.normal(size=40))
-    with pytest.raises(SizeGuardError):
-        f_sharp_profile(big, 0.5, exact_small=True)
+@pytest.mark.parametrize(
+    "n,mode", [(2, "full"), (3, "full"), (4, "full"), (2, "dyadic"), (4, "dyadic")]
+)
+@pytest.mark.parametrize("p", [None, 0.5])
+def test_f_sharp_2d_small_equals_bruteforce(n, mode, p):
+    f = generate("random_steps", 2, n, seed=20 + n)
+    ts = np.arange(1, n * n + 1) / (n * n)  # every cell count threshold
+    got = f_sharp_curve(f, ts, p=p, cube_mode=mode)
+    want = brute_f_sharp(f, ts, p, dyadic=mode == "dyadic")
+    assert want.max() > 0 and np.allclose(got, want, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [16, 32, 64])
+def test_f_sharp_2d_dyadic_matches_union_count(n):
+    # dyadic cubes are nested or disjoint, so F(t) is the largest level v
+    # whose cubes with statistic >= v cover more than t*N^2 cells
+    f = generate("random_steps", 2, n, seed=7 + n)
+    sweep = _sweep_for(f, None, "dyadic")
+    stat = sweep.stat.tolist()
+    covered = np.zeros((n, n), dtype=bool)
+    levels, counts = [], []  # levels descending, cells covered at each
+    for i in sorted(range(len(stat)), key=lambda i: -stat[i]):
+        if stat[i] <= 0:
+            break
+        q = sweep.cube_at(i)
+        (r, c), k = q.origin, q.side
+        covered[r:r + k, c:c + k] = True
+        if not levels or levels[-1] != stat[i]:
+            levels.append(stat[i])
+            counts.append(0)
+        counts[-1] = int(covered.sum())
+    ts = np.union1d(np.geomspace(0.5 / n**2, 1.0, 64), np.arange(1, n * n + 1) / n**2)
+    want = [next((v for v, c in zip(levels, counts) if c > t * n * n), 0.0) for t in ts]
+    assert np.array_equal(f_sharp_curve(f, ts, cube_mode="dyadic"), want)
 
 
 def test_f_sharp_p_example():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import packing_count_1d
+from oracles import enumerate_packings, packing_count_1d
 
 from oscilab import (
     ConfigError,
@@ -12,7 +12,6 @@ from oscilab import (
     additive_pareto_1d,
     additive_pareto_2d,
     enumerate_cubes,
-    enumerate_packings,
     max_additive_packing,
     max_measure_packing,
     union_measure,
@@ -101,6 +100,51 @@ def test_max_measure_2d_exact_small(rng):
             if all(q in cubeset for q in p):
                 best = max(best, p.total_measure(4))
         assert val == pytest.approx(best, abs=1e-12)
+
+
+@pytest.mark.parametrize("d,n", [(1, 7), (1, 10), (2, 3), (2, 4)])
+def test_max_measure_duplicated_candidates(rng, d, n):
+    cubes = enumerate_cubes((d, n))
+    for trial in range(3):
+        keep = [q for q in cubes if rng.random() < 0.4]
+        offered = keep + keep[::2]  # every other candidate offered twice
+        pk, val = max_measure_packing(offered, (d, n))
+        pk.validate(n)
+        assert set(pk.cubes) <= set(keep)
+        assert val == pytest.approx(pk.total_measure(n), abs=1e-12)
+        keepset = set(keep)
+        best = max((p.total_measure(n) for p in enumerate_packings((d, n))
+                    if all(q in keepset for q in p)), default=0.0)
+        assert val == pytest.approx(best, abs=1e-12)
+        assert max_measure_packing(keep, (d, n))[1] == val
+
+
+def _weight_desc_sum(weights, packing):
+    """The packing's weights summed left to right, weight descending, then
+    by (side, origin): the order max_additive_packing adds them in 2D."""
+    total = 0.0
+    for q in sorted(packing, key=lambda q: (-weights[q], q)):
+        total += weights[q]
+    return total
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("kind", ["float", "tied"])
+def test_max_additive_2d_small_equals_enumeration(n, kind):
+    rng = np.random.default_rng(400 + n)
+    cubes = enumerate_cubes((2, n))
+    for trial in range(3):
+        raw = (rng.integers(-2, 4, size=len(cubes)) / 2.0 if kind == "tied"
+               else rng.normal(size=len(cubes)))
+        weights = dict(zip(cubes, raw.tolist()))
+        best = 0.0
+        for p in enumerate_packings((2, n)):
+            best = max(best, _weight_desc_sum(weights, [q for q in p if weights[q] > 0]))
+        pk, val = max_additive_packing(lambda q: weights[q], (2, n))
+        assert repr(val) == repr(best)
+        pk.validate(n)
+        assert all(weights[q] > 0 for q in pk)
+        assert repr(_weight_desc_sum(weights, pk)) == repr(val)
 
 
 def test_max_additive_examples():
@@ -207,6 +251,31 @@ def test_budget_validation():
         max_additive_packing(lambda q: 1.0, (1, 4), measure_budget=7)
     with pytest.raises(ConfigError):
         max_additive_packing(lambda q: 1.0, (2, 3), measure_budget=2)
+
+
+@pytest.mark.parametrize("d,weights", [
+    (1, {1: np.ones(4), 2: np.ones(7), 3: np.ones(2), 4: np.ones(1)}),  # too long
+    (1, {1: np.ones(4), 2: np.ones(2), 3: np.ones(2), 4: np.ones(1)}),  # too short
+    (1, {1: np.ones(4), 2: np.ones(3), 3: np.ones(2)}),  # a side missing
+    (1, {1: np.ones(4), 2: np.ones(3), 3: np.ones(2), 4: np.ones(1), 5: []}),
+    (2, {1: np.ones(16), 2: np.ones(9), 4: np.ones(1)}),  # side 3 missing
+    (2, {1: np.ones(16), 2: np.ones(9), 3: np.ones(5), 4: np.ones(1)}),
+    (2, "not weights"),
+])
+def test_packing_weights_validated(d, weights):
+    with pytest.raises(ConfigError):
+        max_additive_packing(weights, (d, 4))
+    solver = additive_pareto_1d if d == 1 else additive_pareto_2d
+    with pytest.raises(ConfigError):
+        solver(weights, (d, 4))
+
+
+@pytest.mark.parametrize("grid", [(3, 4), (0, 4), (2, 0)])
+def test_packing_grid_validated(grid):
+    with pytest.raises(ConfigError):
+        max_additive_packing(lambda q: 1.0, grid)
+    with pytest.raises(ConfigError):
+        max_measure_packing([Cube((0, 0), 1)], grid)
 
 
 def test_max_additive_tie_break_pinned():
