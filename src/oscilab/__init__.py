@@ -50,6 +50,7 @@ from .maximal import (
     DEFAULT_S,
     hl_maximal,
     local_maximal,
+    local_maximals,
     quantile_oscillation,
     sharp_maximal,
     sharp_norm,

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import ConfigError, GeometryError
 
@@ -286,7 +286,10 @@ def cube_windows(f: GridFunction, side: int, dyadic: bool = False) -> np.ndarray
     """Cell values of every cube of the given side, one row per origin.
 
     Rows follow origin lexicographic order, matching enumerate_cubes within
-    the side.  Shape (n_origins, side**d).
+    the side.  Shape (n_origins, side**d).  Full-mode windows are read-only
+    strided views of f's values (copied by the row reshape in 2D), built with
+    as_strided directly: sliding_window_view builds the same view with
+    about 40 us of Python per call.
     """
     n, k = f.res, side
     if k > n:
@@ -294,13 +297,14 @@ def cube_windows(f: GridFunction, side: int, dyadic: bool = False) -> np.ndarray
     if f.dim == 1:
         if dyadic:
             return f.values.reshape(n // k, k)
-        return sliding_window_view(f.values, k)
+        (st,) = f.values.strides
+        return as_strided(f.values, (n - k + 1, k), (st, st), writeable=False)
     v = f.array
     if dyadic:
         m = n // k
         return v.reshape(m, k, m, k).transpose(0, 2, 1, 3).reshape(m * m, k * k)
-    w = sliding_window_view(v, (k, k))
     m = n - k + 1
+    w = as_strided(v, (m, m, k, k), v.strides * 2, writeable=False)
     return w.reshape(m * m, k * k)
 
 

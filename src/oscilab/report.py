@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
+
 SCHEMA_VERSION = 1
 
 __all__ = ["SCHEMA_VERSION", "check", "suite_report", "functional_report", "dump_json"]
@@ -16,13 +18,13 @@ __all__ = ["SCHEMA_VERSION", "check", "suite_report", "functional_report", "dump
 def check(
     name: str,
     anchor: str,
-    status: bool | str,
+    status: bool | np.bool_ | str,
     measured=None,
     tolerance=None,
 ) -> dict:
     """One verification entry.  anchor states the inequality or identity the
     check exercises, in plain mathematical notation."""
-    if isinstance(status, bool):
+    if isinstance(status, (bool, np.bool_)):
         status = "pass" if status else "fail"
     return {
         "name": name,

@@ -39,6 +39,7 @@ from .maximal import (
     DEFAULT_S,
     hl_maximal,
     local_maximal,
+    local_maximals,
     quantile_oscillation,
     sharp_maximal,
 )
@@ -109,6 +110,18 @@ def _sandwich_worst(f: GridFunction) -> tuple:
     return lo_worst, hi_worst
 
 
+def _abs_diff_parts(x: np.ndarray, y: np.ndarray) -> tuple:
+    """|x - y| elementwise and exactly, as two float arrays summing to it:
+    the TwoSum s + e = x - y, negated where s < 0 (|e| <= ulp(s)/2, so s
+    carries the sign and s = 0 forces e = 0).  math.fsum over the parts of
+    two such sums compares them exactly, whatever order numpy would add in."""
+    s = x - y
+    z = s - x
+    e = (x - (s - z)) - (y + z)
+    sign = np.where(s < 0, -1.0, 1.0)
+    return s * sign, e * sign
+
+
 def suite_rearr(config: dict) -> list:
     seed = config.get("seed", 0)
     corpus = _corpus(seed, n_1d=(8, 16, 32), n_2d=(6, 8, 12), per_grid=3)
@@ -144,9 +157,10 @@ def suite_rearr(config: dict) -> list:
         n = int(rng.integers(4, 64))
         a = rng.normal(size=n)
         b = rng.normal(size=n)
-        lhs = np.abs(np.sort(np.abs(a))[::-1] - np.sort(np.abs(b))[::-1]).mean()
-        rhs = np.abs(a - b).mean()
-        contraction_excess = max(contraction_excess, lhs - rhs)
+        lhs = _abs_diff_parts(np.sort(np.abs(a))[::-1], np.sort(np.abs(b))[::-1])
+        rhs = _abs_diff_parts(a, b)
+        excess = math.fsum(np.concatenate(lhs + tuple(-r for r in rhs)).tolist())
+        contraction_excess = max(contraction_excess, excess / n)
     checks.append(check(
         "rearrangement-L1-contraction", "||f*-g*||_1 <= ||f-g||_1",
         contraction_excess <= 0.0, measured=contraction_excess, tolerance=0.0,
@@ -233,9 +247,14 @@ def suite_rearr(config: dict) -> list:
 # ---------------------------------------------------------------------------
 # maximal suite
 
-def equ103_max_ratio(f: GridFunction, mloc: GridFunction) -> float:
-    """max over cubes of int_Q|f-f_Q| / int_Q M#_s f (0/0 counts as 0)."""
-    tables = cube_stat_tables(f, stats=("osc",))
+def equ103_max_ratio(
+    f: GridFunction, mloc: GridFunction, tables: dict | None = None
+) -> float:
+    """max over cubes of int_Q|f-f_Q| / int_Q M#_s f (0/0 counts as 0).
+    tables, f's cube_stat_tables with "osc", lets a sweep over s build them
+    once."""
+    if tables is None:
+        tables = cube_stat_tables(f, stats=("osc",))
     sums = cube_sum_tables(mloc)
     worst = 0.0
     for k in tables:
@@ -295,20 +314,28 @@ def suite_maximal(config: dict) -> list:
         worst <= 1e-12, measured=worst, tolerance=1e-12,
     ))
 
+    # every M#_s f the checks below read, one local_maximals call per grid:
+    # s itself, 0.1 and 0.3 on the first nine, the s0 sweep on every third
+    sweep = [float(sv) for sv in np.linspace(0.05, 0.95, 20)]
+
+    def mlocs_for(i):
+        svals = [s] + ([0.1, 0.3] if i < 9 else []) + (sweep if i % 3 == 0 else [])
+        return dict(zip(svals, local_maximals(corpus[i], svals)))
+
+    mlocs = _pmap(mlocs_for, range(len(corpus)))
+    tables = [cube_stat_tables(f, stats=("osc",)) for f in corpus]
+
     ok = True
-    for f in corpus[:9]:
-        m1 = local_maximal(f, 0.1)
-        m2 = local_maximal(f, 0.3)
-        ok &= bool(np.all(m1.values >= m2.values - 1e-12))
+    for ml in mlocs[:9]:
+        ok &= bool(np.all(ml[0.1].values >= ml[0.3].values - 1e-12))
     checks.append(check(
         "monotone-in-s", "s1 <= s2 implies M#_{s1} f >= M#_{s2} f", ok,
         tolerance=1e-12,
     ))
 
     worsts = {1: 0.0, 2: 0.0}
-    for f in corpus:
-        mloc = local_maximal(f, s)
-        mm = hl_maximal(mloc)
+    for f, ml in zip(corpus, mlocs):
+        mm = hl_maximal(ml[s])
         msharp = sharp_maximal(f)
         mask = msharp.values > 0
         if mask.any():
@@ -322,7 +349,8 @@ def suite_maximal(config: dict) -> list:
     ))
 
     worst = max(_pmap(
-        lambda f: equ103_max_ratio(f, local_maximal(f, s)), corpus
+        lambda i: equ103_max_ratio(corpus[i], mlocs[i][s], tables[i]),
+        range(len(corpus)),
     ))
     checks.append(check(
         "oscillation-vs-local-integral",
@@ -330,13 +358,12 @@ def suite_maximal(config: dict) -> list:
         worst <= 8.0 * (1 + 1e-9), measured=worst, tolerance=8.0,
     ))
 
-    sweep = np.linspace(0.05, 0.95, 20)
     s0 = 0.0
-    sub = corpus[::3]
+    sub = range(0, len(corpus), 3)
     for sv in sweep:
-        worst = max(equ103_max_ratio(f, local_maximal(f, float(sv))) for f in sub)
+        worst = max(equ103_max_ratio(corpus[i], mlocs[i][sv], tables[i]) for i in sub)
         if worst <= 8.0 * (1 + 1e-9):
-            s0 = float(sv)
+            s0 = sv
     checks.append(check(
         "empirical-s0", "largest s passing the factor-8 oscillation bound",
         "info", measured=s0,
@@ -610,14 +637,20 @@ def suite_blowup(config: dict) -> list:
     ks = list(range(2, config.get("kmax", 10) + 1))
     xlog = marcinkiewicz(phi_preset("log-slow"))
 
-    def ratio_for(space, k):
+    # each spike, its median and M#_s f once per k, read by both spaces; the
+    # centred copy is dropped before M#_s f, so at most two full grids live
+    l2 = lp(2)
+    ratios, ratios2 = [], []
+    for k in ks:
         f = generate("logspike", 1, 2 ** (k + res_j), a=2.0**-k)
-        m = median(f)
-        num = grid_norm(space, f.with_values(f.values - m))
-        den = grid_norm(space, local_maximal(f, s, cube_mode="dyadic"))
-        return num / den
+        centred = f.with_values(f.values - median(f))
+        num, num2 = grid_norm(xlog, centred), grid_norm(l2, centred)
+        del centred
+        mloc = local_maximal(f, s, cube_mode="dyadic")
+        ratios.append(num / grid_norm(xlog, mloc))
+        ratios2.append(num2 / grid_norm(l2, mloc))
+        del f, mloc
 
-    ratios = [ratio_for(xlog, k) for k in ks]
     monotone = all(b > a for a, b in zip(ratios, ratios[1:]))
     growth = ratios[-1] / ratios[0]
     checks.append(check(
@@ -629,7 +662,6 @@ def suite_blowup(config: dict) -> list:
         tolerance="monotone and >3x",
     ))
 
-    ratios2 = [ratio_for(lp(2), k) for k in ks]
     band = max(ratios2) / min(ratios2)
     checks.append(check(
         "l2-stable-band", "the same ratio for X = L2 stays in a factor-2 band",

@@ -14,13 +14,16 @@ from oscilab import (
     cubes_containing,
     hl_maximal,
     local_maximal,
+    local_maximals,
     lp,
     mean_oscillation,
     quantile_oscillation,
     sharp_maximal,
     sharp_norm,
 )
-from oscilab.maximal import _cover_max, exceedance_count, resolve_cube_mode
+from oscilab.grid import cube_windows, sides_for
+from oscilab.maximal import (_cover_max, _qosc_sorted, exceedance_count,
+                             resolve_cube_mode)
 from oracles import cube_stats_map
 
 
@@ -219,3 +222,52 @@ def test_exceedance_count_translation():
     assert exceedance_count(0.99, 100) == 98
     with pytest.raises(ConfigError):
         exceedance_count(1.0, 4)
+
+
+def sort_path_local_maximal(f, s, dyadic):
+    """Reference for local_maximals at one s: every side's windows sorted,
+    however few cells they have, and scattered cube by cube."""
+    best = np.full((f.res,) * f.dim, -np.inf)
+    for k in sides_for(f.res, dyadic):
+        w = np.sort(cube_windows(f, k, dyadic), axis=1)
+        stat = _qosc_sorted(w, exceedance_count(s, k**f.dim))
+        np.maximum(best, scatter_cover_max(stat, k, f.res, f.dim, dyadic), out=best)
+    return best.ravel()
+
+
+def kexc_steps(f, dyadic):
+    """s at and on both sides of kexc steps j/m of every side's m cells:
+    all steps of small cubes, the first two and the middle one of large."""
+    out = []
+    for k in sides_for(f.res, dyadic):
+        m = k**f.dim
+        js = range(1, m) if m <= 9 else (1, 2, m // 2)
+        out += [(j + eps) / m for j in js for eps in (-1e-7, 0.0, 1e-7)]
+    return sorted(set(out))
+
+
+@pytest.mark.parametrize("d,n,mode", [
+    (1, 1, "full"), (1, 7, "full"), (1, 1, "dyadic"), (1, 8, "dyadic"),
+    (1, 64, "dyadic"), (2, 1, "full"), (2, 4, "full"), (2, 5, "full"),
+    (2, 1, "dyadic"), (2, 4, "dyadic"), (2, 16, "dyadic"),
+])
+def test_local_maximals_equal_one_sort_per_s(rng, d, n, mode):
+    # the dyadic sides with kexc = 0 for every s skip the sort; steps on
+    # both sides of every kexc jump, and duplicate s, must not change a bit
+    f = GridFunction(d, n, np.round(rng.normal(size=n**d), 1))  # with ties
+    steps = kexc_steps(f, mode == "dyadic")
+    small = [s for s in steps if s < 0.13]  # kexc = 0 up to sides 8 or 16
+    for svals in (steps + steps[::3] + [0.05, 0.05], small + small[:2]):
+        got = local_maximals(f, svals, mode)
+        assert len(got) == len(svals)
+        for s, g in zip(svals, got):
+            want = sort_path_local_maximal(f, s, mode == "dyadic")
+            assert np.array_equal(g.values, want), s
+            assert np.array_equal(local_maximal(f, s, mode).values, want), s
+
+
+@pytest.mark.parametrize("bad", [[0.1, 1.0], [0.0], [0.3, -0.1, 0.5], [0.2, math.nan]])
+def test_local_maximals_reject_any_invalid_s(bad):
+    f = gf(np.arange(8.0))
+    with pytest.raises(ConfigError):
+        local_maximals(f, bad)
