@@ -10,6 +10,10 @@ per-packing Holder comparison between the functionals valid for the
 reported values.  Each greedy packing there, and in the 2D sweep of
 garo_p_lambda, is one pass of the cell-bitmask kernel
 packing._greedy_disjoint over integer cube indices (11,440 cubes at N=32).
+
+Cube statistics are read by flat position (grid._family order, the
+cube_stat_tables rows concatenated): candidate packings, witnesses and LP
+rows are positions, made Cube objects only for returned witnesses.
 """
 
 from __future__ import annotations
@@ -21,17 +25,18 @@ import numpy as np
 
 from .errors import ConfigError, SizeGuardError
 from .grid import (
-    Cube,
     GridFunction,
     Packing,
+    _family,
+    _index_to_cube,
     cube_stat_tables,
     cube_sum_tables,
 )
 from .maximal import DEFAULT_S, FULL_GUARD_1D, FULL_GUARD_2D, local_maximal
 from .packing import (
     EXACT_GUARD_2D,
+    _best_packing_2d,
     _dp_unbudgeted_1d,
-    _family,
     _greedy_disjoint,
     additive_pareto_1d,
     additive_pareto_2d,
@@ -65,10 +70,6 @@ def _require_desk_scale(f: GridFunction) -> None:
         )
 
 
-def _cube_at(f: GridFunction, side: int, oidx: int) -> Cube:
-    return Cube((oidx,) if f.dim == 1 else divmod(oidx, f.res - side + 1), side)
-
-
 def _conjugate_exponent(p: float) -> float:
     """1/p' = 1 - 1/p; returns the exponent 1/p' used on packing measures."""
     if math.isinf(p):
@@ -82,15 +83,14 @@ def _conjugate_exponent(p: float) -> float:
 # shared 2D candidate packings
 
 def _packing_family_2d(f: GridFunction, tables: dict, p: float) -> list:
-    """Deterministic candidate packings beyond the exact-small regime:
-    the unit-cell partition plus greedy selections in stable key-descending
-    order under several weight keys.  Single-cube packings are handled
-    separately (vectorized)."""
-    sides, origins, osc_arr, do_arr, meas_arr = _flatten_tables(
-        f, tables, "side", "origin", "osc", "do", "meas")
+    """Deterministic candidate packings beyond the exact-small regime, each
+    an array of flat positions in acceptance order: the unit-cell partition
+    plus greedy selections in stable key-descending order under several
+    weight keys.  Single-cube packings are handled separately (vectorized)."""
+    osc_arr, do_arr, meas_arr = _flatten_tables(f, tables, "osc", "do", "meas")
     n = f.res
-    starts = _family(n, 2, tables)[1]
-    family = [[(1, o) for o in range(n * n)]]  # unit partition
+    sides, starts = _family(n, 2, tables)
+    family = [np.arange(n * n)]  # unit partition: the side-1 cubes come first
     q = _conjugate_exponent(p)
     pw = p if math.isfinite(p) else 8.0
     keys = [
@@ -102,37 +102,20 @@ def _packing_family_2d(f: GridFunction, tables: dict, p: float) -> list:
     ]
     for key in keys:
         order = np.argsort(-key, kind="stable")
-        kept = order[_greedy_disjoint(sides[order], starts[order], n, 2)]
-        family.append(list(zip(sides[kept], origins[kept])))
+        family.append(order[_greedy_disjoint(sides[order], starts[order], n, 2)])
     return family
 
 
 def _flatten_tables(f: GridFunction, tables: dict, *names: str) -> tuple:
-    """The named flat arrays over (side, origin lex), from "side", "origin",
-    "meas" and the statistics the tables hold."""
-    parts: dict = {"side": [], "origin": [], "meas": []}
+    """The named arrays over flat positions, from "meas" (each cube's
+    measure) and the statistics the tables hold."""
+    parts: dict = {"meas": []}
     for k, entry in tables.items():
         cnt = next(iter(entry.values())).size
-        parts["side"].append(np.full(cnt, k, dtype=int))
-        parts["origin"].append(np.arange(cnt))
         parts["meas"].append(np.full(cnt, (k / f.res) ** f.dim))
         for name, arr in entry.items():
             parts.setdefault(name, []).append(arr)
     return tuple(np.concatenate(parts[name]) for name in names)
-
-
-def _packing_stats(packing, tables: dict, f: GridFunction):
-    """(sum do, sum measure, per-cube osc array, per-cube measures)."""
-    do = meas = 0.0
-    oscs, measures = [], []
-    for k, o in packing:
-        entry = tables[k]
-        do += float(entry["do"][o])
-        oscs.append(float(entry["osc"][o]))
-        m = (k / f.res) ** f.dim
-        measures.append(m)
-        meas += m
-    return do, meas, oscs, measures
 
 
 # ---------------------------------------------------------------------------
@@ -165,9 +148,9 @@ def jn_norm(f: GridFunction, p: float) -> float:
         return float(value ** (1.0 / p))
     meas_arr, osc_arr = _flatten_tables(f, tables, "meas", "osc")
     best = float(np.max(meas_arr * osc_arr**p, initial=0.0))
-    for packing in _packing_family_2d(f, tables, p):
-        _, _, oscs, measures = _packing_stats(packing, tables, f)
-        best = max(best, sum(m * osc**p for m, osc in zip(measures, oscs)))
+    for pk in _packing_family_2d(f, tables, p):
+        best = max(best, sum(m * osc**p for m, osc in
+                             zip(meas_arr[pk].tolist(), osc_arr[pk].tolist())))
     return float(best ** (1.0 / p))
 
 
@@ -210,8 +193,11 @@ def gp_norm(f: GridFunction, p: float) -> float:
             best = max(best, float(pareto[m]) / meas**q)
         return best
     best = float(np.max(do_arr / meas_arr**q, initial=0.0))
-    for packing in _packing_family_2d(f, tables, p):
-        do, meas, _, _ = _packing_stats(packing, tables, f)
+    for pk in _packing_family_2d(f, tables, p):
+        do = meas = 0.0
+        for x, m in zip(do_arr[pk].tolist(), meas_arr[pk].tolist()):
+            do += x
+            meas += m
         if meas > 0:
             best = max(best, do / meas**q)
     return float(best)
@@ -228,16 +214,13 @@ def gamma_membership(f: GridFunction, gamma: GridFunction):
     if gamma.dim != f.dim or gamma.res != f.res:
         raise ConfigError("gamma must live on the same grid as f")
     _require_desk_scale(f)
-    do_tables = cube_stat_tables(f, stats=("do",))
-    int_tables = cube_sum_tables(gamma)
-    worst_slack = math.inf
-    worst = None
-    for k in do_tables:
-        slack = int_tables[k] - do_tables[k]["do"]
-        i = int(np.argmin(slack))
-        if slack[i] < worst_slack:
-            worst_slack = float(slack[i])
-            worst = _cube_at(f, k, i)
+    tables = cube_stat_tables(f, stats=("do",))
+    slack = (np.concatenate(list(cube_sum_tables(gamma).values()))
+             - _flatten_tables(f, tables, "do")[0])
+    i = int(np.argmin(slack))  # the first worst cube in (side, origin) order
+    sides, starts = _family(f.res, f.dim, tables)
+    worst = _index_to_cube(sides[i], starts[i], f.res, f.dim)
+    worst_slack = float(slack[i])
     scale = max(1.0, float(np.max(np.abs(f.values))) ** 2)
     return worst_slack >= -1e-12 * scale, worst, worst_slack
 
@@ -278,25 +261,24 @@ def _space_kind(space: RISpaceSpec) -> str:
     return "other"
 
 
-def _garo_lp(f: GridFunction, kind: str, do_by_cube: list) -> float:
+def _garo_lp(f: GridFunction, kind: str, tables: dict) -> float:
     """min ||gamma||_X s.t. gamma >= 0, int_Q gamma >= doubleosc(Q) for all
-    cubes Q; gamma >= 0 w.l.o.g. since |gamma| satisfies the constraints."""
+    cubes Q; gamma >= 0 w.l.o.g. since |gamma| satisfies the constraints.
+    One row per cube with doubleosc > 0, in flat position order: its side's
+    cells at the origin shifted by its first cell."""
     from scipy.optimize import linprog
 
-    n_cells = f.ncells
-    h = f.cell_measure
-    rows, rhs = [], []
-    for cube, do in do_by_cube:
-        if do <= 0:
-            continue
-        row = np.zeros(n_cells)
-        row[cube.flat_cells(f.res)] = -h
-        rows.append(row)
-        rhs.append(-do)
-    if not rows:
+    n, d, n_cells, h = f.res, f.dim, f.ncells, f.cell_measure
+    do_arr = _flatten_tables(f, tables, "do")[0]
+    pos = np.flatnonzero(do_arr > 0)
+    if not pos.size:
         return 0.0
-    a_ub = np.array(rows)
-    b_ub = np.array(rhs)
+    sides, starts = _family(n, d, tables)
+    at_origin = {k: _index_to_cube(k, 0, n, d).flat_cells(n) for k in tables}
+    a_ub = np.zeros((pos.size, n_cells))
+    for r, i in enumerate(pos.tolist()):
+        a_ub[r, at_origin[sides[i]] + starts[i]] = -h
+    b_ub = -do_arr[pos]
     if kind == "l1":
         c = np.full(n_cells, h)
         res = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=(0, None), method="highs")
@@ -339,15 +321,14 @@ def garo_norm(
             weights = {k: tables[k]["do"] for k in tables}
             packing, value = max_additive_packing(weights, (f.dim, f.res))
             est.witness_packing, est.lower = packing, float(value)
-        else:
-            best, best_cube = 0.0, None
-            for k in tables:
-                ratio = tables[k]["do"] / (k / f.res) ** f.dim
-                i = int(np.argmax(ratio))
-                if ratio[i] > best:
-                    best, best_cube = float(ratio[i]), _cube_at(f, k, i)
-            est.lower = best
-            est.witness_packing = Packing([best_cube]) if best_cube else Packing([])
+        else:  # the first best single cube in (side, origin) order
+            do_arr, meas_arr = _flatten_tables(f, tables, "do", "meas")
+            ratio = do_arr / meas_arr
+            i = int(np.argmax(ratio))
+            sides, starts = _family(f.res, f.dim, tables)
+            best = [_index_to_cube(sides[i], starts[i], f.res, f.dim)]
+            est.lower = max(float(ratio[i]), 0.0)
+            est.witness_packing = Packing(best if ratio[i] > 0 else [])
     if exact_small:
         if kind == "other":
             raise ConfigError("exact majorant oracle supports only L1 and Linf")
@@ -356,13 +337,7 @@ def garo_norm(
             raise SizeGuardError(
                 f"exact majorant oracle guarded at N <= {guard} for d={f.dim}"
             )
-        tables = cube_stat_tables(f, stats=("do",))
-        do_by_cube = [
-            (_cube_at(f, k, i), float(tables[k]["do"][i]))
-            for k in tables
-            for i in range(tables[k]["do"].size)
-        ]
-        est.exact = _garo_lp(f, kind, do_by_cube)
+        est.exact = _garo_lp(f, kind, tables)
     return est
 
 
@@ -376,7 +351,8 @@ def garo_p_lambda(f: GridFunction, p: float, lam: float) -> float:
     exact Lagrangian sweep on the penalized weights doubleosc - mu * budget
     over 33 multipliers mu.  In 1D the sweep is one batched DP with a weight
     row per mu, O(N) numpy steps over all 33 rows; in 2D it is one packing
-    solve per mu on {side: array} weights.
+    solve per mu on flat weights.  Each packing is read by flat position,
+    its cubes summed in (side, origin) order.
     """
     d = f.dim
     if not -d < lam <= 0:
@@ -393,7 +369,7 @@ def garo_p_lambda(f: GridFunction, p: float, lam: float) -> float:
         return float(np.max(do_arr / budget_arr, initial=0.0))
     q = _conjugate_exponent(p)
     best = float(np.max(do_arr / budget_arr**q, initial=0.0))
-    do_at = {k: tables[k]["do"].reshape((n - k + 1,) * d) for k in tables}
+    sides, starts = _family(n, d, tables)
 
     def ratio_of(sides, dos) -> float:
         do = sum(dos)
@@ -411,19 +387,19 @@ def garo_p_lambda(f: GridFunction, p: float, lam: float) -> float:
         if d == 1:
             # one DP over all multipliers: a weight row per mu, each side's
             # rows computed as the DP copies them into its table
-            packings = [chosen for chosen, _ in _dp_unbudgeted_1d(
+            packings = [kept for kept, _ in _dp_unbudgeted_1d(
                 list(tables),
                 lambda k: tables[k]["do"] - mu_grid[:, None] * ((k / n) ** expo),
                 n,
             )]
         else:  # weights do - mu * |Q|^expo by side, in numpy
-            packings = [max_additive_packing(
-                {k: tables[k]["do"] - mu * ((k / n) ** d) ** expo for k in tables},
-                (2, n))[0] for mu in mu_grid]
+            packings = [_best_packing_2d(sides, starts, np.concatenate(
+                [tables[k]["do"] - mu * ((k / n) ** d) ** expo for k in tables]), n)[0]
+                for mu in mu_grid]
         for pk in packings:
-            if len(pk):
-                best = max(best, ratio_of([q.side for q in pk],
-                                          [float(do_at[q.side][q.origin]) for q in pk]))
+            if pk.size:
+                pk = np.sort(pk)
+                best = max(best, ratio_of(sides[pk].tolist(), do_arr[pk].tolist()))
     return best
 
 

@@ -4,6 +4,11 @@ Everything downstream works on cell-constant functions over a uniform grid
 on Q0 = [0,1]^d with d in {1,2} and total measure normalized to 1.  Cubes are
 axis-aligned, grid-aligned subcubes addressed by an origin cell index vector
 and a side length in cells.
+
+This is the one module that maps cubes to integers.  Other modules address
+a cube by its flat position in the (side, origin lex) order of
+enumerate_cubes and of the cube_stat_tables rows; _family gives each
+position its side and first cell (the flat index of its origin cell).
 """
 
 from __future__ import annotations
@@ -253,6 +258,37 @@ def enumerate_cubes(grid, dyadic_only: bool = False) -> list:
         else:
             out.extend(Cube((i, j), k) for i in origins for j in origins)
     return out
+
+
+def _family(n: int, d: int, sides_list, dyadic: bool = False) -> tuple:
+    """(sides, first cells) of every cube of the given sides, one entry per
+    flat position, in the (side, origin lex) order of enumerate_cubes."""
+    ks = np.array(list(sides_list), dtype=int)
+    step = ks if dyadic else np.ones_like(ks)
+    per_axis = (n - ks) // step + 1
+    count = per_axis**d
+    sides = np.repeat(ks, count)
+    i = np.arange(sides.size) - np.repeat(np.cumsum(count) - count, count)
+    step, per_axis = np.repeat(step, count), np.repeat(per_axis, count)
+    starts = i if d == 1 else i // per_axis * n + i % per_axis  # in steps
+    return sides, starts * step
+
+
+def _index_to_cube(k: int, s: int, n: int, d: int) -> Cube:
+    """The side-k cube whose origin is the cell of flat index s."""
+    return Cube((s,) if d == 1 else divmod(s, n), k)
+
+
+def _cube_index(cubes: Iterable[Cube], grid) -> tuple:
+    """(sides, first cells) integer arrays of a cube sequence, after checking
+    the grid and that every cube fits it."""
+    d, n = _check_grid(grid)
+    sides, starts = [], []
+    for q in cubes:
+        q.check(n, d)
+        sides.append(q.side)
+        starts.append(q.origin[0] if d == 1 else q.origin[0] * n + q.origin[1])
+    return np.array(sides, dtype=int), np.array(starts, dtype=int)
 
 
 def cubes_containing(grid, x: Sequence[int], dyadic_only: bool = False) -> list:

@@ -27,11 +27,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, InvariantViolation
-from .grid import Cube, GridFunction, _window_osc, cube_windows, sides_for
+from .grid import GridFunction, _family, _window_osc, cube_windows, sides_for
 from .maximal import (DEFAULT_S, _cover_max, local_maximal, resolve_cube_mode,
                       sharp_maximal)
-from .packing import (EXACT_GUARD_2D, _cube, _family, _greedy_disjoint, _mask_dp,
-                      _max_by_cells, _vitali)
+from .packing import (EXACT_GUARD_2D, _greedy_disjoint, _mask_dp, _max_by_cells,
+                      _vitali)
 from .rearrange import StepProfile, rearrange
 
 __all__ = [
@@ -195,8 +195,8 @@ def k_l1_bmo(
 class _LevelSweep:
     """Per-cube statistics and F(t) at many t.
 
-    stat, sides and starts (first cells) are flat over (side, origin lex)
-    and cube_at maps a flat index back to its Cube.  F(t) is the largest
+    stat, sides and starts (first cells) are flat over the family order
+    of grid._family, (side, origin lex).  F(t) is the largest
     statistic level v for which the maximal cell count of a disjoint family
     of cubes with statistic >= v exceeds t*N^d, that is the largest minimum
     statistic over packings of more than t*N^d cells.
@@ -248,9 +248,6 @@ class _LevelSweep:
                 levels = np.union1d(levels, [stat[-1]])
         self.levels = levels
         self._cache: dict = {}
-
-    def cube_at(self, i: int) -> Cube:
-        return _cube(int(self.sides[i]), int(self.starts[i]), self.n, self.d)
 
     def _top_by_cell(self) -> np.ndarray:
         """Per cell, the largest statistic of a dyadic cube holding it."""

@@ -11,18 +11,21 @@ over bitmasks of covered cells, _mask_dp (cubes x 2^(N^2) numpy work);
 larger grids fall back to deterministic greedy selection whose value is a
 certified lower bound.  Every greedy selection, here and in functionals
 and kfunctional, is one pass of _greedy_disjoint.
+
+The solvers take and return flat positions of grid._family; only the public
+functions convert to and from Cube objects, through grid's helpers.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from .errors import ConfigError, InvariantViolation, SizeGuardError
-from .grid import Cube, Packing, _check_grid
+from .grid import Cube, Packing, _check_grid, _cube_index, _family, _index_to_cube
 
 __all__ = [
     "max_measure_packing",
@@ -44,27 +47,12 @@ def _block(k: int, n: int, d: int) -> int:
     return row if d == 1 else sum(row << (r * n) for r in range(k))
 
 
-def _family(n: int, d: int, sides_list, dyadic: bool = False) -> tuple:
-    """(sides, first cells) of every cube of the given sides, in the (side,
-    origin lex) order of cube_stat_tables and enumerate_cubes."""
-    sides, starts = [], []
-    for k in sides_list:
-        o = np.arange(0, n - k + 1, k if dyadic else 1)
-        sides.append(np.full(o.size**d, k))
-        starts.append(o if d == 1 else (o[:, None] * n + o).ravel())
-    return np.concatenate(sides), np.concatenate(starts)
-
-
-def _index(cubes: Sequence[Cube], n: int) -> tuple:
-    """(sides, first cells) integer arrays of a list of cubes."""
-    sides = np.array([q.side for q in cubes], dtype=int)
-    starts = [q.origin[0] if q.dim == 1 else q.origin[0] * n + q.origin[1]
-              for q in cubes]
-    return sides, np.array(starts, dtype=int)
-
-
-def _cube(k: int, s: int, n: int, d: int) -> Cube:
-    return Cube((s,) if d == 1 else divmod(s, n), k)
+def _packing(kept, sides, starts, n: int, d: int) -> Packing:
+    """The cubes at the kept positions of the family (sides, starts),
+    sorted by (side, origin)."""
+    kept = kept[np.lexsort((starts[kept], sides[kept]))]
+    return Packing([_index_to_cube(k, s, n, d)
+                    for k, s in zip(sides[kept].tolist(), starts[kept].tolist())])
 
 
 def _greedy_disjoint(sides, starts, n: int, d: int) -> list:
@@ -171,7 +159,7 @@ def _weight_rows(weights, n: int, d: int) -> dict:
         return rows
     if callable(weights):
         sides, starts = _family(n, d, range(1, n + 1))
-        return {k: np.array([float(weights(_cube(k, s, n, d)))
+        return {k: np.array([float(weights(_index_to_cube(k, s, n, d)))
                              for s in starts[sides == k].tolist()])
                 for k in range(1, n + 1)}
     raise ConfigError("weights must be a callable or {side: array} dict")
@@ -186,17 +174,18 @@ def max_measure_packing(cubes: Iterable[Cube], grid) -> tuple:
     twice is kept at most once.  Returns (Packing, total measure).
     """
     d, n = _check_grid(grid)
-    rows = {k: np.full((n - k + 1) ** d, -np.inf) for k in range(1, n + 1)}
-    for q in cubes:
-        q.check(n, d)
-        o = q.origin[0] if d == 1 else q.origin[0] * (n - q.side + 1) + q.origin[1]
-        rows[q.side][o] = q.measure(n)
+    cand = np.zeros((n + 1, n**d), dtype=bool)  # by (side, first cell)
+    cand[_cube_index(cubes, grid)] = True
+    sides, starts = _family(n, d, range(1, n + 1))
+    rows = {k: np.where(cand[k, starts[sides == k]], (k / n) ** d, -np.inf)
+            for k in range(1, n + 1)}
     return max_additive_packing(rows, grid)
 
 
 def _weights_by_end_1d(sides, row_of, n: int) -> tuple:
-    """(sides, at_end) with at_end(j)[i, r] the weight in row r of the cube
-    [j - sides[i], j), -inf where sides[i] > j.
+    """(sides, first, at_end) with at_end(j)[i, r] the weight in row r of
+    the cube [j - sides[i], j), -inf where sides[i] > j, and first[i] + j
+    that cube's flat position in _family(n, 1, sides).
 
     row_of(k) gives the per-origin weights of side k, of shape (origins,) or
     (rows, origins); it is called once per side, and each result is copied
@@ -219,7 +208,7 @@ def _weights_by_end_1d(sides, row_of, n: int) -> tuple:
     def at_end(j: int) -> np.ndarray:
         return flat[:, np.where(sides <= j, first + j, -1)].T
 
-    return sides, at_end
+    return sides, first, at_end
 
 
 def _dp_unbudgeted_1d(sides, row_of, n: int) -> list:
@@ -229,13 +218,13 @@ def _dp_unbudgeted_1d(sides, row_of, n: int) -> list:
     best[j, r] is the best weight of row r inside [0, j); step j compares,
     for all rows at once, skipping cell j-1 with every cube ending at j.
     Skipping wins a tie, then the first side in the order of sides.  Returns
-    one (chosen cubes, value) per row.
+    one (kept positions, value) per row, the positions in the flat layout
+    of _family(n, 1, sides), in descending order of their cubes' ends.
     """
-    sides, at_end = _weights_by_end_1d(sides, row_of, n)
-    choice = np.concatenate(([0], sides))  # 0 = skip
+    sides, first, at_end = _weights_by_end_1d(sides, row_of, n)
     rows = at_end(0).shape[1]
     best = np.zeros((n + 1, rows))
-    taken = np.zeros((n + 1, rows), dtype=int)
+    taken = np.zeros((n + 1, rows), dtype=int)  # 1 + index into sides, 0 = skip
     cand = np.empty((sides.size + 1, rows))
     cols = np.arange(rows)
     for j in range(1, n + 1):
@@ -243,18 +232,18 @@ def _dp_unbudgeted_1d(sides, row_of, n: int) -> list:
         np.add(best[np.maximum(j - sides, 0)], at_end(j), out=cand[1:])
         i = cand.argmax(axis=0)
         best[j] = cand[i, cols]
-        taken[j] = choice[i]
+        taken[j] = i
     out = []
     for r in range(rows):
-        chosen = []
-        j = n
+        kept, j = [], n
         while j > 0:
-            k = int(taken[j, r])
-            if k:
-                chosen.append(Cube((j - k,), k))
-            j -= k or 1
-        chosen.sort()
-        out.append((chosen, float(best[n, r])))
+            i = int(taken[j, r]) - 1
+            if i < 0:
+                j -= 1
+            else:
+                kept.append(first[i] + j)
+                j -= int(sides[i])
+        out.append((np.array(kept, dtype=int), float(best[n, r])))
     return out
 
 
@@ -311,21 +300,29 @@ def max_additive_packing(weights, grid, measure_budget: int | None = None) -> tu
     rows = _weight_rows(weights, n, d)
     if d == 1:
         sides, row_of = list(rows), rows.__getitem__
+        family = _family(n, 1, sides)
         if measure_budget is None:
-            chosen, val = _dp_unbudgeted_1d(sides, row_of, n)[0]
-            return Packing(chosen), val
+            kept, val = _dp_unbudgeted_1d(sides, row_of, n)[0]
+            return _packing(kept, *family, n, 1), val
         m = int(measure_budget)
         if not 0 <= m <= n:
             raise ConfigError(f"measure budget {m} outside 0..{n}")
-        g, taken = _dp_budgeted_1d(sides, row_of, n)
+        g, kept_for = _dp_budgeted_1d(sides, row_of, n)
         if not math.isfinite(g[n, n - m]):
             raise ConfigError(f"no packing covers exactly {m} cells")
-        chosen = _reconstruct_budgeted(taken, n, m)
-        return Packing(chosen), float(g[n, n - m])
+        return _packing(kept_for(m), *family, n, 1), float(g[n, n - m])
     if measure_budget is not None:
         raise ConfigError("measure budgets are supported in 1D only")
-    sides, starts = _family(n, 2, range(1, n + 1))
+    family = _family(n, 2, range(1, n + 1))
     w = np.concatenate([rows[k] for k in range(1, n + 1)])
+    kept, val = _best_packing_2d(*family, w, n)
+    return _packing(kept, *family, n, 2), val
+
+
+def _best_packing_2d(sides, starts, w, n: int) -> tuple:
+    """(kept positions, value) of max_additive_packing's 2D solve on the
+    family (sides, starts) with flat weights w, the value summed over the
+    kept positions in the order returned."""
     pos = np.nonzero(w > 0)[0]
     order = pos[np.lexsort((starts[pos], sides[pos], -w[pos]))]
     if n <= EXACT_GUARD_2D:
@@ -333,26 +330,23 @@ def max_additive_packing(weights, grid, measure_budget: int | None = None) -> tu
     else:
         kept = order[_greedy_disjoint(sides[order], starts[order], n, 2)]
     # cumsum adds left to right, as the DP and a running sum over acceptances
-    val = float(np.cumsum(w[kept])[-1]) if kept.size else 0.0
-    kept = kept[np.lexsort((starts[kept], sides[kept]))]
-    return Packing([_cube(k, s, n, 2) for k, s in
-                    zip(sides[kept].tolist(), starts[kept].tolist())]), val
+    return kept, float(np.cumsum(w[kept])[-1]) if kept.size else 0.0
 
 
 def _dp_budgeted_1d(sides, row_of, n: int) -> tuple:
-    """(g, taken): g[j, u] is the best weight of a packing inside [0, j)
+    """(g, kept_for): g[j, u] is the best weight of a packing inside [0, j)
     leaving exactly u of its cells uncovered (-inf where unreachable), and
-    taken[j, u] the side of the cube ending at j in it, 0 for a skip.
+    kept_for(m) the positions, in the flat layout of _family(n, 1, sides),
+    of a packing of value g[n, n - m].
 
     Indexing by uncovered count reads every earlier row unshifted: a cube
     [j-k, j) extends g[j-k, u] to g[j, u], skipping cell j-1 extends
     g[j-1, u-1].  Ties break as in _dp_unbudgeted_1d.
     """
-    sides, at_end = _weights_by_end_1d(sides, row_of, n)
-    choice = np.concatenate(([0], sides))
+    sides, first, at_end = _weights_by_end_1d(sides, row_of, n)
     g = np.full((n + 1, n + 1), -np.inf)
     g[0, 0] = 0.0
-    taken = np.zeros((n + 1, n + 1), dtype=int)
+    taken = np.zeros((n + 1, n + 1), dtype=int)  # 1 + index into sides, 0 = skip
     for j in range(1, n + 1):
         cand = np.empty((sides.size + 1, j))
         cand[0, 0] = -np.inf
@@ -361,22 +355,20 @@ def _dp_budgeted_1d(sides, row_of, n: int) -> tuple:
         i = cand.argmax(axis=0)
         g[j, :j] = cand[i, np.arange(j)]
         g[j, j] = g[j - 1, j - 1]
-        taken[j, :j] = choice[i]
-    return g, taken
+        taken[j, :j] = i
 
+    def kept_for(m: int) -> np.ndarray:
+        kept, j, u = [], n, n - m
+        while j > u:
+            i = int(taken[j, u]) - 1
+            if i < 0:
+                j, u = j - 1, u - 1
+            else:
+                kept.append(first[i] + j)
+                j -= int(sides[i])
+        return np.array(kept, dtype=int)
 
-def _reconstruct_budgeted(taken: np.ndarray, n: int, m: int) -> list:
-    chosen = []
-    j, u = n, n - m
-    while j > u:
-        k = int(taken[j, u])
-        if k:
-            chosen.append(Cube((j - k,), k))
-            j -= k
-        else:
-            j, u = j - 1, u - 1
-    chosen.sort()
-    return chosen
+    return g, kept_for
 
 
 def _union_cells(sides, starts, n: int, d: int) -> int:
@@ -388,8 +380,9 @@ def _union_cells(sides, starts, n: int, d: int) -> int:
 
 
 def union_measure(cubes: Iterable[Cube], grid) -> float:
-    d, n = int(grid[0]), int(grid[1])
-    return _union_cells(*_index(list(cubes), n), n, d) / n**d
+    """Measure of the union of the cubes, each checked to fit the grid."""
+    d, n = _check_grid(grid)
+    return _union_cells(*_cube_index(cubes, grid), n, d) / n**d
 
 
 def _vitali(sides, starts, n: int, d: int) -> np.ndarray:
@@ -412,6 +405,6 @@ def vitali_select(cubes: Iterable[Cube], grid) -> Packing:
     kept set.  The union of all input cubes is covered within the factor
     5^d * (total selected measure); this guarantee is asserted on every call.
     """
-    d, n = int(grid[0]), int(grid[1])
+    d, n = _check_grid(grid)
     cubes = list(cubes)
-    return Packing([cubes[i] for i in _vitali(*_index(cubes, n), n, d)])
+    return Packing([cubes[i] for i in _vitali(*_cube_index(cubes, grid), n, d)])

@@ -3,9 +3,10 @@
 Norms act on non-increasing step profiles (a function's decreasing
 rearrangement), so every space is handled through its representation on
 (0,1].  The Marcinkiewicz norm sup_{0<s<=1} phi(s) * (1/s) int_0^s g is
-evaluated at profile breakpoints, phi knots and a logarithmic refinement
-grid; for the built-in phi families the objective is quasi-convex between
-consecutive candidates, so the sampled maximum is the true supremum.
+evaluated at the profile breakpoints and the phi knots only: for the
+built-in phi families the objective is quasi-convex between consecutive
+candidates (and increasing below the first breakpoint, where the average
+is constant), so its maximum over them is the true supremum.
 """
 
 from __future__ import annotations
@@ -34,9 +35,6 @@ __all__ = [
     "dilation_norm_estimate",
     "space_from_string",
 ]
-
-_LOG_GRID_POINTS = 257
-
 
 class PowerPhi:
     """phi(s) = s**q with q in [0, 1]."""
@@ -227,15 +225,11 @@ def space_from_string(spec: str) -> RISpaceSpec:
 # ---------------------------------------------------------------------------
 # norms
 
-def marcinkiewicz_sup(phi, g: StepProfile, grid_points: int = _LOG_GRID_POINTS):
-    """sup over (0,1] of phi(s) * (1/s) int_0^s g, with its argmax point."""
-    cands = [g.breakpoints[1:]]
+def marcinkiewicz_sup(phi, g: StepProfile):
+    """sup over (0,1] of phi(s) * (1/s) int_0^s g, with its argmax point,
+    from the profile breakpoints and phi knots."""
     knots = getattr(phi, "knots", np.array([]))
-    if knots.size:
-        cands.append(knots)
-    lo = max(min(g.breakpoints[1] * 0.5, 1e-3), 1e-12)
-    cands.append(np.geomspace(lo, 1.0, grid_points))
-    s = np.unique(np.concatenate(cands))
+    s = np.unique(np.concatenate([g.breakpoints[1:], knots]))
     s = s[(s > 0) & (s <= 1.0)]
     h = phi(s) * g.integral_to(s) / s
     i = int(np.argmax(h))

@@ -122,14 +122,17 @@ def test_packing_family_2d_pinned(n, kind, p):
         expect.append([(q.side, q.origin[0] * (n - q.side + 1) + q.origin[1])
                        for q in _occupancy_greedy(order, n, 2)])
     family = _packing_family_2d(f, tables, p)
-    assert [[(int(k), int(o)) for k, o in pk] for pk in family] == expect
+    cubes = enumerate_cubes((2, n))  # the family's flat positions index these
+    assert [[(q.side, q.origin[0] * (n - q.side + 1) + q.origin[1])
+             for q in (cubes[i] for i in pk)] for pk in family] == expect
 
 
 @pytest.mark.parametrize("n,mode", [(8, "full"), (16, "full")])
 def test_f_sharp_curve_2d_greedy_pinned(n, mode):
     f = generate("random_steps", 2, n, seed=7 + n)
     sweep = _sweep_for(f, None, mode)
-    cubes = [sweep.cube_at(i) for i in range(sweep.stat.size)]
+    cubes = enumerate_cubes((2, n), dyadic_only=mode == "dyadic")  # stat's order
+    assert len(cubes) == sweep.stat.size
     stat = dict(zip(cubes, sweep.stat.tolist()))
     order = sorted(cubes, key=lambda q: (-q.side, q.origin))
     counts = []

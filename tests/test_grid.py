@@ -19,7 +19,14 @@ from oscilab import (
     read_grid_csv,
     write_grid_csv,
 )
-from oscilab.grid import cube_stat_tables, cube_windows
+from oscilab.grid import (
+    _cube_index,
+    _family,
+    _index_to_cube,
+    cube_stat_tables,
+    cube_windows,
+    sides_for,
+)
 
 
 def gf(vals, d=1):
@@ -90,6 +97,35 @@ def test_enumerate_cube_counts():
 def test_enumerate_cubes_canonical_order():
     cubes = enumerate_cubes((2, 3))
     assert cubes == sorted(cubes)
+
+
+@pytest.mark.parametrize("d,n,dyadic", [(1, n, False) for n in range(1, 10)]
+                         + [(1, n, True) for n in (1, 2, 4, 8)]
+                         + [(2, n, False) for n in range(1, 7)]
+                         + [(2, n, True) for n in (1, 2, 4)])
+def test_cube_index_round_trip(rng, d, n, dyadic):
+    # the family's flat positions follow enumerate_cubes and the rows of
+    # cube_stat_tables; Cube -> (side, first cell) -> Cube is the identity
+    cubes = enumerate_cubes((d, n), dyadic_only=dyadic)
+    sides, starts = _family(n, d, sides_for(n, dyadic), dyadic)
+    assert [_index_to_cube(k, s, n, d)
+            for k, s in zip(sides.tolist(), starts.tolist())] == cubes
+    got_sides, got_starts = _cube_index(cubes, (d, n))
+    assert np.array_equal(got_sides, sides) and np.array_equal(got_starts, starts)
+    assert [q.flat_cells(n)[0] for q in cubes] == starts.tolist()
+    f = GridFunction(d, n, rng.normal(size=n**d))
+    tables = cube_stat_tables(f, stats=("mean",), dyadic=dyadic)
+    means = np.concatenate([tables[k]["mean"] for k in tables])
+    assert np.allclose(means, [cube_mean(f, q) for q in cubes], rtol=0, atol=1e-12)
+
+
+def test_cube_index_checks_grid_and_fit():
+    with pytest.raises(ConfigError):
+        _cube_index([Cube((0,), 1)], (3, 4))
+    with pytest.raises(GeometryError):
+        _cube_index([Cube((0, 3), 2)], (2, 4))
+    with pytest.raises(GeometryError):
+        _cube_index([Cube((0,), 1)], (2, 4))
 
 
 def test_dyadic_requires_power_of_two():

@@ -19,7 +19,7 @@ from oscilab import (
     sharp_maximal,
     vitali_threshold_estimate,
 )
-from oscilab.grid import Cube, cube_windows, sides_for
+from oscilab.grid import Cube, cube_windows, enumerate_cubes, sides_for
 from oscilab.kfunctional import KProfile, _sweep_for, running_max
 from oscilab.packing import max_measure_packing
 
@@ -143,12 +143,14 @@ def test_f_sharp_2d_dyadic_matches_union_count(n):
     f = generate("random_steps", 2, n, seed=7 + n)
     sweep = _sweep_for(f, None, "dyadic")
     stat = sweep.stat.tolist()
+    cubes = enumerate_cubes((2, n), dyadic_only=True)  # stat's order
+    assert len(cubes) == len(stat)
     covered = np.zeros((n, n), dtype=bool)
     levels, counts = [], []  # levels descending, cells covered at each
     for i in sorted(range(len(stat)), key=lambda i: -stat[i]):
         if stat[i] <= 0:
             break
-        q = sweep.cube_at(i)
+        q = cubes[i]
         (r, c), k = q.origin, q.side
         covered[r:r + k, c:c + k] = True
         if not levels or levels[-1] != stat[i]:

@@ -8,6 +8,7 @@ from oracles import enumerate_packings, packing_count_1d
 from oscilab import (
     ConfigError,
     Cube,
+    GeometryError,
     SizeGuardError,
     additive_pareto_1d,
     additive_pareto_2d,
@@ -276,6 +277,33 @@ def test_packing_grid_validated(grid):
         max_additive_packing(lambda q: 1.0, grid)
     with pytest.raises(ConfigError):
         max_measure_packing([Cube((0, 0), 1)], grid)
+
+
+def test_union_measure_rejects_cube_past_1d_grid():
+    with pytest.raises(GeometryError):
+        union_measure([Cube((3,), 4)], (1, 4))
+    with pytest.raises(GeometryError):
+        vitali_select([Cube((3,), 4)], (1, 4))
+
+
+def test_2d_cube_past_row_end_is_rejected():
+    # Cube((0, 3), 2) on N=4 would wrap into the next row, where its cells
+    # meet the disjoint Cube((1, 0), 1)
+    wrapped = [Cube((0, 3), 2), Cube((1, 0), 1)]
+    with pytest.raises(GeometryError):
+        union_measure(wrapped, (2, 4))
+    with pytest.raises(GeometryError):
+        vitali_select(wrapped, (2, 4))
+
+
+def test_union_and_vitali_reject_unsupported_dim():
+    for grid in ((3, 4), (0, 4), (2, 0)):
+        with pytest.raises(ConfigError):
+            union_measure([Cube((0, 0), 1)], grid)
+        with pytest.raises(ConfigError):
+            vitali_select([Cube((0, 0), 1)], grid)
+    with pytest.raises(GeometryError):  # a 1D cube on a 2D grid
+        union_measure([Cube((0,), 1)], (2, 4))
 
 
 def test_max_additive_tie_break_pinned():

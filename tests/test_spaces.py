@@ -19,7 +19,7 @@ from oscilab import (
     space_from_string,
     weak_lp,
 )
-from oscilab.spaces import marcinkiewicz_sup
+from oscilab.spaces import TablePhi, marcinkiewicz_sup
 
 
 def profile(vals):
@@ -88,13 +88,24 @@ def test_norm_of_indicator_is_fundamental_function():
             )
 
 
-def test_marcinkiewicz_sup_grid_refinement_stable(rng):
-    phi = phi_preset("log-slow")
-    for _ in range(5):
-        prof = rearrange(GridFunction(1, 24, rng.normal(size=24)))
-        v1, _ = marcinkiewicz_sup(phi, prof, grid_points=257)
-        v2, _ = marcinkiewicz_sup(phi, prof, grid_points=514)
-        assert abs(v1 - v2) < 1e-6
+@pytest.mark.parametrize("phi", [
+    phi_preset("power:2"),
+    phi_preset("power:5"),
+    phi_preset("log-slow"),
+    TablePhi([0.05, 0.2, 0.5, 1.0], [0.3, 0.6, 0.8, 1.0]),
+], ids=["power2", "power5", "log-slow", "table"])
+def test_marcinkiewicz_sup_dominates_dense_grid(rng, phi):
+    # breakpoints and phi knots alone give the supremum: no point of a dense
+    # logarithmic grid beats them by more than rounding
+    s = np.geomspace(1e-6, 1.0, 20001)
+    for n in (3, 24, 24, 100, 400):
+        prof = rearrange(GridFunction(1, n, rng.lognormal(sigma=2.0, size=n)))
+        value, at = marcinkiewicz_sup(phi, prof)
+        dense = float(np.max(phi(s) * prof.integral_to(s) / s))
+        assert value >= dense * (1.0 - 1e-15)
+        at = np.array([at])
+        assert value == pytest.approx((phi(at) * prof.integral_to(at) / at)[0],
+                                      rel=1e-14)
 
 
 def test_boyd_indices_exact():
