@@ -344,6 +344,43 @@ def cube_windows(f: GridFunction, side: int, dyadic: bool = False) -> np.ndarray
     return w.reshape(m * m, k * k)
 
 
+_WINDOW_BLOCK = 1 << 15  # floats per 2D full window block: 256 KB, inside L2
+
+
+def _window_stat(f: GridFunction, side: int, dyadic: bool, reduce,
+                 sort: bool = False) -> np.ndarray:
+    """reduce(w) over the rows of cube_windows(f, side, dyadic), or over
+    those rows each sorted with sort=True, joined along the last axis.
+
+    2D full windows are copied from the strided view a few whole origin
+    rows at a time (at most _WINDOW_BLOCK floats, or one origin row) into
+    one reused buffer that is sorted in place, so a side's windows never
+    sit in memory at once; each row still holds its k^2 values in the order
+    of cube_windows, so every row reduction gives the same bits.  1D and
+    dyadic windows go to reduce as cube_windows gives them, often views of
+    f's values, and are sorted into a copy.  reduce must return a new
+    array, never a view of w.
+    """
+    n, k = f.res, side
+    if f.dim == 1 or dyadic:
+        w = cube_windows(f, k, dyadic)
+        return reduce(np.sort(w, axis=1) if sort else w)
+    v = f.array
+    m = n - k + 1
+    view = as_strided(v, (m, m, k, k), v.strides * 2, writeable=False)
+    rows = min(m, max(1, _WINDOW_BLOCK // (m * k * k)))
+    buf = np.empty((rows, m, k, k))
+    parts = []
+    for i in range(0, m, rows):
+        b = buf[: min(rows, m - i)]
+        b[...] = view[i: i + b.shape[0]]
+        w = b.reshape(-1, k * k)
+        if sort:
+            w.sort(axis=1)
+        parts.append(reduce(w))
+    return np.concatenate(parts, axis=-1)
+
+
 def _window_osc(w: np.ndarray, mu: np.ndarray, p: float | None = None) -> np.ndarray:
     """Per row of cube windows, the mean oscillation about the row mean mu,
     or with p the L_p oscillation (mean |w - mu|^p)^(1/p).  The deviations

@@ -28,8 +28,8 @@ import numpy as np
 
 from .errors import ConfigError, InvariantViolation
 from .grid import GridFunction, _family, _window_osc, cube_windows, sides_for
-from .maximal import (DEFAULT_S, _cover_max, local_maximal, resolve_cube_mode,
-                      sharp_maximal)
+from .maximal import (DEFAULT_S, _sup_over_cubes, local_maximal,
+                      resolve_cube_mode, sharp_maximal)
 from .packing import (EXACT_GUARD_2D, _greedy_disjoint, _mask_dp, _max_by_cells,
                       _vitali)
 from .rearrange import StepProfile, rearrange
@@ -225,7 +225,7 @@ class _LevelSweep:
     """
 
     def __init__(self, f: GridFunction, stat: np.ndarray, sides_list, dyadic: bool):
-        self.n, self.d = f.res, f.dim
+        self.f, self.n, self.d = f, f.res, f.dim
         self.dyadic = dyadic
         self.stat = stat  # flat over (side, origin lex)
         n = self.n
@@ -251,12 +251,8 @@ class _LevelSweep:
 
     def _top_by_cell(self) -> np.ndarray:
         """Per cell, the largest statistic of a dyadic cube holding it."""
-        n, d = self.n, self.d
-        top = np.full(n**d, -np.inf)
-        for k in np.unique(self.sides).tolist():
-            cover = _cover_max(self.stat[self.sides == k], k, n, d, dyadic=True)
-            np.maximum(top, cover.ravel(), out=top)
-        return top
+        return _sup_over_cubes(self.f, lambda k, _: self.stat[self.sides == k],
+                               "dyadic")
 
     def values(self, ts: np.ndarray) -> np.ndarray:
         """F at every t of ts, each inside (0, 1]."""

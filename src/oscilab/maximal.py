@@ -5,24 +5,30 @@ grid cube containing the cell.  The statistic sweeps are vectorized per cube
 side; beyond the full-enumeration guards (N > 256 in 1D, N > 48 in 2D) the
 operators switch to dyadic cubes, which requires N to be a power of two.
 
-Each side's statistics reach the cells through _cover_max: with full cubes
-a separable sliding maximum by power-of-two doubling, O(N^d log k) work in
-O(d log k) numpy calls for side k; with dyadic cubes one np.repeat per axis.
-The local maximal function at any number of quantile levels s sorts each
-side's windows once (local_maximals) and scatters every level in one
-_cover_max pass batched over a leading s axis; dyadic sides on which no s
-allows an exceedance (kexc = 0) are not sorted at all, their (max - min)/2
-coming from pairwise halving of the previous side's max and min.
+The statistics reach the cells through one top-down container-max sweep
+(_sup_over_cubes): from the largest side down, each cube takes the max of
+its own statistic and those of the cubes containing it, O(#cubes) work in
+a few numpy calls per side, with no per-side N^d temporary.  2D full-cube
+windows are reduced in cache-sized blocks of origin rows (grid._window_stat)
+instead of one copy of the side's windows.  The local maximal function at
+any number of quantile levels s sorts each side's windows once
+(local_maximals) and sweeps every level at once over a leading s axis;
+dyadic sides on which no s allows an exceedance (kexc = 0) are not sorted
+at all, their (max - min)/2 coming from pairwise halving of the previous
+side's max and min, and on the other dyadic sides only the cubes whose max
+and min differ are sorted.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 
 from .errors import ConfigError
-from .grid import Cube, GridFunction, _window_osc, cube_windows, sides_for
+from .grid import (Cube, GridFunction, _window_osc, _window_stat, cube_windows,
+                   sides_for)
 from .rearrange import rearrange
 from .spaces import RISpaceSpec, norm
 
@@ -67,63 +73,39 @@ def exceedance_count(s: float, m: int) -> int:
     return max(math.ceil(s * m - 1e-9) - 1, 0)
 
 
-def _window_max(a: np.ndarray, k: int, axis: int) -> None:
-    """In place along one axis: a[x] <- max(a[x-k+1 .. x]), indices below 0
-    left out.  Power-of-two doubling: after the step with shift j each entry
-    holds the max of the 2j entries ending at it; floor(log2 k) steps reach
-    the largest power of two L <= k, and one step with shift k - L joins the
-    two overlapping L-windows that make up the k-window.  numpy buffers an
-    input that overlaps the output, so each step reads the values from
-    before it."""
-    a = np.moveaxis(a, axis, 0)
-    j = 1
-    while 2 * j <= k:
-        np.maximum(a[j:], a[:-j], out=a[j:])
-        j *= 2
-    if k > j:
-        np.maximum(a[k - j:], a[:j - k], out=a[k - j:])
-
-
-def _cover_max(stat: np.ndarray, k: int, n: int, d: int, dyadic: bool) -> np.ndarray:
-    """Scatter per-origin statistics to cells: out[..., x] = max over cubes
-    of side k containing x, for each row of the leading axes of stat.
-
-    Dyadic cubes tile the grid, so each statistic is repeated over its k^d
-    cells.  Full mode pads the (N-k+1)^d origin table to N^d with -inf and
-    takes, per axis, the max over the k origins o with x-k < o <= x: a
-    separable sliding maximum of O(N^d log k) work in d*(floor(log2 k)+1)
-    numpy calls, with temporaries of at most N^d floats per row.  A max of
-    the same floats is exact, whichever order it is taken in.
-    """
-    lead = stat.shape[:-1]
-    axes = range(len(lead), len(lead) + d)
-    if dyadic:
-        out = stat.reshape(lead + (n // k,) * d)
-        for axis in axes:
-            out = np.repeat(out, k, axis)
-        return out
-    m = n - k + 1
-    out = np.full(lead + (n,) * d, -np.inf)
-    out[(Ellipsis,) + (slice(0, m),) * d] = stat.reshape(lead + (m,) * d)
-    for axis in axes:
-        _window_max(out, k, axis)
-    return out
-
-
 def _sup_over_cubes(f: GridFunction, per_side_stat, cube_mode: str,
                     lead: tuple = ()) -> np.ndarray:
-    """best[..., cell] = max over the sides k (ascending) of the cover max of
-    per_side_stat(k, dyadic), an array of shape lead + (origins,)."""
+    """best[..., cell] = max of per_side_stat(k, dyadic), an array of shape
+    lead + (origins,), over every cube holding the cell.
+
+    Sides are taken in descending order.  acc holds, per origin of the
+    current side, the largest statistic over the cubes containing that cube;
+    at side 1 these are the cells.  A full cube strictly inside another lies
+    in a cube of the next side up inside it too, so its containers are
+    itself and the containers of the 2^d cubes of side k+1 around it: 2^d
+    shifted maxima of the previous acc.  Dyadic containers are the cube
+    itself and its parent's, one broadcast maximum against a (m/2, 2)^d view
+    of the side's statistics.  O(#cubes) work and no N^d temporary per side;
+    a max of the same floats is exact, whichever order it is taken in.
+    """
     dyadic = resolve_cube_mode(f, cube_mode)
     n, d = f.res, f.dim
-    best = np.full(lead + (n**d,), -np.inf)
-    for k in sides_for(n, dyadic):
-        # free each side's statistics and cover before the next side builds
-        # its own: at dyadic N = 2^21 each is a full grid of floats
-        cover = _cover_max(per_side_stat(k, dyadic), k, n, d, dyadic)
-        np.maximum(best, cover.reshape(best.shape), out=best)
-        del cover
-    return best
+    acc = None
+    for k in reversed(sides_for(n, dyadic)):
+        stat = per_side_stat(k, dyadic)
+        if acc is None:
+            acc = np.array(stat).reshape(lead + (1,) * d)
+        elif dyadic:
+            p = n // (2 * k)
+            acc = np.maximum(stat.reshape(lead + (p, 2) * d),
+                             acc.reshape(lead + (p, 1) * d))
+        else:
+            m = n - k + 1
+            new = np.array(stat).reshape(lead + (m,) * d)
+            for part in itertools.product((slice(0, -1), slice(1, None)), repeat=d):
+                np.maximum(new[(Ellipsis,) + part], acc, out=new[(Ellipsis,) + part])
+            acc = new
+    return acc.reshape(lead + (n**d,))
 
 
 def hl_maximal(f: GridFunction, cube_mode: str = "auto") -> GridFunction:
@@ -132,7 +114,7 @@ def hl_maximal(f: GridFunction, cube_mode: str = "auto") -> GridFunction:
     absf = f.with_values(np.abs(f.values))
 
     def stat(k, dyadic):
-        return cube_windows(absf, k, dyadic).mean(axis=1)
+        return _window_stat(absf, k, dyadic, lambda w: w.mean(axis=1))
 
     return f.with_values(_sup_over_cubes(f, stat, cube_mode))
 
@@ -142,8 +124,7 @@ def sharp_maximal(f: GridFunction, cube_mode: str = "auto") -> GridFunction:
     cubes.  Its sup norm is the BMO norm of f."""
 
     def stat(k, dyadic):
-        w = cube_windows(f, k, dyadic)
-        return _window_osc(w, w.mean(axis=1))
+        return _window_stat(f, k, dyadic, lambda w: _window_osc(w, w.mean(axis=1)))
 
     return f.with_values(_sup_over_cubes(f, stat, cube_mode))
 
@@ -187,34 +168,53 @@ def local_maximals(f: GridFunction, svals, cube_mode: str = "auto") -> list:
 
     Each side's windows are sorted once, O(N^d k^d log k) work for side k
     in full mode, and every s reads its quantile oscillations from the same
-    sorted rows; one cover-max pass scatters all of them.  Dyadic sides on
-    which no s allows an exceedance (kexc = 0, e.g. sides up to 16 in 1D at
-    s = 0.05) need only (max - min)/2 of each cube, taken by pairwise
-    halving of the previous side's max and min instead of a sort.  Each
-    result equals local_maximal(f, s) bit for bit.
+    sorted rows; one container-max sweep carries all of them to the cells.
+    Dyadic cubes first get their max and min by pairwise halving of the
+    previous side's, smallest side first, before the sweep runs from the
+    largest side down.  Sides on which no s allows an exceedance (kexc = 0,
+    e.g. sides up to 16 in 1D at s = 0.05) need only (max - min)/2 of each
+    cube; on the other sides a constant cube has quantile oscillation 0 at
+    every s, and only the cubes with max != min are sorted.  Each result
+    equals local_maximal(f, s) bit for bit.
     """
     svals = list(svals)
     for s in svals:
         exceedance_count(s, 1)
     if not svals:
         return []
-    spread = None  # (max, min) per cube of the previous side, while kexc = 0
+    d = f.dim
+    # per dyadic side: (max - min)/2 per cube where kexc = 0 for every s,
+    # else the flat origins of the cubes that are not constant
+    spread = {}
+    if resolve_cube_mode(f, cube_mode):
+        hi = lo = f.values
+        for k in sides_for(f.res, True):
+            if k > 1:
+                p = f.res // (k // 2)
+                hi, lo = _halve(hi, p, d, np.maximum), _halve(lo, p, d, np.minimum)
+            if max(exceedance_count(s, k**d) for s in svals) == 0:
+                spread[k] = (hi - lo) / 2.0
+            else:
+                spread[k] = np.flatnonzero(hi != lo)
 
     def stat(k, dyadic):
-        nonlocal spread
-        kexcs = [exceedance_count(s, k**f.dim) for s in svals]
-        if dyadic and max(kexcs) == 0:
-            if spread is None:
-                spread = (f.values, f.values)
-            else:
-                p = f.res // (k // 2)
-                spread = tuple(_halve(a, p, f.dim, op)
-                               for a, op in zip(spread, (np.maximum, np.minimum)))
-            half = (spread[0] - spread[1]) / 2.0
-            return np.broadcast_to(half, (len(svals), half.size))
-        w = np.sort(cube_windows(f, k, dyadic), axis=1)
-        by_kexc = {e: _qosc_sorted(w, e) for e in set(kexcs)}
-        return np.stack([by_kexc[e] for e in kexcs])
+        kexcs = [exceedance_count(s, k**d) for s in svals]
+
+        def qosc(w):
+            by_kexc = {e: _qosc_sorted(w, e) for e in set(kexcs)}
+            return np.stack([by_kexc[e] for e in kexcs])
+
+        if not dyadic:
+            return _window_stat(f, k, dyadic, qosc, sort=True)
+        cubes = (f.res // k)**d
+        if max(kexcs) == 0:
+            return np.broadcast_to(spread.pop(k), (len(svals), cubes))
+        varied = spread.pop(k)
+        out = np.zeros((len(svals), cubes))
+        w = cube_windows(f, k, dyadic)[varied]  # a copy, never f's values
+        w.sort(axis=1)
+        out[:, varied] = qosc(w)
+        return out
 
     best = _sup_over_cubes(f, stat, cube_mode, lead=(len(svals),))
     return [f.with_values(row) for row in best]
@@ -226,9 +226,11 @@ def local_maximal(
     """Local (quantile) maximal function: sup of quantile oscillations over
     containing cubes.  Decreases pointwise as s grows; bounded by osc/s
     through the Chebyshev inequality.  The one-level call of local_maximals:
-    one sort of each side's windows, except dyadic sides with kexc = 0
-    (e.g. sides up to 16 in 1D at s = 0.05), which take (max - min)/2 from
-    pairwise halving instead."""
+    one sort of each side's windows (2D full windows in cache-sized blocks),
+    except dyadic sides with kexc = 0 (e.g. sides up to 16 in 1D at
+    s = 0.05), which take (max - min)/2 from pairwise halving instead, and
+    constant dyadic cubes, whose statistic is 0; one container-max sweep
+    from the largest side down carries the statistics to the cells."""
     return local_maximals(f, [s], cube_mode)[0]
 
 

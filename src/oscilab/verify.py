@@ -637,18 +637,19 @@ def suite_blowup(config: dict) -> list:
     ks = list(range(2, config.get("kmax", 10) + 1))
     xlog = marcinkiewicz(phi_preset("log-slow"))
 
-    # each spike, its median and M#_s f once per k, read by both spaces; the
-    # centred copy is dropped before M#_s f, so at most two full grids live
+    # each spike, its median, M#_s f and the two rearrangements once per k,
+    # read by both spaces; the centred profile is dropped before M#_s f, so
+    # at most two full grids live
     l2 = lp(2)
     ratios, ratios2 = [], []
     for k in ks:
         f = generate("logspike", 1, 2 ** (k + res_j), a=2.0**-k)
-        centred = f.with_values(f.values - median(f))
-        num, num2 = grid_norm(xlog, centred), grid_norm(l2, centred)
+        centred = rearrange(f.with_values(f.values - median(f)))
+        num, num2 = norm(xlog, centred), norm(l2, centred)
         del centred
-        mloc = local_maximal(f, s, cube_mode="dyadic")
-        ratios.append(num / grid_norm(xlog, mloc))
-        ratios2.append(num2 / grid_norm(l2, mloc))
+        mloc = rearrange(local_maximal(f, s, cube_mode="dyadic"))
+        ratios.append(num / norm(xlog, mloc))
+        ratios2.append(num2 / norm(l2, mloc))
         del f, mloc
 
     monotone = all(b > a for a, b in zip(ratios, ratios[1:]))

@@ -21,8 +21,8 @@ from oscilab import (
     sharp_maximal,
     sharp_norm,
 )
-from oscilab.grid import cube_windows, sides_for
-from oscilab.maximal import (_cover_max, _qosc_sorted, exceedance_count,
+from oscilab.grid import _window_osc, cube_windows, sides_for
+from oscilab.maximal import (_qosc_sorted, _sup_over_cubes, exceedance_count,
                              resolve_cube_mode)
 from oracles import cube_stats_map
 
@@ -73,8 +73,8 @@ def test_maximal_ops_match_enumeration_oracle(rng):
 
 
 def scatter_cover_max(stat, k, n, d, dyadic):
-    """Reference for _cover_max: each cube's statistic written over its own
-    cells, one cube at a time, origins in lex order."""
+    """Each cube's statistic written over its own cells, one cube at a
+    time, origins in lex order."""
     origins = range(0, n - k + 1, k if dyadic else 1)
     out = np.full((n,) * d, -np.inf)
     for value, origin in zip(stat, itertools.product(origins, repeat=d)):
@@ -83,25 +83,43 @@ def scatter_cover_max(stat, k, n, d, dyadic):
     return out
 
 
+def scatter_sup(f, stats, dyadic):
+    """Reference for _sup_over_cubes: the max over the sides of the
+    per-cube scatters of that side's statistics, one side at a time."""
+    best = np.full((f.res,) * f.dim, -np.inf)
+    for k in sides_for(f.res, dyadic):
+        np.maximum(best, scatter_cover_max(stats[k], k, f.res, f.dim, dyadic), out=best)
+    return best.ravel()
+
+
 @pytest.mark.parametrize("d,n_max", [(1, 40), (2, 17)])
-def test_cover_max_matches_per_cube_scatter(d, n_max):
-    # every side k of every N: the doubling's edge cases k = 2^j (no joining
-    # step), k = 2^j + 1 (the shortest joining shift) and k = N are all in
+def test_container_sweep_matches_per_cube_scatter(d, n_max):
+    # every side of every N, full and dyadic: few distinct values with
+    # negatives (ties everywhere) on odd sides, normals on even ones, and a
+    # leading axis of two independent rows as local_maximals sweeps them
     rng = np.random.default_rng(d)
     for n in range(1, n_max + 1):
-        for k in range(1, n + 1):
-            m = (n - k + 1) ** d
-            # few distinct values with negatives (ties everywhere), or normals
-            stat = rng.integers(-4, 4, size=m) / 2.0 if k % 2 else rng.normal(size=m)
-            got = _cover_max(stat, k, n, d, dyadic=False)
-            assert np.array_equal(got, scatter_cover_max(stat, k, n, d, False)), (n, k)
-            if n & (n - 1) == 0 and k & (k - 1) == 0:
-                stat = rng.integers(-4, 4, size=(n // k) ** d) / 2.0
-                got = _cover_max(stat, k, n, d, dyadic=True)
-                assert np.array_equal(got, scatter_cover_max(stat, k, n, d, True))
+        f = GridFunction(d, n, np.zeros(n**d))
+        for dyadic in (False, True) if n & (n - 1) == 0 else (False,):
+            rows = []
+            for _ in range(2):
+                stats = {}
+                for k in sides_for(n, dyadic):
+                    m = (n // k if dyadic else n - k + 1) ** d
+                    stats[k] = (rng.integers(-4, 4, size=m) / 2.0 if k % 2
+                                else rng.normal(size=m))
+                rows.append(stats)
+            mode = "dyadic" if dyadic else "full"
+            for stats in rows:
+                got = _sup_over_cubes(f, lambda k, _, st=stats: st[k], mode)
+                assert np.array_equal(got, scatter_sup(f, stats, dyadic)), (n, mode)
+            got = _sup_over_cubes(
+                f, lambda k, _: np.stack([st[k] for st in rows]), mode, lead=(2,))
+            for row, stats in zip(got, rows):
+                assert np.array_equal(row, scatter_sup(f, stats, dyadic)), (n, mode)
 
 
-@pytest.mark.parametrize("n", [5, 8])
+@pytest.mark.parametrize("n", [5, 8, 33, 48])
 def test_maximal_ops_match_cube_stats_oracle(rng, n):
     f = GridFunction(2, n, rng.normal(size=n * n))
     absf = f.with_values(np.abs(f.values))
@@ -264,6 +282,63 @@ def test_local_maximals_equal_one_sort_per_s(rng, d, n, mode):
             want = sort_path_local_maximal(f, s, mode == "dyadic")
             assert np.array_equal(g.values, want), s
             assert np.array_equal(local_maximal(f, s, mode).values, want), s
+
+
+def window_path_maximal(f, stat, dyadic):
+    """Reference for hl/sharp: stat of each side's whole cube_windows array,
+    scattered cube by cube."""
+    stats = {k: stat(cube_windows(f, k, dyadic)) for k in sides_for(f.res, dyadic)}
+    return scatter_sup(f, stats, dyadic)
+
+
+@pytest.mark.parametrize("n", [33, 48])
+def test_window_blocks_match_whole_windows(rng, n):
+    # 2D full windows go through blocks of whole origin rows; at these N
+    # some sides split their origin rows into blocks with a shorter last
+    # one (N=33, k=10: 13 + 11 rows; N=48, k=20: 2 rows a block, 29 rows)
+    f = GridFunction(2, n, np.round(rng.normal(size=n * n), 1))
+    absf = f.with_values(np.abs(f.values))
+    assert np.array_equal(hl_maximal(f, "full").values,
+                          window_path_maximal(absf, lambda w: w.mean(axis=1), False))
+    assert np.array_equal(sharp_maximal(f, "full").values,
+                          window_path_maximal(f, lambda w: _window_osc(w, w.mean(axis=1)),
+                                              False))
+    svals = [0.05, 0.3]
+    for s, g in zip(svals, local_maximals(f, svals, "full")):
+        want = sort_path_local_maximal(f, s, False)
+        assert np.array_equal(g.values, want), s
+        assert np.array_equal(local_maximal(f, s, "full").values, want), s
+
+
+@pytest.mark.parametrize("d,n,mode", [
+    (1, 16, "full"), (1, 16, "dyadic"), (2, 9, "full"), (2, 33, "full"),
+    (2, 1, "dyadic"), (2, 2, "dyadic"), (2, 8, "dyadic"),
+])
+def test_operators_never_write_the_grid(rng, d, n, mode):
+    # 1D windows and 2D dyadic sides 1 and N are views of f.values: a
+    # read-only values array makes any write into one raise
+    f = GridFunction(d, n, np.round(rng.normal(size=n**d), 1))
+    before = f.values.copy()
+    f.values.flags.writeable = False
+    hl_maximal(f, mode)
+    sharp_maximal(f, mode)
+    local_maximal(f, 0.3, mode)
+    local_maximals(f, [0.05, 0.3, 0.6], mode)
+    assert np.array_equal(f.values, before)
+
+
+@pytest.mark.parametrize("d,n", [(1, 64), (2, 16)])
+def test_dyadic_constant_cubes_skip_the_sort(rng, d, n):
+    # piecewise constant grids: constant blocks of side 4, and zeros with a
+    # few spikes; on sides with kexc > 0 their constant cubes take 0 at
+    # every s without a sort, and the other cubes must keep their values
+    blocks = np.kron(rng.integers(-2, 3, size=(n // 4,) * d), np.ones((4,) * d))
+    spikes = np.where(rng.random(n**d) < 0.05, rng.normal(size=n**d), 0.0)
+    for vals in (blocks.ravel(), spikes):
+        f = GridFunction(d, n, vals)
+        steps = kexc_steps(f, True)
+        for s, g in zip(steps, local_maximals(f, steps, "dyadic")):
+            assert np.array_equal(g.values, sort_path_local_maximal(f, s, True)), s
 
 
 @pytest.mark.parametrize("bad", [[0.1, 1.0], [0.0], [0.3, -0.1, 0.5], [0.2, math.nan]])
