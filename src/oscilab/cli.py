@@ -199,17 +199,20 @@ def _cmd_verify(args) -> int:
 
 
 def _read_profile_csv(path):
+    """(label, ts, values) of a t,value[,label] CSV after its header line;
+    an unreadable file or a row without two finite numbers is a ConfigError."""
     ts, vs, label = [], [], path
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        for line in fh:
-            if not line.strip():
-                continue
-            parts = line.strip().split(",")
+    try:
+        with open(path) as fh:
+            rows = [ln.strip().split(",") for ln in fh.readlines()[1:] if ln.strip()]
+        for parts in rows:
             ts.append(float(parts[0]))
             vs.append(float(parts[1]))
-            if len(parts) > 2:
-                label = parts[2]
+            label = parts[2] if len(parts) > 2 else label
+    except (OSError, UnicodeDecodeError, ValueError, IndexError) as exc:
+        raise ConfigError(f"cannot read profile file {path}: {exc!r}") from exc
+    if not np.all(np.isfinite(ts + vs)):
+        raise ConfigError(f"non-finite t or value in profile file {path}")
     return label, ts, vs
 
 
@@ -235,7 +238,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _DISPATCH[args.command](args)
-    except OscilabError as exc:
+    except (OscilabError, OSError) as exc:  # OSError: an unwritable --out
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -35,11 +35,10 @@ from .grid import (
 from .maximal import DEFAULT_S, FULL_GUARD_1D, FULL_GUARD_2D, local_maximal
 from .packing import (
     EXACT_GUARD_2D,
+    _best_by_cells,
     _best_packing_2d,
     _dp_unbudgeted_1d,
     _greedy_disjoint,
-    additive_pareto_1d,
-    additive_pareto_2d,
     max_additive_packing,
 )
 from .rearrange import rearrange
@@ -160,8 +159,8 @@ def gp_norm(f: GridFunction, p: float) -> float:
     p = inf reduces to the single-cube supremum of doubleosc(Q)/|Q| (the
     ratio is subadditive over packing members when the measure exponent is
     1), which is the BMO-equivalent value up to the sandwich factor 2.
-    Exact in 1D (the budgeted DP) and in 2D for N <= 4: there the best
-    doubleosc sum per covered cell count comes from the subset DP over
+    Exact in 1D and in 2D for N <= 4: the best doubleosc sum per covered
+    cell count comes from packing._best_by_cells, in 2D the subset DP over
     bitmasks of covered cells, cubes x 2^(N^2) numpy work (30 x 65536 at
     N=4), and the value equals bit for bit the maximum over every packing
     of its doubleosc values summed left to right in cube order over
@@ -174,16 +173,14 @@ def gp_norm(f: GridFunction, p: float) -> float:
     if math.isinf(p):
         return float(np.max(do_arr / meas_arr, initial=0.0))
     q = _conjugate_exponent(p)
-    n = f.res
-    if f.dim == 1:
-        weights = {k: tables[k]["do"] for k in tables}
-        pareto = additive_pareto_1d(weights, (1, n))
+    n, d = f.res, f.dim
+    if d == 1:
+        vals = _best_by_cells(*_family(n, 1, tables), do_arr, n, 1, np.add)[1:]
         ms = np.arange(1, n + 1)
-        vals = pareto[1:]
         ok = np.isfinite(vals)
         return float(np.max(vals[ok] / (ms[ok] / n) ** q, initial=0.0))
     if n <= EXACT_GUARD_2D:
-        pareto = additive_pareto_2d({k: tables[k]["do"] for k in tables}, (2, n))
+        pareto = _best_by_cells(*_family(n, 2, tables), do_arr, n, 2, np.add)
         best = 0.0
         for m in range(1, n * n + 1):  # unit cells reach every m
             # Packing.total_measure of every packing covering m cells: at

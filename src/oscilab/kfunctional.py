@@ -30,8 +30,7 @@ from .errors import ConfigError, InvariantViolation
 from .grid import GridFunction, _family, _window_osc, cube_windows, sides_for
 from .maximal import (DEFAULT_S, _sup_over_cubes, local_maximal,
                       resolve_cube_mode, sharp_maximal)
-from .packing import (EXACT_GUARD_2D, _greedy_disjoint, _mask_dp, _max_by_cells,
-                      _vitali)
+from .packing import EXACT_GUARD_2D, _best_by_cells, _greedy_disjoint, _vitali
 from .rearrange import StepProfile, rearrange
 
 __all__ = [
@@ -203,21 +202,14 @@ class _LevelSweep:
 
     Every exact case reads F(t) from one table best[c], the largest minimum
     statistic over packings of at least c cells, with one searchsorted:
-    - 1D full cubes: one bottleneck (max-min) DP over cell positions.
-      B[j][c] is the largest minimum statistic over packings inside [0, j)
-      covering exactly c cells (+inf for the empty packing, -inf where
-      unreachable); step j is one numpy gather over every cube ending at j:
-          B[j][c] = max(B[j-1][c], max_k min(B[j-k][c-k], stat[j-k, j))),
-      and best is the suffix maximum of B[N].  Rows are stored by uncovered
-      cell count u = j - c, which turns the shifted read B[j-k][c-k] into
-      the aligned read of row j-k at u.  O(N * #cubes) = O(N^3) time and
-      O(N^2) memory.
+    - full cubes in 1D, and in 2D with N <= EXACT_GUARD_2D: the suffix
+      maximum of packing._best_by_cells with np.minimum, the largest
+      minimum statistic per exactly covered cell count (the 1D cell-count
+      DP, O(N^3), or the 2D subset DP over cell masks).
     - dyadic cubes, 1D and 2D: they are nested or disjoint, so the maximal
       cubes with statistic >= v pack their whole union and best[c] is the
       c-th largest over cells of the top statistic of a cube holding it,
       O(N^d log N).
-    - 2D full cubes, N <= EXACT_GUARD_2D: packing._mask_dp with np.minimum,
-      the maximum per cell count, then the suffix maximum.
     2D full cubes beyond that guard count cells per level with the greedy
     selection by size, a certified lower bound, and F(t) is a binary
     search over the levels: a level is one packing._greedy_disjoint pass,
@@ -269,25 +261,11 @@ class _LevelSweep:
     def _best_by_cells(self) -> np.ndarray:
         """best[c] = the largest minimum statistic over packings of at least
         c cells, for c = 0..N^d."""
-        n, stat = self.n, self.stat
         if self.dyadic:
             return np.concatenate(([np.inf], np.sort(self._top_by_cell())[::-1]))
-        if self.d == 2:
-            best, _ = _mask_dp(self.sides, self.starts, stat, n, np.minimum)
-            return np.maximum.accumulate(_max_by_cells(best, n * n)[::-1])[::-1]
-        # stat_end[j, s] = statistic of [s, j); g[j, u] = B[j][j - u]
-        stat_end = np.full((n + 1, n), -np.inf)
-        stat_end[self.starts + self.sides, self.starts] = stat
-        g = np.full((n + 1, n + 1), -np.inf)
-        g[0, 0] = np.inf
-        for j in range(1, n + 1):
-            g[j, 1:j + 1] = g[j - 1, :j]  # cell j-1 left uncovered
-            np.maximum(
-                g[j, :j],
-                np.minimum(g[:j, :j], stat_end[j, :j, None]).max(axis=0),
-                out=g[j, :j],
-            )
-        return np.maximum.accumulate(g[n])[::-1]
+        best = _best_by_cells(self.sides, self.starts, self.stat, self.n, self.d,
+                              np.minimum)
+        return np.maximum.accumulate(best[::-1])[::-1]
 
     def _cells_2d(self, level_idx: int) -> int:
         if level_idx not in self._cache:

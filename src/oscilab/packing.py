@@ -1,16 +1,17 @@
 """Optimization over cube packings: exact 1D dynamic programs, one exact
 2D subset DP for tiny grids, greedy Vitali selection.
 
-1D problems are solved exactly by DPs over cell positions, each O(N) numpy
-steps that gather the weights of the cubes ending at the current cell.  The
-unbudgeted DP solves a stack of weight rows at once (O(N^2) work per row);
-the budgeted DP tracks cells used (O(N^3) work, O(N^2) memory).  2D
-maximum-weight square packing is combinatorially hard: on tiny grids
-(N <= EXACT_GUARD_2D) every exact answer comes from one include/exclude DP
-over bitmasks of covered cells, _mask_dp (cubes x 2^(N^2) numpy work);
-larger grids fall back to deterministic greedy selection whose value is a
-certified lower bound.  Every greedy selection, here and in functionals
-and kfunctional, is one pass of _greedy_disjoint.
+1D problems are solved exactly by DPs over cell positions in O(N) numpy
+steps: the unbudgeted DP solves a stack of weight rows at once (O(N^2)
+work per row); the cell-count DP _dp_budgeted_1d tracks cells left
+uncovered (O(N^3) work, O(N^2) memory).  2D maximum-weight square packing
+is combinatorially hard: on tiny grids (N <= EXACT_GUARD_2D) every exact
+answer comes from one include/exclude DP over bitmasks of covered cells,
+_mask_dp (cubes x 2^(N^2) numpy work); larger grids fall back to greedy
+selection whose value is a certified lower bound.  _best_by_cells, the best
+value (sum or max-min) per covered cell count, is the one entry to both
+exact DPs for F, G_p and the Pareto profiles.  Every greedy selection,
+here and in functionals and kfunctional, is one pass of _greedy_disjoint.
 
 The solvers take and return flat positions of grid._family; only the public
 functions convert to and from Cube objects, through grid's helpers.
@@ -93,8 +94,8 @@ def _mask_dp(sides, starts, w, n: int, op) -> tuple:
 
     op=np.add (start 0): best[mask] is the largest weight sum of a packing
     covering exactly the cells of mask, its weights added in cube order.
-    op=np.minimum (start +inf): the largest minimum weight, the bottleneck
-    twin of the 1D max-min DP.  -inf marks masks no packing covers.
+    op=np.minimum (start +inf): the largest minimum weight, as in
+    _dp_budgeted_1d.  -inf marks masks no packing covers.
     take[i, mask] is set where cube i raised best[mask]: walked backwards
     over the cubes from a mask, the set flags give the packing.  Each cube
     is one numpy gather over the masks disjoint from it, cubes x 2^(N^2)
@@ -116,9 +117,16 @@ def _mask_dp(sides, starts, w, n: int, op) -> tuple:
     return best, take
 
 
-def _max_by_cells(best: np.ndarray, cells: int) -> np.ndarray:
-    """value[c] = max of best over the masks with c cells, c = 0..cells."""
-    value = np.full(cells + 1, -np.inf)
+def _best_by_cells(sides, starts, w, n: int, d: int, op) -> np.ndarray:
+    """value[c] = the best value over packings of the cubes (side, first
+    cell) with flat weights w covering exactly c cells, c = 0..N^d: the
+    largest sum for op=np.add, the largest minimum for op=np.minimum (+inf
+    for c = 0); -inf where no packing covers c cells.  1D reads
+    _dp_budgeted_1d, 2D (N <= 4) the max of _mask_dp over each cell count."""
+    if d == 1:
+        return _dp_budgeted_1d(sides, starts, w, n, op)[n, ::-1].copy()
+    best = _mask_dp(sides, starts, w, n, op)[0]
+    value = np.full(n * n + 1, -np.inf)
     np.maximum.at(value, np.bitwise_count(np.arange(best.size)), best)
     return value
 
@@ -163,6 +171,15 @@ def _weight_rows(weights, n: int, d: int) -> dict:
                              for s in starts[sides == k].tolist()])
                 for k in range(1, n + 1)}
     raise ConfigError("weights must be a callable or {side: array} dict")
+
+
+def _flat_weights(weights, n: int, d: int) -> tuple:
+    """(sides, starts, w) over the flat family of every side, validated as
+    in _weight_rows: in 1D side after side in the weight dict's order (the
+    budgeted witness breaks ties by it), in 2D in (side, origin lex) order."""
+    rows = _weight_rows(weights, n, d)
+    order = list(rows) if d == 1 else range(1, n + 1)
+    return (*_family(n, d, order), np.concatenate([rows[k] for k in order]))
 
 
 def max_measure_packing(cubes: Iterable[Cube], grid) -> tuple:
@@ -256,9 +273,7 @@ def additive_pareto_1d(weights, grid) -> np.ndarray:
     d, n = _check_grid(grid)
     if d != 1:
         raise ConfigError("the exact budgeted DP is 1D only")
-    rows = _weight_rows(weights, n, 1)
-    g, _ = _dp_budgeted_1d(list(rows), rows.__getitem__, n)
-    return g[n, ::-1].copy()
+    return _best_by_cells(*_flat_weights(weights, n, 1), n, 1, np.add)
 
 
 def additive_pareto_2d(weights, grid) -> np.ndarray:
@@ -276,10 +291,7 @@ def additive_pareto_2d(weights, grid) -> np.ndarray:
         raise SizeGuardError(
             f"the 2D subset DP is guarded at N <= {EXACT_GUARD_2D}, got N={n}"
         )
-    rows = _weight_rows(weights, n, 2)
-    w = np.concatenate([rows[k] for k in range(1, n + 1)])
-    best, _ = _mask_dp(*_family(n, 2, range(1, n + 1)), w, n, np.add)
-    return _max_by_cells(best, n * n)
+    return _best_by_cells(*_flat_weights(weights, n, 2), n, 2, np.add)
 
 
 def max_additive_packing(weights, grid, measure_budget: int | None = None) -> tuple:
@@ -297,26 +309,24 @@ def max_additive_packing(weights, grid, measure_budget: int | None = None) -> tu
     (value 0) wins when every weight is <= 0.
     """
     d, n = _check_grid(grid)
-    rows = _weight_rows(weights, n, d)
-    if d == 1:
-        sides, row_of = list(rows), rows.__getitem__
-        family = _family(n, 1, sides)
-        if measure_budget is None:
-            kept, val = _dp_unbudgeted_1d(sides, row_of, n)[0]
-            return _packing(kept, *family, n, 1), val
-        m = int(measure_budget)
-        if not 0 <= m <= n:
-            raise ConfigError(f"measure budget {m} outside 0..{n}")
-        g, kept_for = _dp_budgeted_1d(sides, row_of, n)
-        if not math.isfinite(g[n, n - m]):
-            raise ConfigError(f"no packing covers exactly {m} cells")
-        return _packing(kept_for(m), *family, n, 1), float(g[n, n - m])
-    if measure_budget is not None:
-        raise ConfigError("measure budgets are supported in 1D only")
-    family = _family(n, 2, range(1, n + 1))
-    w = np.concatenate([rows[k] for k in range(1, n + 1)])
-    kept, val = _best_packing_2d(*family, w, n)
-    return _packing(kept, *family, n, 2), val
+    if d == 1 and measure_budget is None:
+        rows = _weight_rows(weights, n, 1)
+        kept, val = _dp_unbudgeted_1d(list(rows), rows.__getitem__, n)[0]
+        return _packing(kept, *_family(n, 1, list(rows)), n, 1), val
+    sides, starts, w = _flat_weights(weights, n, d)
+    if d == 2:
+        if measure_budget is not None:
+            raise ConfigError("measure budgets are supported in 1D only")
+        kept, val = _best_packing_2d(sides, starts, w, n)
+        return _packing(kept, sides, starts, n, 2), val
+    m = int(measure_budget)
+    if not 0 <= m <= n:
+        raise ConfigError(f"measure budget {m} outside 0..{n}")
+    g = _dp_budgeted_1d(sides, starts, w, n, np.add)
+    if not math.isfinite(g[n, n - m]):
+        raise ConfigError(f"no packing covers exactly {m} cells")
+    return (_packing(_budgeted_kept_1d(g, sides, w, n, m), sides, starts, n, 1),
+            float(g[n, n - m]))
 
 
 def _best_packing_2d(sides, starts, w, n: int) -> tuple:
@@ -333,42 +343,48 @@ def _best_packing_2d(sides, starts, w, n: int) -> tuple:
     return kept, float(np.cumsum(w[kept])[-1]) if kept.size else 0.0
 
 
-def _dp_budgeted_1d(sides, row_of, n: int) -> tuple:
-    """(g, kept_for): g[j, u] is the best weight of a packing inside [0, j)
-    leaving exactly u of its cells uncovered (-inf where unreachable), and
-    kept_for(m) the positions, in the flat layout of _family(n, 1, sides),
-    of a packing of value g[n, n - m].
+def _dp_budgeted_1d(sides, starts, w, n: int, op) -> np.ndarray:
+    """g[j, u] is the best value over packings inside [0, j) leaving exactly
+    u of its cells uncovered, -inf where unreachable, over the 1D cubes
+    (side, first cell) with flat weights w: the largest weight sum for
+    op=np.add (start 0), the largest minimum weight for op=np.minimum
+    (start +inf).
 
     Indexing by uncovered count reads every earlier row unshifted: a cube
-    [j-k, j) extends g[j-k, u] to g[j, u], skipping cell j-1 extends
-    g[j-1, u-1].  Ties break as in _dp_unbudgeted_1d.
+    [s, j) extends g[s, u] to g[j, u], skipping cell j-1 extends
+    g[j-1, u-1].  The weights sit in one end x start table, -inf where no
+    cube is a candidate, so step j is one numpy op over g[:j, :j]: O(N^3)
+    work and O(N^2) memory.  x -> op(x, w) is monotone, so g[j, u] is the
+    optimum bit for bit.
     """
-    sides, first, at_end = _weights_by_end_1d(sides, row_of, n)
+    w_end = np.full((n + 1, n), -np.inf)
+    w_end[starts + sides, starts] = w
     g = np.full((n + 1, n + 1), -np.inf)
-    g[0, 0] = 0.0
-    taken = np.zeros((n + 1, n + 1), dtype=int)  # 1 + index into sides, 0 = skip
+    g[0, 0] = 0.0 if op is np.add else np.inf
     for j in range(1, n + 1):
-        cand = np.empty((sides.size + 1, j))
-        cand[0, 0] = -np.inf
-        cand[0, 1:] = g[j - 1, : j - 1]
-        np.add(g[np.maximum(j - sides, 0), :j], at_end(j), out=cand[1:])
-        i = cand.argmax(axis=0)
-        g[j, :j] = cand[i, np.arange(j)]
-        g[j, j] = g[j - 1, j - 1]
-        taken[j, :j] = i
+        g[j, 1:j + 1] = g[j - 1, :j]  # cell j-1 left uncovered
+        np.maximum(g[j, :j], op(g[:j, :j], w_end[j, :j, None]).max(axis=0),
+                   out=g[j, :j])
+    return g
 
-    def kept_for(m: int) -> np.ndarray:
-        kept, j, u = [], n, n - m
-        while j > u:
-            i = int(taken[j, u]) - 1
-            if i < 0:
-                j, u = j - 1, u - 1
-            else:
-                kept.append(first[i] + j)
-                j -= int(sides[i])
-        return np.array(kept, dtype=int)
 
-    return g, kept_for
+def _budgeted_kept_1d(g, sides, w, n: int, m: int) -> np.ndarray:
+    """Positions of a packing of value g[n, n - m] (g from _dp_budgeted_1d
+    with np.add over every side, grouped by side), walked back by value:
+    skipping cell j-1 wins a tie, then the first side in family order."""
+    head = np.flatnonzero(np.r_[True, sides[1:] != sides[:-1]])
+    ks, first = sides[head], head - sides[head]  # first + j: cube ending at j
+    kept, j, u = [], n, n - m
+    while j > u:
+        if u and g[j - 1, u - 1] == g[j, u]:
+            j, u = j - 1, u - 1
+            continue
+        fit = ks <= j
+        pos = first[fit] + j
+        i = int(np.argmax(g[j - ks[fit], u] + w[pos] == g[j, u]))
+        kept.append(pos[i])
+        j -= int(ks[fit][i])
+    return np.array(kept, dtype=int)
 
 
 def _union_cells(sides, starts, n: int, d: int) -> int:

@@ -529,7 +529,6 @@ def suite_kfun(config: dict) -> list:
     factor = 0.0
     for f in corpus[:8]:
         cubes = enumerate_cubes((f.dim, f.res))
-        osc_tab = cube_stat_tables(f, stats=("osc",))
         rich = [q for q in cubes if q.side > 1][:200]
         sel = vitali_select(rich, (f.dim, f.res))
         tot = sum(q.measure(f.res) for q in sel)

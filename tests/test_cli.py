@@ -270,3 +270,24 @@ def test_verify_non_integer_threads_is_config_error(monkeypatch, capsys):
     monkeypatch.setenv("OSCILAB_THREADS", "abc")
     assert main(["verify", "maximal"]) == 2
     assert "OSCILAB_THREADS" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["plot", "{bad}", "--out", "{tmp}/p.svg"],  # a non-numeric row
+    ["plot", "{short}", "--out", "{tmp}/p.svg"],  # a row with one column
+    ["plot", "{inf}", "--out", "{tmp}/p.svg"],  # a non-finite value
+    ["plot", "{tmp}/missing.csv", "--out", "{tmp}/p.svg"],
+    ["gen", "constant", "--out", "{tmp}/no/such/dir/x.csv"],
+    ["kprofile", "{grid}", "--out", "{tmp}/no/such/dir/k.csv"],
+])
+def test_bad_profile_or_unwritable_out_is_usage_error(tmp_path, capsys, argv):
+    names = {"tmp": tmp_path}
+    for name, text in (("bad", "0.5,1.0,BS\nx,2.0,BS\n"), ("short", "0.5\n"),
+                       ("inf", "0.5,inf,BS\n")):
+        names[name] = tmp_path / f"{name}.csv"
+        names[name].write_text("t,value,method\n" + text)
+    names["grid"] = tmp_path / "f.csv"
+    main(["gen", "indicator", "--d", "1", "--N", "4", "--out", str(names["grid"])])
+    capsys.readouterr()
+    assert main([a.format(**names) for a in argv]) == 2
+    assert capsys.readouterr().err.startswith("error: ")

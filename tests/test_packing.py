@@ -206,21 +206,44 @@ def test_additive_pareto_2d_guards():
 
 def test_budgeted_dp_and_pareto(rng):
     n = 8
-    weights = {q: float(abs(rng.normal())) for q in enumerate_cubes((1, n))}
-    pareto = additive_pareto_1d(lambda q: weights[q], (1, n))
-    assert pareto.size == n + 1 and pareto[0] == 0.0
-    # exact-m brute force
-    for m in range(n + 1):
-        best = 0.0 if m == 0 else -math.inf
+    cubes = enumerate_cubes((1, n))
+    weights = {q: float(abs(rng.normal())) for q in cubes}
+    # restricted candidates (-inf weights; no unit cube, so m = 1 is
+    # unreachable), and half-integers for ties
+    restricted = {q: weights[q] if q.side > 1 and rng.random() < 0.6 else -math.inf
+                  for q in cubes}
+    halves = {q: float(rng.integers(0, 5)) / 2 if rng.random() < 0.6 else -math.inf
+              for q in cubes}
+
+    def by_side(w, order):  # a {side: per-origin array} dict in this order
+        return {int(k): np.array([w[q] for q in cubes if q.side == k]) for k in order}
+
+    cases = [
+        (weights, lambda q: weights[q]),
+        (weights, by_side(weights, range(n, 0, -1))),  # reversed dict order
+        (restricted, by_side(restricted, range(1, n + 1))),
+        (halves, by_side(halves, rng.permutation(np.arange(1, n + 1)))),  # shuffled
+    ]
+    for w, arg in cases:
+        pareto = additive_pareto_1d(arg, (1, n))
+        assert pareto.size == n + 1 and pareto[0] == 0.0
+        # exact-m brute force; a -inf weight keeps its packings out
+        expect = [0.0] + [-math.inf] * n
         for p in enumerate_packings((1, n)):
-            if p.total_cells() == m:
-                best = max(best, sum(weights[q] for q in p))
-        if math.isfinite(best):
-            assert pareto[m] == pytest.approx(best, abs=1e-12)
-    # nonnegative weights: exact-m profile is non-decreasing
-    assert np.all(np.diff(pareto) >= -1e-12)
-    pk, val = max_additive_packing(lambda q: weights[q], (1, n), measure_budget=5)
-    assert pk.total_cells() == 5 and val == pytest.approx(pareto[5], abs=1e-12)
+            m = p.total_cells()
+            expect[m] = max(expect[m], sum(w[q] for q in p))
+        for m in range(n + 1):
+            if not math.isfinite(expect[m]):
+                assert pareto[m] == -math.inf
+                with pytest.raises(ConfigError):
+                    max_additive_packing(arg, (1, n), measure_budget=m)
+                continue
+            assert pareto[m] == pytest.approx(expect[m], abs=1e-12)
+            pk, val = max_additive_packing(arg, (1, n), measure_budget=m)
+            assert pk.total_cells() == m and val == pareto[m]
+            assert math.fsum(w[q] for q in pk) == pytest.approx(val, abs=1e-12)
+    # nonnegative weights on every cube: the exact-m profile is non-decreasing
+    assert np.all(np.diff(additive_pareto_1d(cases[0][1], (1, n))) >= -1e-12)
 
 
 def test_vitali_select_basics():
