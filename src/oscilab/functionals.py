@@ -11,9 +11,9 @@ reported values.  Each greedy packing there, and in the 2D sweep of
 garo_p_lambda, is one pass of the cell-bitmask kernel
 packing._greedy_disjoint over integer cube indices (11,440 cubes at N=32).
 
-Cube statistics are read by flat position (grid._family order, the
-cube_stat_tables rows concatenated): candidate packings, witnesses and LP
-rows are positions, made Cube objects only for returned witnesses.
+Each functional reads the statistics it needs from one grid.CubeTable,
+flat by cube position (grid._family order): candidate packings, witnesses
+and LP rows are positions, made Cube objects only for returned witnesses.
 """
 
 from __future__ import annotations
@@ -24,14 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, SizeGuardError
-from .grid import (
-    GridFunction,
-    Packing,
-    _family,
-    _index_to_cube,
-    cube_stat_tables,
-    cube_sum_tables,
-)
+from .grid import CubeTable, GridFunction, Packing, _index_to_cube
 from .maximal import DEFAULT_S, FULL_GUARD_1D, FULL_GUARD_2D, local_maximal
 from .packing import (
     EXACT_GUARD_2D,
@@ -81,14 +74,13 @@ def _conjugate_exponent(p: float) -> float:
 # ---------------------------------------------------------------------------
 # shared 2D candidate packings
 
-def _packing_family_2d(f: GridFunction, tables: dict, p: float) -> list:
+def _packing_family_2d(table: CubeTable, p: float) -> list:
     """Deterministic candidate packings beyond the exact-small regime, each
     an array of flat positions in acceptance order: the unit-cell partition
     plus greedy selections in stable key-descending order under several
     weight keys.  Single-cube packings are handled separately (vectorized)."""
-    osc_arr, do_arr, meas_arr = _flatten_tables(f, tables, "osc", "do", "meas")
-    n = f.res
-    sides, starts = _family(n, 2, tables)
+    osc_arr, do_arr, meas_arr = table.osc, table.do, table.meas
+    n, sides, starts = table.f.res, table.sides, table.starts
     family = [np.arange(n * n)]  # unit partition: the side-1 cubes come first
     q = _conjugate_exponent(p)
     pw = p if math.isfinite(p) else 8.0
@@ -105,18 +97,6 @@ def _packing_family_2d(f: GridFunction, tables: dict, p: float) -> list:
     return family
 
 
-def _flatten_tables(f: GridFunction, tables: dict, *names: str) -> tuple:
-    """The named arrays over flat positions, from "meas" (each cube's
-    measure) and the statistics the tables hold."""
-    parts: dict = {"meas": []}
-    for k, entry in tables.items():
-        cnt = next(iter(entry.values())).size
-        parts["meas"].append(np.full(cnt, (k / f.res) ** f.dim))
-        for name, arr in entry.items():
-            parts.setdefault(name, []).append(arr)
-    return tuple(np.concatenate(parts[name]) for name in names)
-
-
 # ---------------------------------------------------------------------------
 # John-Nirenberg and Garsia-Rodemich packing conditions
 
@@ -131,23 +111,21 @@ def jn_norm(f: GridFunction, p: float) -> float:
         raise ConfigError(f"JN functional needs p > 1, got {p}")
     _require_desk_scale(f)
     n = f.res
+    table = CubeTable(f)
+    osc_by_side = table.by_side(table.osc)
     if f.dim == 1:
-        tables = cube_stat_tables(f, stats=("osc",))
-        weights = {
-            k: (k / n) * tables[k]["osc"] ** p for k in tables
-        }
+        weights = {k: (k / n) * osc**p for k, osc in osc_by_side.items()}
         _, value = max_additive_packing(weights, (1, n))
         return float(value ** (1.0 / p))
-    tables = cube_stat_tables(f, stats=("osc", "do"))
     if n <= EXACT_GUARD_2D:
         # scalar pow per cube: numpy's array power may round differently
-        weights = {k: np.array([(k / n) ** 2 * x**p for x in tables[k]["osc"].tolist()])
-                   for k in tables}
+        weights = {k: np.array([(k / n) ** 2 * x**p for x in osc.tolist()])
+                   for k, osc in osc_by_side.items()}
         _, value = max_additive_packing(weights, (2, n))
         return float(value ** (1.0 / p))
-    meas_arr, osc_arr = _flatten_tables(f, tables, "meas", "osc")
+    meas_arr, osc_arr = table.meas, table.osc
     best = float(np.max(meas_arr * osc_arr**p, initial=0.0))
-    for pk in _packing_family_2d(f, tables, p):
+    for pk in _packing_family_2d(table, p):
         best = max(best, sum(m * osc**p for m, osc in
                              zip(meas_arr[pk].tolist(), osc_arr[pk].tolist())))
     return float(best ** (1.0 / p))
@@ -168,19 +146,19 @@ def gp_norm(f: GridFunction, p: float) -> float:
     single cubes and the shared candidate family, a lower bound.
     """
     _require_desk_scale(f)
-    tables = cube_stat_tables(f, stats=("osc", "do"))
-    do_arr, meas_arr = _flatten_tables(f, tables, "do", "meas")
+    table = CubeTable(f)
+    do_arr, meas_arr = table.do, table.meas
     if math.isinf(p):
         return float(np.max(do_arr / meas_arr, initial=0.0))
     q = _conjugate_exponent(p)
     n, d = f.res, f.dim
     if d == 1:
-        vals = _best_by_cells(*_family(n, 1, tables), do_arr, n, 1, np.add)[1:]
+        vals = _best_by_cells(table.sides, table.starts, do_arr, n, 1, np.add)[1:]
         ms = np.arange(1, n + 1)
         ok = np.isfinite(vals)
         return float(np.max(vals[ok] / (ms[ok] / n) ** q, initial=0.0))
     if n <= EXACT_GUARD_2D:
-        pareto = _best_by_cells(*_family(n, 2, tables), do_arr, n, 2, np.add)
+        pareto = _best_by_cells(table.sides, table.starts, do_arr, n, 2, np.add)
         best = 0.0
         for m in range(1, n * n + 1):  # unit cells reach every m
             # Packing.total_measure of every packing covering m cells: at
@@ -190,7 +168,7 @@ def gp_norm(f: GridFunction, p: float) -> float:
             best = max(best, float(pareto[m]) / meas**q)
         return best
     best = float(np.max(do_arr / meas_arr**q, initial=0.0))
-    for pk in _packing_family_2d(f, tables, p):
+    for pk in _packing_family_2d(table, p):
         do = meas = 0.0
         for x, m in zip(do_arr[pk].tolist(), meas_arr[pk].tolist()):
             do += x
@@ -211,12 +189,10 @@ def gamma_membership(f: GridFunction, gamma: GridFunction):
     if gamma.dim != f.dim or gamma.res != f.res:
         raise ConfigError("gamma must live on the same grid as f")
     _require_desk_scale(f)
-    tables = cube_stat_tables(f, stats=("do",))
-    slack = (np.concatenate(list(cube_sum_tables(gamma).values()))
-             - _flatten_tables(f, tables, "do")[0])
+    table = CubeTable(f)
+    slack = CubeTable(gamma).sum - table.do
     i = int(np.argmin(slack))  # the first worst cube in (side, origin) order
-    sides, starts = _family(f.res, f.dim, tables)
-    worst = _index_to_cube(sides[i], starts[i], f.res, f.dim)
+    worst = _index_to_cube(table.sides[i], table.starts[i], f.res, f.dim)
     worst_slack = float(slack[i])
     scale = max(1.0, float(np.max(np.abs(f.values))) ** 2)
     return worst_slack >= -1e-12 * scale, worst, worst_slack
@@ -227,7 +203,8 @@ class GaRoEstimate:
     """Two-sided information on the Garsia-Rodemich norm.
 
     upper: 16 * ||local maximal||_X (an admissible majorant route);
-    exact: LP optimum, available for X in {L1, Linf} on tiny grids;
+    exact: the infimum over admissible majorants, for X in {L1, Linf} on
+           tiny grids (a linear program for L1, closed form for Linf);
     witness_packing: packing certifying the reported lower bound;
     lower: the certified lower bound itself (L1/Linf only).
     """
@@ -258,35 +235,26 @@ def _space_kind(space: RISpaceSpec) -> str:
     return "other"
 
 
-def _garo_lp(f: GridFunction, kind: str, tables: dict) -> float:
-    """min ||gamma||_X s.t. gamma >= 0, int_Q gamma >= doubleosc(Q) for all
+def _garo_lp(table: CubeTable) -> float:
+    """min ||gamma||_1 s.t. gamma >= 0, int_Q gamma >= doubleosc(Q) for all
     cubes Q; gamma >= 0 w.l.o.g. since |gamma| satisfies the constraints.
     One row per cube with doubleosc > 0, in flat position order: its side's
     cells at the origin shifted by its first cell."""
     from scipy.optimize import linprog
 
+    f = table.f
     n, d, n_cells, h = f.res, f.dim, f.ncells, f.cell_measure
-    do_arr = _flatten_tables(f, tables, "do")[0]
+    do_arr, sides, starts = table.do, table.sides, table.starts
     pos = np.flatnonzero(do_arr > 0)
     if not pos.size:
         return 0.0
-    sides, starts = _family(n, d, tables)
-    at_origin = {k: _index_to_cube(k, 0, n, d).flat_cells(n) for k in tables}
+    at_origin = {k: _index_to_cube(k, 0, n, d).flat_cells(n) for k in table.side_list}
     a_ub = np.zeros((pos.size, n_cells))
     for r, i in enumerate(pos.tolist()):
         a_ub[r, at_origin[sides[i]] + starts[i]] = -h
     b_ub = -do_arr[pos]
-    if kind == "l1":
-        c = np.full(n_cells, h)
-        res = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=(0, None), method="highs")
-    else:  # linf: epigraph variable z with gamma_x <= z
-        c = np.zeros(n_cells + 1)
-        c[-1] = 1.0
-        a_ub = np.hstack([a_ub, np.zeros((a_ub.shape[0], 1))])
-        cap = np.hstack([np.eye(n_cells), -np.ones((n_cells, 1))])
-        a_ub = np.vstack([a_ub, cap])
-        b_ub = np.concatenate([b_ub, np.zeros(n_cells)])
-        res = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=(0, None), method="highs")
+    res = linprog(np.full(n_cells, h), A_ub=a_ub, b_ub=b_ub, bounds=(0, None),
+                  method="highs")
     if not res.success:
         raise ConfigError(f"majorant LP failed: {res.message}")
     return float(res.fun)
@@ -303,8 +271,9 @@ def garo_norm(
 
     The upper route is 16 * ||M#_s f||_X.  For X in {L1, Linf} a certified
     packing lower bound is attached, and with exact_small on tiny grids
-    (1D N <= 16, 2D N <= 4) the exact infimum over admissible majorants is
-    computed by linear programming.
+    (1D N <= 16, 2D N <= 4) the exact infimum over admissible majorants:
+    by linear programming for L1, and for Linf max_Q doubleosc(Q)/|Q|, the
+    lower bound itself.
     """
     if not 0 < s < 1:
         raise ConfigError(f"s must lie in (0,1), got {s}")
@@ -313,17 +282,15 @@ def garo_norm(
     kind = _space_kind(space)
     desk = f.res <= (FULL_GUARD_1D if f.dim == 1 else FULL_GUARD_2D)
     if kind != "other" and desk:
-        tables = cube_stat_tables(f, stats=("do",))
+        table = CubeTable(f)
         if kind == "l1":
-            weights = {k: tables[k]["do"] for k in tables}
+            weights = table.by_side(table.do)
             packing, value = max_additive_packing(weights, (f.dim, f.res))
             est.witness_packing, est.lower = packing, float(value)
         else:  # the first best single cube in (side, origin) order
-            do_arr, meas_arr = _flatten_tables(f, tables, "do", "meas")
-            ratio = do_arr / meas_arr
+            ratio = table.do / table.meas
             i = int(np.argmax(ratio))
-            sides, starts = _family(f.res, f.dim, tables)
-            best = [_index_to_cube(sides[i], starts[i], f.res, f.dim)]
+            best = [_index_to_cube(table.sides[i], table.starts[i], f.res, f.dim)]
             est.lower = max(float(ratio[i]), 0.0)
             est.witness_packing = Packing(best if ratio[i] > 0 else [])
     if exact_small:
@@ -334,7 +301,10 @@ def garo_norm(
             raise SizeGuardError(
                 f"exact majorant oracle guarded at N <= {guard} for d={f.dim}"
             )
-        est.exact = _garo_lp(f, kind, tables)
+        # GaRo_Linf is max_Q doubleosc(Q)/|Q|, the lower bound: the constant
+        # at that value is admissible, and an admissible gamma has
+        # ||gamma||_inf |Q| >= int_Q gamma >= doubleosc(Q) on every cube
+        est.exact = _garo_lp(table) if kind == "l1" else est.lower
     return est
 
 
@@ -357,23 +327,23 @@ def garo_p_lambda(f: GridFunction, p: float, lam: float) -> float:
     if lam == 0:
         return gp_norm(f, p)
     _require_desk_scale(f)
-    tables = cube_stat_tables(f, stats=("do",))
+    table = CubeTable(f)
     n = f.res
     expo = 1.0 + lam / d
-    do_arr, meas_arr = _flatten_tables(f, tables, "do", "meas")
-    budget_arr = meas_arr**expo
+    do_arr = table.do
+    budget_arr = table.meas**expo
     if math.isinf(p):
         return float(np.max(do_arr / budget_arr, initial=0.0))
     q = _conjugate_exponent(p)
     best = float(np.max(do_arr / budget_arr**q, initial=0.0))
-    sides, starts = _family(n, d, tables)
+    sides, starts, do_by_side = table.sides, table.starts, table.by_side(do_arr)
 
     def ratio_of(sides, dos) -> float:
         do = sum(dos)
         budget = sum(((k / n) ** d) ** expo for k in sides)
         return do / budget**q if budget > 0 else 0.0
 
-    best = max(best, ratio_of([1] * n**d, tables[1]["do"].tolist()))  # unit
+    best = max(best, ratio_of([1] * n**d, do_by_side[1].tolist()))  # unit
     pos = do_arr[do_arr > 0]
     if pos.size:
         mu_grid = np.geomspace(
@@ -385,14 +355,14 @@ def garo_p_lambda(f: GridFunction, p: float, lam: float) -> float:
             # one DP over all multipliers: a weight row per mu, each side's
             # rows computed as the DP copies them into its table
             packings = [kept for kept, _ in _dp_unbudgeted_1d(
-                list(tables),
-                lambda k: tables[k]["do"] - mu_grid[:, None] * ((k / n) ** expo),
+                list(do_by_side),
+                lambda k: do_by_side[k] - mu_grid[:, None] * ((k / n) ** expo),
                 n,
             )]
         else:  # weights do - mu * |Q|^expo by side, in numpy
             packings = [_best_packing_2d(sides, starts, np.concatenate(
-                [tables[k]["do"] - mu * ((k / n) ** d) ** expo for k in tables]), n)[0]
-                for mu in mu_grid]
+                [do - mu * ((k / n) ** d) ** expo for k, do in do_by_side.items()]),
+                n)[0] for mu in mu_grid]
         for pk in packings:
             if pk.size:
                 pk = np.sort(pk)
@@ -407,11 +377,11 @@ def campanato_norm(f: GridFunction, lam: float) -> float:
     if not -d < lam <= 0:
         raise ConfigError(f"lambda must lie in (-{d}, 0], got {lam}")
     _require_desk_scale(f)
-    tables = cube_stat_tables(f, stats=("osc",))
+    table = CubeTable(f)
     best = 0.0
-    for k, entry in tables.items():
+    for k, osc in table.by_side(table.osc).items():
         meas = (k / f.res) ** d
-        best = max(best, float(entry["osc"].max(initial=0.0)) * meas ** (-lam / d))
+        best = max(best, float(osc.max(initial=0.0)) * meas ** (-lam / d))
     return best
 
 

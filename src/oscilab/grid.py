@@ -5,10 +5,13 @@ on Q0 = [0,1]^d with d in {1,2} and total measure normalized to 1.  Cubes are
 axis-aligned, grid-aligned subcubes addressed by an origin cell index vector
 and a side length in cells.
 
-This is the one module that maps cubes to integers.  Other modules address
-a cube by its flat position in the (side, origin lex) order of
-enumerate_cubes and of the cube_stat_tables rows; _family gives each
-position its side and first cell (the flat index of its origin cell).
+This is the one module that maps cubes to integers, and the one that
+computes per-cube statistics apart from the quantile oscillations of
+maximal.local_maximals.  Other modules address a cube by its flat
+position in the (side, origin lex) order of enumerate_cubes; _family gives
+each position its side and first cell (the flat index of its origin cell),
+and CubeTable gives each position its statistics, every one computed by a
+single reducer here.
 """
 
 from __future__ import annotations
@@ -33,8 +36,6 @@ __all__ = [
     "cubes_containing",
     "sides_for",
     "cube_windows",
-    "cube_stat_tables",
-    "cube_sum_tables",
     "read_grid_csv",
     "write_grid_csv",
 ]
@@ -316,7 +317,7 @@ def cubes_containing(grid, x: Sequence[int], dyadic_only: bool = False) -> list:
 
 
 # ---------------------------------------------------------------------------
-# vectorized per-side tables (shared by maximal operators and functionals)
+# vectorized cube statistics (shared by maximal operators and functionals)
 
 def cube_windows(f: GridFunction, side: int, dyadic: bool = False) -> np.ndarray:
     """Cell values of every cube of the given side, one row per origin.
@@ -392,49 +393,95 @@ def _window_osc(w: np.ndarray, mu: np.ndarray, p: float | None = None) -> np.nda
     return (dev**p).mean(axis=1) ** (1.0 / p)
 
 
-def cube_stat_tables(
-    f: GridFunction,
-    stats: Sequence[str] = ("mean", "osc"),
-    dyadic: bool = False,
-    sides: Sequence[int] | None = None,
-) -> dict:
-    """Per-origin cube statistics for every side.
+class CubeTable:
+    """Every per-cube statistic of f over one cube family, full or dyadic.
 
-    Returns {side: {stat: 1d array over origins (lex order)}} with stats from
-    {"mean", "osc", "do"}.  "do" is the normalized double oscillation as in
-    double_oscillation.
+    Each array is flat over cube positions in the _family order (side, then
+    origin lex), and is computed on first read, once per table:
+    - sides, starts: each cube's side and first cell (_family);
+    - meas: each cube's measure, the per-side scalar (k/N)^d;
+    - mean, sum: the cube average of f and the integral of f over it;
+    - osc, osc_p(p): the mean oscillation as in mean_oscillation, and the
+      L_p oscillation (mean |f - f_Q|^p)^(1/p);
+    - do: the normalized double oscillation as in double_oscillation.
+    mean, sum and the oscillations reduce each side's windows through
+    _window_stat, in cache-sized blocks for 2D full cubes.  The arrays are
+    read-only, as every reader of the table shares them.  by_side(stat)
+    splits any such flat array into views, {side: per-origin array}, in
+    ascending side order.  Each call builds its own table and none is kept
+    on f: f.values is writeable, so a kept statistic could go stale.
     """
-    h = f.cell_measure
-    out = {}
-    side_list = sides_for(f.res, dyadic) if sides is None else list(sides)
-    for k in side_list:
-        w = cube_windows(f, k, dyadic)
-        m = w.shape[1]
-        entry = {}
-        mu = w.mean(axis=1)
-        if "mean" in stats:
-            entry["mean"] = mu
-        if "osc" in stats:
-            entry["osc"] = _window_osc(w, mu)
-        if "do" in stats:
-            ws = np.sort(w, axis=1)
+
+    def __init__(self, f: GridFunction, dyadic: bool = False):
+        self.f, self.dyadic = f, dyadic
+        self.side_list = sides_for(f.res, dyadic)
+        self.counts = [((f.res - k) // (k if dyadic else 1) + 1) ** f.dim
+                       for k in self.side_list]
+        self._stats: dict = {}
+
+    def _lazy(self, name, build) -> np.ndarray:
+        if name not in self._stats:
+            stat = self._stats[name] = build()
+            stat.flags.writeable = False
+        return self._stats[name]
+
+    def _reduce(self, reduce) -> np.ndarray:
+        return np.concatenate([_window_stat(self.f, k, self.dyadic, reduce)
+                               for k in self.side_list])
+
+    def by_side(self, stat: np.ndarray) -> dict:
+        """{side: view of stat over that side's origins}."""
+        ends = np.cumsum(self.counts).tolist()
+        return {k: stat[e - c: e] for k, c, e in zip(self.side_list, self.counts, ends)}
+
+    @property
+    def sides(self) -> np.ndarray:
+        return self._lazy("sides", lambda: np.repeat(self.side_list, self.counts))
+
+    @property
+    def starts(self) -> np.ndarray:
+        return self._lazy("starts", lambda: _family(
+            self.f.res, self.f.dim, self.side_list, self.dyadic)[1])
+
+    @property
+    def meas(self) -> np.ndarray:
+        n, d = self.f.res, self.f.dim
+        return self._lazy("meas", lambda: np.repeat(
+            [(k / n) ** d for k in self.side_list], self.counts))
+
+    @property
+    def mean(self) -> np.ndarray:
+        return self._lazy("mean", lambda: self._reduce(lambda w: w.mean(axis=1)))
+
+    @property
+    def sum(self) -> np.ndarray:
+        return self._lazy("sum", lambda: self._reduce(
+            lambda w: w.sum(axis=1)) * self.f.cell_measure)
+
+    @property
+    def osc(self) -> np.ndarray:
+        return self.osc_p(None)
+
+    def osc_p(self, p: float | None) -> np.ndarray:
+        return self._lazy(("osc", p), lambda: self._reduce(
+            lambda w: _window_osc(w, w.mean(axis=1), p)))
+
+    @property
+    def do(self) -> np.ndarray:
+        return self._lazy("do", self._double_oscillations)
+
+    def _double_oscillations(self) -> np.ndarray:
+        # one sort and one @ coef product over all of a side's windows, not
+        # blocks of them: the BLAS matrix-vector product gives bits that
+        # depend on the row count, so blocks would change the values
+        h = self.f.cell_measure
+        parts = []
+        for k in self.side_list:
+            ws = np.sort(cube_windows(self.f, k, self.dyadic), axis=1)
+            m = ws.shape[1]
             coef = 2.0 * (2.0 * np.arange(1, m + 1) - 1.0 - m)
-            entry["do"] = (ws @ coef) * h / m
-        out[k] = entry
-    return out
-
-
-def cube_sum_tables(
-    f: GridFunction, dyadic: bool = False, sides: Sequence[int] | None = None
-) -> dict:
-    """Per-origin integrals of f over cubes: {side: sum of cell values * h}."""
-    h = f.cell_measure
-    out = {}
-    side_list = sides_for(f.res, dyadic) if sides is None else list(sides)
-    for k in side_list:
-        w = cube_windows(f, k, dyadic)
-        out[k] = w.sum(axis=1) * h
-    return out
+            parts.append((ws @ coef) * h / m)
+        return np.concatenate(parts)
 
 
 # ---------------------------------------------------------------------------

@@ -27,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, InvariantViolation
-from .grid import GridFunction, _family, _window_osc, cube_windows, sides_for
-from .maximal import (DEFAULT_S, _sup_over_cubes, local_maximal,
+from .grid import CubeTable, GridFunction
+from .maximal import (DEFAULT_S, _sup_of, _sup_over_cubes, local_maximal,
                       resolve_cube_mode, sharp_maximal)
 from .packing import EXACT_GUARD_2D, _best_by_cells, _greedy_disjoint, _vitali
 from .rearrange import StepProfile, rearrange
@@ -167,7 +167,11 @@ def k_l1_bmo(
     PACK_P -> t * F_p(t), the L_p variant (needs p in (0,1))
     """
     f0 = _mean_zero(f)
-    sharp = rearrange(sharp_maximal(f0, cube_mode)) if method == "BS" else None
+    # (f#)* for BS and the default t-grid, and the PACK level sweep, read
+    # one table's mean oscillations
+    table = CubeTable(f0, resolve_cube_mode(f0, cube_mode))
+    sharp = (rearrange(_sup_of(table, table.osc))
+             if method == "BS" or t_grid is None else None)
     if t_grid is None:
         t_grid = default_t_grid(f0, cube_mode, sharp)
     t_grid = np.asarray(t_grid, dtype=float)
@@ -177,11 +181,11 @@ def k_l1_bmo(
         prof = rearrange(local_maximal(f0, s, cube_mode))
         raw = prof.integral_to(t_grid)
     elif method == "PACK":
-        raw = t_grid * f_sharp_curve(f0, t_grid, cube_mode=cube_mode)
+        raw = t_grid * _LevelSweep(table, table.osc).values(t_grid)
     elif method == "PACK_P":
         if p is None or not 0 < p < 1:
             raise ConfigError("PACK_P needs p in (0,1)")
-        raw = t_grid * f_sharp_curve(f0, t_grid, p=p, cube_mode=cube_mode)
+        raw = t_grid * _LevelSweep(table, table.osc_p(p)).values(t_grid)
         method = f"PACK_P({p:g})"
     else:
         raise ConfigError(f"unknown K method {method!r}")
@@ -192,10 +196,10 @@ def k_l1_bmo(
 # the packing profile F
 
 class _LevelSweep:
-    """Per-cube statistics and F(t) at many t.
+    """F(t) at many t for one statistic of a grid.CubeTable.
 
-    stat, sides and starts (first cells) are flat over the family order
-    of grid._family, (side, origin lex).  F(t) is the largest
+    stat is flat over the table's cube positions, (side, origin lex), and
+    the table gives their sides and first cells.  F(t) is the largest
     statistic level v for which the maximal cell count of a disjoint family
     of cubes with statistic >= v exceeds t*N^d, that is the largest minimum
     statistic over packings of more than t*N^d cells.
@@ -216,15 +220,13 @@ class _LevelSweep:
     side descending then origin lex, over the cubes with statistic >= level.
     """
 
-    def __init__(self, f: GridFunction, stat: np.ndarray, sides_list, dyadic: bool):
-        self.f, self.n, self.d = f, f.res, f.dim
-        self.dyadic = dyadic
-        self.stat = stat  # flat over (side, origin lex)
-        n = self.n
-        self.sides, self.starts = _family(n, self.d, sides_list, dyadic)
+    def __init__(self, table: CubeTable, stat: np.ndarray):
+        self.table, self.stat, self.dyadic = table, stat, table.dyadic
+        self.f, self.n, self.d = table.f, table.f.res, table.f.dim
         self.levels = None  # the greedy level search only
-        if self.d == 1 or dyadic or n <= EXACT_GUARD_2D:
+        if self.d == 1 or self.dyadic or self.n <= EXACT_GUARD_2D:
             return
+        self.sides, self.starts = table.sides, table.starts
         self.order = np.lexsort((self.starts, -self.sides))
         levels = np.unique(stat[stat > 0])
         if levels.size > _LEVEL_CAP_2D:
@@ -243,8 +245,8 @@ class _LevelSweep:
 
     def _top_by_cell(self) -> np.ndarray:
         """Per cell, the largest statistic of a dyadic cube holding it."""
-        return _sup_over_cubes(self.f, lambda k, _: self.stat[self.sides == k],
-                               "dyadic")
+        return _sup_over_cubes(self.f, self.table.by_side(self.stat).__getitem__,
+                               True)
 
     def values(self, ts: np.ndarray) -> np.ndarray:
         """F at every t of ts, each inside (0, 1]."""
@@ -263,8 +265,8 @@ class _LevelSweep:
         c cells, for c = 0..N^d."""
         if self.dyadic:
             return np.concatenate(([np.inf], np.sort(self._top_by_cell())[::-1]))
-        best = _best_by_cells(self.sides, self.starts, self.stat, self.n, self.d,
-                              np.minimum)
+        best = _best_by_cells(self.table.sides, self.table.starts, self.stat,
+                              self.n, self.d, np.minimum)
         return np.maximum.accumulate(best[::-1])[::-1]
 
     def _cells_2d(self, level_idx: int) -> int:
@@ -291,16 +293,6 @@ class _LevelSweep:
         return float(self.levels[lo])
 
 
-def _sweep_for(f: GridFunction, p: float | None, cube_mode: str) -> _LevelSweep:
-    dyadic = resolve_cube_mode(f, cube_mode)
-    sides_list = sides_for(f.res, dyadic)
-    stats = []
-    for k in sides_list:
-        w = cube_windows(f, k, dyadic)
-        stats.append(_window_osc(w, w.mean(axis=1), p))
-    return _LevelSweep(f, np.concatenate(stats), sides_list, dyadic)
-
-
 def f_sharp_curve(
     f: GridFunction,
     t_grid,
@@ -309,7 +301,8 @@ def f_sharp_curve(
 ) -> np.ndarray:
     """F(t) (or its L_p variant) on a grid of t values."""
     ts = np.asarray(t_grid, dtype=float)
-    return _sweep_for(f, p, cube_mode).values(ts)
+    table = CubeTable(f, resolve_cube_mode(f, cube_mode))
+    return _LevelSweep(table, table.osc_p(p)).values(ts)
 
 
 def f_sharp_profile(f: GridFunction, t: float, cube_mode: str = "auto") -> float:
@@ -340,16 +333,16 @@ def vitali_threshold_estimate(
     if not 0 < t <= 1:
         raise ConfigError("t must lie in (0, 1]")
     n, d = f.res, f.dim
-    prof = rearrange(sharp_maximal(f, cube_mode))
+    table = CubeTable(f, resolve_cube_mode(f, cube_mode))  # f# and the cubes
+    prof = rearrange(_sup_of(table, table.osc))
     u = min(5.0**d * t, 1.0)
     tau = prof.value_at(u)
     if tau <= 0:
         return 0.0
-    sweep = _sweep_for(f, None, cube_mode)
-    keep = np.nonzero(sweep.stat >= tau)[0]
-    kept = keep[_vitali(sweep.sides[keep], sweep.starts[keep], n, d)]
-    meas = [(k / n) ** d for k in sweep.sides[kept].tolist()]
-    pairs = sorted(zip(sweep.stat[kept].tolist(), meas), reverse=True)
+    keep = np.nonzero(table.osc >= tau)[0]
+    kept = keep[_vitali(table.sides[keep], table.starts[keep], n, d)]
+    pairs = sorted(zip(table.osc[kept].tolist(), table.meas[kept].tolist()),
+                   reverse=True)
     widths = [m for _, m in pairs]
     values = [v for v, _ in pairs]
     total = math.fsum(widths)

@@ -8,9 +8,10 @@ operators switch to dyadic cubes, which requires N to be a power of two.
 The statistics reach the cells through one top-down container-max sweep
 (_sup_over_cubes): from the largest side down, each cube takes the max of
 its own statistic and those of the cubes containing it, O(#cubes) work in
-a few numpy calls per side, with no per-side N^d temporary.  2D full-cube
-windows are reduced in cache-sized blocks of origin rows (grid._window_stat)
-instead of one copy of the side's windows.  The local maximal function at
+a few numpy calls per side, with no per-side N^d temporary.  The
+Hardy-Littlewood and sharp operators read the cube means and mean
+oscillations of one grid.CubeTable, which reduces 2D full-cube windows in
+cache-sized blocks of origin rows.  The local maximal function at
 any number of quantile levels s sorts each side's windows once
 (local_maximals) and sweeps every level at once over a leading s axis;
 dyadic sides on which no s allows an exceedance (kexc = 0) are not sorted
@@ -27,8 +28,7 @@ import math
 import numpy as np
 
 from .errors import ConfigError
-from .grid import (Cube, GridFunction, _window_osc, _window_stat, cube_windows,
-                   sides_for)
+from .grid import Cube, CubeTable, GridFunction, _window_stat, cube_windows, sides_for
 from .rearrange import rearrange
 from .spaces import RISpaceSpec, norm
 
@@ -73,9 +73,9 @@ def exceedance_count(s: float, m: int) -> int:
     return max(math.ceil(s * m - 1e-9) - 1, 0)
 
 
-def _sup_over_cubes(f: GridFunction, per_side_stat, cube_mode: str,
+def _sup_over_cubes(f: GridFunction, per_side_stat, dyadic: bool,
                     lead: tuple = ()) -> np.ndarray:
-    """best[..., cell] = max of per_side_stat(k, dyadic), an array of shape
+    """best[..., cell] = max of per_side_stat(k), an array of shape
     lead + (origins,), over every cube holding the cell.
 
     Sides are taken in descending order.  acc holds, per origin of the
@@ -88,11 +88,10 @@ def _sup_over_cubes(f: GridFunction, per_side_stat, cube_mode: str,
     of the side's statistics.  O(#cubes) work and no N^d temporary per side;
     a max of the same floats is exact, whichever order it is taken in.
     """
-    dyadic = resolve_cube_mode(f, cube_mode)
     n, d = f.res, f.dim
     acc = None
     for k in reversed(sides_for(n, dyadic)):
-        stat = per_side_stat(k, dyadic)
+        stat = per_side_stat(k)
         if acc is None:
             acc = np.array(stat).reshape(lead + (1,) * d)
         elif dyadic:
@@ -108,25 +107,25 @@ def _sup_over_cubes(f: GridFunction, per_side_stat, cube_mode: str,
     return acc.reshape(lead + (n**d,))
 
 
+def _sup_of(table: CubeTable, stat: np.ndarray) -> GridFunction:
+    """Per cell, the sup of stat, flat over the table's cubes, over the
+    cubes holding the cell."""
+    best = _sup_over_cubes(table.f, table.by_side(stat).__getitem__, table.dyadic)
+    return table.f.with_values(best)
+
+
 def hl_maximal(f: GridFunction, cube_mode: str = "auto") -> GridFunction:
     """Hardy-Littlewood maximal function: sup of cube averages of |f| over
     cubes containing the cell.  Dominates |f| pointwise."""
-    absf = f.with_values(np.abs(f.values))
-
-    def stat(k, dyadic):
-        return _window_stat(absf, k, dyadic, lambda w: w.mean(axis=1))
-
-    return f.with_values(_sup_over_cubes(f, stat, cube_mode))
+    table = CubeTable(f.with_values(np.abs(f.values)), resolve_cube_mode(f, cube_mode))
+    return _sup_of(table, table.mean)
 
 
 def sharp_maximal(f: GridFunction, cube_mode: str = "auto") -> GridFunction:
     """Sharp maximal function: sup of mean oscillations over containing
     cubes.  Its sup norm is the BMO norm of f."""
-
-    def stat(k, dyadic):
-        return _window_stat(f, k, dyadic, lambda w: _window_osc(w, w.mean(axis=1)))
-
-    return f.with_values(_sup_over_cubes(f, stat, cube_mode))
+    table = CubeTable(f, resolve_cube_mode(f, cube_mode))
+    return _sup_of(table, table.osc)
 
 
 def _qosc_sorted(w_sorted: np.ndarray, kexc: int) -> np.ndarray:
@@ -183,10 +182,11 @@ def local_maximals(f: GridFunction, svals, cube_mode: str = "auto") -> list:
     if not svals:
         return []
     d = f.dim
+    dyadic = resolve_cube_mode(f, cube_mode)
     # per dyadic side: (max - min)/2 per cube where kexc = 0 for every s,
     # else the flat origins of the cubes that are not constant
     spread = {}
-    if resolve_cube_mode(f, cube_mode):
+    if dyadic:
         hi = lo = f.values
         for k in sides_for(f.res, True):
             if k > 1:
@@ -197,7 +197,7 @@ def local_maximals(f: GridFunction, svals, cube_mode: str = "auto") -> list:
             else:
                 spread[k] = np.flatnonzero(hi != lo)
 
-    def stat(k, dyadic):
+    def stat(k):
         kexcs = [exceedance_count(s, k**d) for s in svals]
 
         def qosc(w):
@@ -216,7 +216,7 @@ def local_maximals(f: GridFunction, svals, cube_mode: str = "auto") -> list:
         out[:, varied] = qosc(w)
         return out
 
-    best = _sup_over_cubes(f, stat, cube_mode, lead=(len(svals),))
+    best = _sup_over_cubes(f, stat, dyadic, lead=(len(svals),))
     return [f.with_values(row) for row in best]
 
 

@@ -27,7 +27,7 @@ from .functionals import (
     sobolev_seminorm,
 )
 from .generators import generate
-from .grid import Cube, GridFunction, cube_stat_tables, cube_sum_tables, enumerate_cubes
+from .grid import Cube, CubeTable, GridFunction, enumerate_cubes
 from .kfunctional import (
     equivalence_report,
     f_sharp_curve,
@@ -100,14 +100,10 @@ def _spaces_battery():
 # rearr suite
 
 def _sandwich_worst(f: GridFunction) -> tuple:
-    tables = cube_stat_tables(f, stats=("osc", "do"))
-    lo_worst = hi_worst = 0.0
-    for k, entry in tables.items():
-        meas = (k / f.res) ** f.dim
-        intosc = meas * entry["osc"]
-        lo_worst = max(lo_worst, float(np.max(intosc - entry["do"], initial=0.0)))
-        hi_worst = max(hi_worst, float(np.max(entry["do"] - 2 * intosc, initial=0.0)))
-    return lo_worst, hi_worst
+    table = CubeTable(f)
+    intosc = table.meas * table.osc
+    return (max(0.0, float(np.max(intosc - table.do))),
+            max(0.0, float(np.max(table.do - 2 * intosc))))
 
 
 def _abs_diff_parts(x: np.ndarray, y: np.ndarray) -> tuple:
@@ -248,25 +244,17 @@ def suite_rearr(config: dict) -> list:
 # maximal suite
 
 def equ103_max_ratio(
-    f: GridFunction, mloc: GridFunction, tables: dict | None = None
+    f: GridFunction, mloc: GridFunction, table: CubeTable | None = None
 ) -> float:
     """max over cubes of int_Q|f-f_Q| / int_Q M#_s f (0/0 counts as 0).
-    tables, f's cube_stat_tables with "osc", lets a sweep over s build them
-    once."""
-    if tables is None:
-        tables = cube_stat_tables(f, stats=("osc",))
-    sums = cube_sum_tables(mloc)
-    worst = 0.0
-    for k in tables:
-        meas = (k / f.res) ** f.dim
-        lhs = meas * tables[k]["osc"]
-        rhs = sums[k]
-        mask = lhs > 0
-        if mask.any():
-            with np.errstate(divide="ignore"):
-                ratios = np.where(rhs[mask] > 0, lhs[mask] / rhs[mask], np.inf)
-            worst = max(worst, float(np.max(ratios)))
-    return worst
+    table, f's CubeTable, lets a sweep over s build its oscillations once."""
+    table = CubeTable(f) if table is None else table
+    lhs = table.meas * table.osc
+    rhs = CubeTable(mloc).sum
+    mask = lhs > 0
+    with np.errstate(divide="ignore"):
+        ratios = np.where(rhs[mask] > 0, lhs[mask] / rhs[mask], np.inf)
+    return float(np.max(ratios, initial=0.0))  # ratios are > 0
 
 
 def _herz_bounds(f: GridFunction) -> tuple:
@@ -323,7 +311,7 @@ def suite_maximal(config: dict) -> list:
         return dict(zip(svals, local_maximals(corpus[i], svals)))
 
     mlocs = _pmap(mlocs_for, range(len(corpus)))
-    tables = [cube_stat_tables(f, stats=("osc",)) for f in corpus]
+    tables = [CubeTable(f) for f in corpus]
 
     ok = True
     for ml in mlocs[:9]:
@@ -612,10 +600,7 @@ def suite_morrey(config: dict) -> list:
     ok = True
     for i in range(6):
         f = generate("random_steps", 1, 16, seed=seed + 200 + i)
-        bmo = 0.0
-        tables = cube_stat_tables(f, stats=("osc",))
-        for k in tables:
-            bmo = max(bmo, float(tables[k]["osc"].max(initial=0.0)))
+        bmo = float(CubeTable(f).osc.max(initial=0.0))
         ok &= abs(campanato_norm(f, -1e-12) - bmo) <= 1e-9 * max(1, bmo)
     checks.append(check(
         "campanato-bmo-limit", "lambda -> 0 recovers the BMO supremum", ok,

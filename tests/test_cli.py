@@ -1,4 +1,6 @@
 import json
+import os
+import pathlib
 import subprocess
 import sys
 
@@ -149,9 +151,12 @@ def test_plot_cli_roundtrip(tmp_path):
 
 
 def test_console_entrypoint():
+    # the child imports the library from src, as a bare pytest run does
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run(
         [sys.executable, "-m", "oscilab.cli", "verify", "morrey"],
         capture_output=True, text=True, timeout=600,
+        env=dict(os.environ, PYTHONPATH=str(src)),
     )
     assert proc.returncode == 0
     assert "morrey: PASS" in proc.stdout

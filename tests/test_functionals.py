@@ -31,7 +31,7 @@ from oscilab import (
     sobolev_seminorm,
     weak_lp,
 )
-from oscilab.grid import cube_stat_tables
+from oscilab.grid import CubeTable
 from oscilab.packing import max_additive_packing
 
 
@@ -121,14 +121,21 @@ def test_garo_hand_lp():
 
 
 def test_garo_exact_matches_rational_simplex(rng):
+    grids = []
     for trial in range(8):
         d = 1 if trial % 2 else 2
         n = int(rng.integers(2, 7)) if d == 1 else int(rng.integers(2, 4))
-        f = GridFunction(d, n, rng.normal(size=n**d))
+        grids.append(GridFunction(d, n, rng.normal(size=n**d)))
+    # a grid on which the L-inf majorant problem solved as a linear program
+    # lands 1.1e-16 below the lower bound
+    grids.append(generate("random_steps", 1, 3, seed=0))
+    for f in grids:
         est1 = garo_norm(f, lp(1), exact_small=True)
         assert est1.exact == pytest.approx(garo_l1_exact_oracle(f), abs=1e-9)
         esti = garo_norm(f, lp(math.inf), exact_small=True)
         assert esti.exact == pytest.approx(garo_linf_exact_oracle(f), abs=1e-9)
+        # GaRo_Linf = max_Q doubleosc(Q)/|Q|: exact is the lower bound
+        assert repr(esti.exact) == repr(esti.lower)
         # certified lower bound from the witness packing
         assert est1.lower == pytest.approx(brute_garo_l1_lower(f), abs=1e-9)
         assert est1.lower <= est1.exact + 1e-9
@@ -259,16 +266,17 @@ def _garo_p_lambda_per_mu(f, p, lam):
     """1D garo_p_lambda with one max_additive_packing per multiplier, each
     packing's ratio summed in Cube order."""
     n = f.res
-    tables = cube_stat_tables(f, stats=("do",))
+    table = CubeTable(f)
+    do_by_side = table.by_side(table.do)
     expo = 1.0 + lam
     q = 1.0 - 1.0 / p
-    do_arr = np.concatenate([tables[k]["do"] for k in tables])
+    do_arr = table.do
     budget_arr = np.concatenate(
-        [np.full(tables[k]["do"].size, k / n) for k in tables]
+        [np.full(do.size, k / n) for k, do in do_by_side.items()]
     ) ** expo
 
     def ratio_of(keys):
-        do = sum(float(tables[k]["do"][o]) for k, o in keys)
+        do = sum(float(do_by_side[k][o]) for k, o in keys)
         budget = sum((k / n) ** expo for k, _ in keys)
         return do / budget**q if budget > 0 else 0.0
 
@@ -280,7 +288,7 @@ def _garo_p_lambda_per_mu(f, p, lam):
     ratios = do_arr[pos] / budget_arr[pos]
     lo, hi = max(float(ratios.min()), 1e-12), float(ratios.max()) + 1.0
     for mu in np.geomspace(lo, hi, 33):
-        weights = {k: tables[k]["do"] - mu * ((k / n) ** expo) for k in tables}
+        weights = {k: do - mu * ((k / n) ** expo) for k, do in do_by_side.items()}
         packing, _ = max_additive_packing(weights, (1, n))
         keys = [(qc.side, qc.origin[0]) for qc in packing]
         if keys:
@@ -301,12 +309,13 @@ def _gp_by_enumeration(f: GridFunction, ps) -> list:
     summed left to right in cube order, Packing.total_measure, and the
     running max from 0.0, for each p in ps."""
     n = f.res
-    tables = cube_stat_tables(f, stats=("osc", "do"))
+    table = CubeTable(f)
+    do_by_side = table.by_side(table.do)
     sums = []
     for packing in enumerate_packings((2, n)):
         do = sum(
-            float(tables[qc.side]["do"][qc.origin[0] * (n - qc.side + 1)
-                                        + qc.origin[1]])
+            float(do_by_side[qc.side][qc.origin[0] * (n - qc.side + 1)
+                                      + qc.origin[1]])
             for qc in packing
         )
         sums.append((do, packing.total_measure(n)))

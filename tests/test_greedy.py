@@ -21,8 +21,8 @@ from oscilab import (
     vitali_select,
 )
 from oscilab.functionals import _packing_family_2d
-from oscilab.grid import cube_stat_tables
-from oscilab.kfunctional import _sweep_for, f_sharp_curve
+from oscilab.grid import CubeTable
+from oscilab.kfunctional import _LevelSweep, f_sharp_curve
 
 
 def _occupancy_greedy(cubes, n, d):
@@ -99,16 +99,13 @@ def test_vitali_select_pinned(d, n):
                                       (16, "random_steps", math.inf)])
 def test_packing_family_2d_pinned(n, kind, p):
     f = generate(kind, 2, n, seed=n)
-    tables = cube_stat_tables(f, stats=("osc", "do"))
-    sides, origins, osc, do, meas = [], [], [], [], []
-    for k, entry in tables.items():
-        cnt = entry["osc"].size
-        sides += [k] * cnt
-        origins += list(range(cnt))
-        osc.append(entry["osc"])
-        do.append(entry["do"])
-        meas.append(np.full(cnt, (k / n) ** 2))
-    osc, do, meas = (np.concatenate(a) for a in (osc, do, meas))
+    table = CubeTable(f)
+    sides, origins = [], []
+    for k, side_osc in table.by_side(table.osc).items():
+        sides += [k] * side_osc.size
+        origins += list(range(side_osc.size))
+    osc, do = table.osc, table.do
+    meas = np.array([(k / n) ** 2 for k in sides])
     q = 1.0 if math.isinf(p) else 1.0 - 1.0 / p
     pw = p if math.isfinite(p) else 8.0
     keys = [osc, do, np.where(meas > 0, do / meas, 0.0), meas * osc**pw,
@@ -121,7 +118,7 @@ def test_packing_family_2d_pinned(n, kind, p):
             order.append(Cube(divmod(o, n - k + 1), k))
         expect.append([(q.side, q.origin[0] * (n - q.side + 1) + q.origin[1])
                        for q in _occupancy_greedy(order, n, 2)])
-    family = _packing_family_2d(f, tables, p)
+    family = _packing_family_2d(CubeTable(f), p)
     cubes = enumerate_cubes((2, n))  # the family's flat positions index these
     assert [[(q.side, q.origin[0] * (n - q.side + 1) + q.origin[1])
              for q in (cubes[i] for i in pk)] for pk in family] == expect
@@ -130,7 +127,8 @@ def test_packing_family_2d_pinned(n, kind, p):
 @pytest.mark.parametrize("n,mode", [(8, "full"), (16, "full")])
 def test_f_sharp_curve_2d_greedy_pinned(n, mode):
     f = generate("random_steps", 2, n, seed=7 + n)
-    sweep = _sweep_for(f, None, mode)
+    table = CubeTable(f, mode == "dyadic")
+    sweep = _LevelSweep(table, table.osc)
     cubes = enumerate_cubes((2, n), dyadic_only=mode == "dyadic")  # stat's order
     assert len(cubes) == sweep.stat.size
     stat = dict(zip(cubes, sweep.stat.tolist()))
@@ -140,7 +138,7 @@ def test_f_sharp_curve_2d_greedy_pinned(n, mode):
         kept = _occupancy_greedy([q for q in order if not stat[q] < lam], n, 2)
         counts.append(sum(q.ncells() for q in kept))
     assert [sweep._cells_2d(i) for i in range(len(counts))] == counts
-    ref = _sweep_for(f, None, mode)
+    ref = _LevelSweep(table, table.osc)
     ref._cells_2d = counts.__getitem__  # the library's search over pinned counts
     ts = np.geomspace(f.cell_measure / 2, 1.0, 64)
     got = f_sharp_curve(f, ts, cube_mode=mode)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oscilab.grid as grid_mod
 from oscilab import (
     ConfigError,
     Cube,
@@ -15,15 +16,19 @@ from oscilab import (
     cubes_containing,
     double_oscillation,
     enumerate_cubes,
+    generate,
+    gp_norm,
+    k_l1_bmo,
     mean_oscillation,
     read_grid_csv,
+    vitali_threshold_estimate,
     write_grid_csv,
 )
 from oscilab.grid import (
+    CubeTable,
     _cube_index,
     _family,
     _index_to_cube,
-    cube_stat_tables,
     cube_windows,
     sides_for,
 )
@@ -104,8 +109,8 @@ def test_enumerate_cubes_canonical_order():
                          + [(2, n, False) for n in range(1, 7)]
                          + [(2, n, True) for n in (1, 2, 4)])
 def test_cube_index_round_trip(rng, d, n, dyadic):
-    # the family's flat positions follow enumerate_cubes and the rows of
-    # cube_stat_tables; Cube -> (side, first cell) -> Cube is the identity
+    # the family's flat positions follow enumerate_cubes and CubeTable's
+    # arrays; Cube -> (side, first cell) -> Cube is the identity
     cubes = enumerate_cubes((d, n), dyadic_only=dyadic)
     sides, starts = _family(n, d, sides_for(n, dyadic), dyadic)
     assert [_index_to_cube(k, s, n, d)
@@ -114,9 +119,9 @@ def test_cube_index_round_trip(rng, d, n, dyadic):
     assert np.array_equal(got_sides, sides) and np.array_equal(got_starts, starts)
     assert [q.flat_cells(n)[0] for q in cubes] == starts.tolist()
     f = GridFunction(d, n, rng.normal(size=n**d))
-    tables = cube_stat_tables(f, stats=("mean",), dyadic=dyadic)
-    means = np.concatenate([tables[k]["mean"] for k in tables])
-    assert np.allclose(means, [cube_mean(f, q) for q in cubes], rtol=0, atol=1e-12)
+    table = CubeTable(f, dyadic)
+    assert np.array_equal(table.sides, sides) and np.array_equal(table.starts, starts)
+    assert np.allclose(table.mean, [cube_mean(f, q) for q in cubes], rtol=0, atol=1e-12)
 
 
 def test_cube_index_checks_grid_and_fit():
@@ -175,18 +180,61 @@ def test_cube_windows_match_flat_cells(rng):
 
 
 def test_stat_tables_match_scalar_ops(rng):
-    f = GridFunction(2, 4, rng.normal(size=16))
-    tables = cube_stat_tables(f, stats=("mean", "osc", "do"))
-    for q in enumerate_cubes((2, 4)):
-        m = f.res - q.side + 1
-        idx = q.origin[0] * m + q.origin[1]
-        assert tables[q.side]["mean"][idx] == pytest.approx(cube_mean(f, q), abs=1e-13)
-        assert tables[q.side]["osc"][idx] == pytest.approx(
-            mean_oscillation(f, q), abs=1e-13
-        )
-        assert tables[q.side]["do"][idx] == pytest.approx(
-            double_oscillation(f, q), abs=1e-13
-        )
+    # every CubeTable statistic against the single-cube integrals, full and
+    # dyadic (2D N=33 reduces its windows in blocks), flat and by side
+    for d, n, dyadic in ((1, 7, False), (1, 8, True), (2, 4, False),
+                         (2, 33, False), (2, 4, True)):
+        f = GridFunction(d, n, rng.normal(size=n**d))
+        table = CubeTable(f, dyadic)
+        cubes = enumerate_cubes((d, n), dyadic_only=dyadic)
+        cells = [f.values[q.flat_cells(n)] for q in cubes]
+        want = {
+            "mean": [cube_mean(f, q) for q in cubes],
+            "osc": [mean_oscillation(f, q) for q in cubes],
+            "do": [double_oscillation(f, q) for q in cubes],
+            "sum": [math.fsum(c.tolist()) * f.cell_measure for c in cells],
+            "meas": [q.measure(n) for q in cubes],
+        }
+        for name, vals in want.items():
+            assert np.allclose(getattr(table, name), vals, rtol=0, atol=1e-13), name
+            assert not getattr(table, name).flags.writeable  # shared by readers
+        for p in (0.5, 2.0):
+            lp_osc = [np.mean(np.abs(c - c.mean()) ** p) ** (1 / p) for c in cells]
+            assert np.allclose(table.osc_p(p), lp_osc, rtol=0, atol=1e-13)
+        assert table.osc_p(None) is table.osc  # each statistic is built once
+        views = table.by_side(table.osc)
+        assert list(views) == sides_for(n, dyadic)
+        for k, v in views.items():
+            assert np.shares_memory(v, table.osc)
+            assert np.array_equal(v, table.osc[table.sides == k])
+
+
+def test_osc_built_once_and_only_where_read(monkeypatch):
+    # one build of a table's osc sends every cube's window once through the
+    # osc reducer, grid._window_osc
+    rows = []
+    reducer = grid_mod._window_osc
+
+    def counting(w, mu, p=None):
+        rows.append(w.shape[0])
+        return reducer(w, mu, p)
+
+    monkeypatch.setattr(grid_mod, "_window_osc", counting)
+    for d, n in ((1, 16), (1, 33), (2, 2), (2, 4)):
+        f = generate("random_steps", d, n, seed=n)
+        for p in (1.5, 3.0, math.inf):
+            gp_norm(f, p)
+    assert rows == []
+    for d, n, mode in ((1, 16, "full"), (1, 16, "dyadic"), (2, 8, "full"),
+                       (2, 33, "full"), (2, 8, "dyadic")):
+        f = generate("cosine_mix", d, n, seed=1)
+        cubes = len(enumerate_cubes((d, n), dyadic_only=mode == "dyadic"))
+        rows.clear()
+        vitali_threshold_estimate(f, 0.01, mode)
+        assert sum(rows) == cubes
+        rows.clear()
+        k_l1_bmo(f, method="PACK", cube_mode=mode)  # f# for the t-grid, and F
+        assert sum(rows) == cubes
 
 
 def test_csv_roundtrip(tmp_path, rng):

@@ -19,8 +19,8 @@ from oscilab import (
     sharp_maximal,
     vitali_threshold_estimate,
 )
-from oscilab.grid import Cube, cube_windows, enumerate_cubes, sides_for
-from oscilab.kfunctional import KProfile, _sweep_for, running_max
+from oscilab.grid import Cube, CubeTable, cube_windows, enumerate_cubes, sides_for
+from oscilab.kfunctional import KProfile, _LevelSweep, running_max
 from oscilab.packing import max_measure_packing
 
 
@@ -141,7 +141,8 @@ def test_f_sharp_2d_dyadic_matches_union_count(n):
     # dyadic cubes are nested or disjoint, so F(t) is the largest level v
     # whose cubes with statistic >= v cover more than t*N^2 cells
     f = generate("random_steps", 2, n, seed=7 + n)
-    sweep = _sweep_for(f, None, "dyadic")
+    table = CubeTable(f, dyadic=True)
+    sweep = _LevelSweep(table, table.osc)
     stat = sweep.stat.tolist()
     cubes = enumerate_cubes((2, n), dyadic_only=True)  # stat's order
     assert len(cubes) == len(stat)

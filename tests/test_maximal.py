@@ -109,14 +109,13 @@ def test_container_sweep_matches_per_cube_scatter(d, n_max):
                     stats[k] = (rng.integers(-4, 4, size=m) / 2.0 if k % 2
                                 else rng.normal(size=m))
                 rows.append(stats)
-            mode = "dyadic" if dyadic else "full"
             for stats in rows:
-                got = _sup_over_cubes(f, lambda k, _, st=stats: st[k], mode)
-                assert np.array_equal(got, scatter_sup(f, stats, dyadic)), (n, mode)
+                got = _sup_over_cubes(f, lambda k, st=stats: st[k], dyadic)
+                assert np.array_equal(got, scatter_sup(f, stats, dyadic)), (n, dyadic)
             got = _sup_over_cubes(
-                f, lambda k, _: np.stack([st[k] for st in rows]), mode, lead=(2,))
+                f, lambda k: np.stack([st[k] for st in rows]), dyadic, lead=(2,))
             for row, stats in zip(got, rows):
-                assert np.array_equal(row, scatter_sup(f, stats, dyadic)), (n, mode)
+                assert np.array_equal(row, scatter_sup(f, stats, dyadic)), (n, dyadic)
 
 
 @pytest.mark.parametrize("n", [5, 8, 33, 48])

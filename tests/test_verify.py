@@ -48,10 +48,14 @@ def test_equivalence_report_shape():
 @pytest.mark.parametrize("suite,digest", [
     ("maximal", "a766ad76b86dd73c091726b9ee8e011c91ff8240cfb87f56de5b580367721f11"),
     ("blowup", "6b1a82891845d5ff5b1c4dbcdb0d72a3bdc28f7b80a493763cc8009bd82c79ba"),
+    ("rearr", "e4b8af0db092319892833c5084092dd921c31f12123ccf51a00183fbe3092722"),
+    ("garo", "abe0f2ef88b70eff95e4dc67ea30fb0ccc8bb27fe0342fc2e5d28337cbcdde1d"),
+    ("kfun", "b81cb376250ae9a3eaf00509c7975d148a3d93c24182de70f73dfb93476fcadd"),
+    ("morrey", "d5450b26fdb3bb0d0eb9d4151ef8a03e03a5549804b3604d0153d219c3f90d89"),
 ])
 def test_suite_report_bytes_pinned(suite, digest):
-    # the seed-0 reports of the suites that read M#_s f at many s, pinned
-    # to the bytes of one sort and one scatter per s and side
+    # the seed-0 report of every suite, pinned to its bytes: a faster path
+    # must give the same report
     rep = dump_json(run_suite(suite, {"seed": 0}))
     assert hashlib.sha256(rep.encode()).hexdigest() == digest
 
