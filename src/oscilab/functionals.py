@@ -12,8 +12,10 @@ garo_p_lambda, is one pass of the cell-bitmask kernel
 packing._greedy_disjoint over integer cube indices (11,440 cubes at N=32).
 
 Each functional reads the statistics it needs from one grid.CubeTable,
-flat by cube position (grid._family order): candidate packings, witnesses
-and LP rows are positions, made Cube objects only for returned witnesses.
+flat by cube position (grid._family order), and passes its weights to the
+packing solve of its dimension as flat arrays: candidate packings,
+witnesses and LP rows are positions, made Cube objects only for returned
+witnesses.
 """
 
 from __future__ import annotations
@@ -28,11 +30,12 @@ from .grid import CubeTable, GridFunction, Packing, _index_to_cube
 from .maximal import DEFAULT_S, FULL_GUARD_1D, FULL_GUARD_2D, local_maximal
 from .packing import (
     EXACT_GUARD_2D,
+    _BEST_PACKING,
     _best_by_cells,
+    _best_packing_1d,
     _best_packing_2d,
-    _dp_unbudgeted_1d,
     _greedy_disjoint,
-    max_additive_packing,
+    _packing,
 )
 from .rearrange import rearrange
 from .spaces import RISpaceSpec, norm
@@ -112,18 +115,14 @@ def jn_norm(f: GridFunction, p: float) -> float:
     _require_desk_scale(f)
     n = f.res
     table = CubeTable(f)
-    osc_by_side = table.by_side(table.osc)
+    meas_arr, osc_arr = table.meas, table.osc
     if f.dim == 1:
-        weights = {k: (k / n) * osc**p for k, osc in osc_by_side.items()}
-        _, value = max_additive_packing(weights, (1, n))
-        return float(value ** (1.0 / p))
+        w = meas_arr * osc_arr**p
+        return float(_best_packing_1d(table.sides, table.starts, w, n)[1] ** (1.0 / p))
     if n <= EXACT_GUARD_2D:
         # scalar pow per cube: numpy's array power may round differently
-        weights = {k: np.array([(k / n) ** 2 * x**p for x in osc.tolist()])
-                   for k, osc in osc_by_side.items()}
-        _, value = max_additive_packing(weights, (2, n))
-        return float(value ** (1.0 / p))
-    meas_arr, osc_arr = table.meas, table.osc
+        w = np.array([m * x**p for m, x in zip(meas_arr.tolist(), osc_arr.tolist())])
+        return float(_best_packing_2d(table.sides, table.starts, w, n)[1] ** (1.0 / p))
     best = float(np.max(meas_arr * osc_arr**p, initial=0.0))
     for pk in _packing_family_2d(table, p):
         best = max(best, sum(m * osc**p for m, osc in
@@ -203,8 +202,8 @@ class GaRoEstimate:
     """Two-sided information on the Garsia-Rodemich norm.
 
     upper: 16 * ||local maximal||_X (an admissible majorant route);
-    exact: the infimum over admissible majorants, for X in {L1, Linf} on
-           tiny grids (a linear program for L1, closed form for Linf);
+    exact: the infimum over admissible majorants: for L1 on tiny grids (a
+           linear program), for Linf wherever lower is (closed form);
     witness_packing: packing certifying the reported lower bound;
     lower: the certified lower bound itself (L1/Linf only).
     """
@@ -270,10 +269,11 @@ def garo_norm(
     """Garsia-Rodemich norm estimate for f in X.
 
     The upper route is 16 * ||M#_s f||_X.  For X in {L1, Linf} a certified
-    packing lower bound is attached, and with exact_small on tiny grids
-    (1D N <= 16, 2D N <= 4) the exact infimum over admissible majorants:
-    by linear programming for L1, and for Linf max_Q doubleosc(Q)/|Q|, the
-    lower bound itself.
+    packing lower bound is attached (1D N <= 256, 2D N <= 48), and with
+    exact_small the exact infimum over admissible majorants: for Linf
+    max_Q doubleosc(Q)/|Q|, the lower bound itself, wherever that is
+    computed; for L1 a linear program on tiny grids (1D N <= 16, 2D N <= 4),
+    never below the lower bound.
     """
     if not 0 < s < 1:
         raise ConfigError(f"s must lie in (0,1), got {s}")
@@ -284,9 +284,9 @@ def garo_norm(
     if kind != "other" and desk:
         table = CubeTable(f)
         if kind == "l1":
-            weights = table.by_side(table.do)
-            packing, value = max_additive_packing(weights, (f.dim, f.res))
-            est.witness_packing, est.lower = packing, float(value)
+            kept, value = _BEST_PACKING[f.dim](table.sides, table.starts, table.do, f.res)
+            est.lower = float(value)
+            est.witness_packing = _packing(kept, table.sides, table.starts, f.res, f.dim)
         else:  # the first best single cube in (side, origin) order
             ratio = table.do / table.meas
             i = int(np.argmax(ratio))
@@ -296,15 +296,20 @@ def garo_norm(
     if exact_small:
         if kind == "other":
             raise ConfigError("exact majorant oracle supports only L1 and Linf")
-        guard = GARO_EXACT_GUARD_1D if f.dim == 1 else GARO_EXACT_GUARD_2D
+        if kind == "l1":
+            guard = GARO_EXACT_GUARD_1D if f.dim == 1 else GARO_EXACT_GUARD_2D
+        else:
+            guard = FULL_GUARD_1D if f.dim == 1 else FULL_GUARD_2D
         if f.res > guard:
             raise SizeGuardError(
                 f"exact majorant oracle guarded at N <= {guard} for d={f.dim}"
             )
         # GaRo_Linf is max_Q doubleosc(Q)/|Q|, the lower bound: the constant
         # at that value is admissible, and an admissible gamma has
-        # ||gamma||_inf |Q| >= int_Q gamma >= doubleosc(Q) on every cube
-        est.exact = _garo_lp(table) if kind == "l1" else est.lower
+        # ||gamma||_inf |Q| >= int_Q gamma >= doubleosc(Q) on every cube.
+        # HiGHS solves the L1 LP to a tolerance and can land an ulp or two
+        # below the certified lower bound, so exact never reports less.
+        est.exact = est.lower if kind == "linf" else max(_garo_lp(table), est.lower)
     return est
 
 
@@ -336,14 +341,17 @@ def garo_p_lambda(f: GridFunction, p: float, lam: float) -> float:
         return float(np.max(do_arr / budget_arr, initial=0.0))
     q = _conjugate_exponent(p)
     best = float(np.max(do_arr / budget_arr**q, initial=0.0))
-    sides, starts, do_by_side = table.sides, table.starts, table.by_side(do_arr)
+    sides, starts = table.sides, table.starts
+    # |Q|^expo per cube by scalar powers, the terms the ratios sum; budget_arr
+    # is an array power and may round differently
+    cube_budget = np.repeat([((k / n) ** d) ** expo for k in table.side_list],
+                            table.counts)
 
-    def ratio_of(sides, dos) -> float:
-        do = sum(dos)
-        budget = sum(((k / n) ** d) ** expo for k in sides)
+    def ratio_of(pk) -> float:  # pk: positions, ascending
+        do, budget = sum(do_arr[pk].tolist()), sum(cube_budget[pk].tolist())
         return do / budget**q if budget > 0 else 0.0
 
-    best = max(best, ratio_of([1] * n**d, do_by_side[1].tolist()))  # unit
+    best = max(best, ratio_of(np.arange(n**d)))  # unit: side 1 comes first
     pos = do_arr[do_arr > 0]
     if pos.size:
         mu_grid = np.geomspace(
@@ -351,22 +359,16 @@ def garo_p_lambda(f: GridFunction, p: float, lam: float) -> float:
             float(np.max(pos / budget_arr[do_arr > 0])) + 1.0,
             33,
         )
-        if d == 1:
-            # one DP over all multipliers: a weight row per mu, each side's
-            # rows computed as the DP copies them into its table
-            packings = [kept for kept, _ in _dp_unbudgeted_1d(
-                list(do_by_side),
-                lambda k: do_by_side[k] - mu_grid[:, None] * ((k / n) ** expo),
-                n,
-            )]
-        else:  # weights do - mu * |Q|^expo by side, in numpy
-            packings = [_best_packing_2d(sides, starts, np.concatenate(
-                [do - mu * ((k / n) ** d) ** expo for k, do in do_by_side.items()]),
-                n)[0] for mu in mu_grid]
+        if d == 1:  # one DP over all multipliers, a weight row per mu
+            w = mu_grid[:, None] * cube_budget
+            np.subtract(do_arr, w, out=w)
+            packings = [kept for kept, _ in _best_packing_1d(sides, starts, w, n)]
+        else:
+            packings = [_best_packing_2d(sides, starts, do_arr - mu * cube_budget, n)[0]
+                        for mu in mu_grid]
         for pk in packings:
             if pk.size:
-                pk = np.sort(pk)
-                best = max(best, ratio_of(sides[pk].tolist(), do_arr[pk].tolist()))
+                best = max(best, ratio_of(np.sort(pk)))
     return best
 
 
@@ -378,11 +380,9 @@ def campanato_norm(f: GridFunction, lam: float) -> float:
         raise ConfigError(f"lambda must lie in (-{d}, 0], got {lam}")
     _require_desk_scale(f)
     table = CubeTable(f)
-    best = 0.0
-    for k, osc in table.by_side(table.osc).items():
-        meas = (k / f.res) ** d
-        best = max(best, float(osc.max(initial=0.0)) * meas ** (-lam / d))
-    return best
+    scale = np.repeat([((k / f.res) ** d) ** (-lam / d) for k in table.side_list],
+                      table.counts)  # scalar powers, one per side
+    return float(np.max(table.osc * scale, initial=0.0))
 
 
 def sobolev_seminorm(f: GridFunction, alpha: float, p: float) -> float:

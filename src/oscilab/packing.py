@@ -1,16 +1,19 @@
 """Optimization over cube packings: exact 1D dynamic programs, one exact
 2D subset DP for tiny grids, greedy Vitali selection.
 
-1D problems are solved exactly by DPs over cell positions in O(N) numpy
-steps: the unbudgeted DP solves a stack of weight rows at once (O(N^2)
-work per row); the cell-count DP _dp_budgeted_1d tracks cells left
-uncovered (O(N^3) work, O(N^2) memory).  2D maximum-weight square packing
-is combinatorially hard: on tiny grids (N <= EXACT_GUARD_2D) every exact
-answer comes from one include/exclude DP over bitmasks of covered cells,
-_mask_dp (cubes x 2^(N^2) numpy work); larger grids fall back to greedy
-selection whose value is a certified lower bound.  _best_by_cells, the best
-value (sum or max-min) per covered cell count, is the one entry to both
-exact DPs for F, G_p and the Pareto profiles.  Every greedy selection,
+Max-weight packing has one private solve per dimension, _BEST_PACKING[d],
+on flat (sides, starts, w) arrays: _best_packing_1d is one exact DP over
+the cubes grouped by end cell, O(N) numpy steps with work in proportion to
+the cubes passed, on one weight row or a (rows, cubes) stack;
+_best_packing_2d takes the positive weights, weight descending.  The
+cell-count DP _dp_budgeted_1d tracks cells left uncovered (O(N^3) work,
+O(N^2) memory).  2D maximum-weight square packing is combinatorially hard:
+on tiny grids (N <= EXACT_GUARD_2D) every exact answer comes from one
+include/exclude DP over bitmasks of covered cells, _mask_dp (cubes x
+2^(N^2) numpy work); larger grids fall back to greedy selection whose
+value is a certified lower bound.  _best_by_cells, the best value (sum or
+max-min) per covered cell count, is the one entry to both exact cell-count
+DPs for F, G_p and the Pareto profiles.  Every greedy selection,
 here and in functionals and kfunctional, is one pass of _greedy_disjoint.
 
 The solvers take and return flat positions of grid._family; only the public
@@ -147,37 +150,30 @@ def _mask_dp_packing(sides, starts, w, n: int) -> list:
 # ---------------------------------------------------------------------------
 # weight normalization
 
-def _weight_rows(weights, n: int, d: int) -> dict:
-    """{side: flat float row over origins in lex order}.
+def _flat_weights(weights, n: int, d: int) -> tuple:
+    """(sides, starts, w) over the flat family of every side.
 
-    From a {side: per-origin array} dict, in the dict's order (the 1D DPs
-    break ties by it), which must hold every side 1..N, side k with one
-    entry per origin, (N-k+1)^d; or from a Cube -> weight callable, called
-    once per cube in (side, origin lex) order.
+    From a {side: per-origin array} dict, which must hold every side 1..N,
+    side k with one entry per origin, (N-k+1)^d: in 1D side after side in
+    the dict's order (the 1D DPs break ties by it), in 2D in (side, origin
+    lex) order.  From a Cube -> weight callable, called once per cube in
+    (side, origin lex) order.
     """
-    if isinstance(weights, dict):
-        rows = {k: np.asarray(v, dtype=float).ravel() for k, v in weights.items()}
-        if set(rows) != set(range(1, n + 1)) or any(
-            r.size != (n - k + 1) ** d for k, r in rows.items()
-        ):
-            raise ConfigError(
-                f"weights need every side k = 1..{n}, each with one entry "
-                f"per origin, (N-k+1)^{d}"
-            )
-        return rows
     if callable(weights):
         sides, starts = _family(n, d, range(1, n + 1))
-        return {k: np.array([float(weights(_index_to_cube(k, s, n, d)))
-                             for s in starts[sides == k].tolist()])
-                for k in range(1, n + 1)}
-    raise ConfigError("weights must be a callable or {side: array} dict")
-
-
-def _flat_weights(weights, n: int, d: int) -> tuple:
-    """(sides, starts, w) over the flat family of every side, validated as
-    in _weight_rows: in 1D side after side in the weight dict's order (the
-    budgeted witness breaks ties by it), in 2D in (side, origin lex) order."""
-    rows = _weight_rows(weights, n, d)
+        return sides, starts, np.array([
+            float(weights(_index_to_cube(k, s, n, d)))
+            for k, s in zip(sides.tolist(), starts.tolist())])
+    if not isinstance(weights, dict):
+        raise ConfigError("weights must be a callable or {side: array} dict")
+    rows = {k: np.asarray(v, dtype=float).ravel() for k, v in weights.items()}
+    if set(rows) != set(range(1, n + 1)) or any(
+        r.size != (n - k + 1) ** d for k, r in rows.items()
+    ):
+        raise ConfigError(
+            f"weights need every side k = 1..{n}, each with one entry "
+            f"per origin, (N-k+1)^{d}"
+        )
     order = list(rows) if d == 1 else range(1, n + 1)
     return (*_family(n, d, order), np.concatenate([rows[k] for k in order]))
 
@@ -185,83 +181,68 @@ def _flat_weights(weights, n: int, d: int) -> tuple:
 def max_measure_packing(cubes: Iterable[Cube], grid) -> tuple:
     """Maximum total measure of pairwise-disjoint cubes from the candidates.
 
-    max_additive_packing on the weights |Q| for the candidates and -inf for
-    every other cube: exact in 1D and for 2D N <= 4, greedy by size
-    descending otherwise (a certified lower bound).  A candidate offered
-    twice is kept at most once.  Returns (Packing, total measure).
+    The one packing solve of the grid's dimension on the weights |Q| of the
+    candidates alone, each offered once, in (side, origin) order: exact in
+    1D (work in proportion to the candidate count) and for 2D N <= 4,
+    greedy by size descending otherwise (a certified lower bound).  Ties go
+    to the smaller side, then the earlier origin.  Returns (Packing, total
+    measure).
     """
     d, n = _check_grid(grid)
-    cand = np.zeros((n + 1, n**d), dtype=bool)  # by (side, first cell)
-    cand[_cube_index(cubes, grid)] = True
-    sides, starts = _family(n, d, range(1, n + 1))
-    rows = {k: np.where(cand[k, starts[sides == k]], (k / n) ** d, -np.inf)
-            for k in range(1, n + 1)}
-    return max_additive_packing(rows, grid)
+    sides, starts = _cube_index(cubes, grid)
+    key = np.unique(sides * n**d + starts)  # each candidate once, by (side, origin)
+    sides, starts = key // n**d, key % n**d
+    meas = np.array([(k / n) ** d for k in range(n + 1)])  # scalar powers
+    kept, val = _BEST_PACKING[d](sides, starts, meas[sides], n)
+    return _packing(kept, sides, starts, n, d), val
 
 
-def _weights_by_end_1d(sides, row_of, n: int) -> tuple:
-    """(sides, first, at_end) with at_end(j)[i, r] the weight in row r of
-    the cube [j - sides[i], j), -inf where sides[i] > j, and first[i] + j
-    that cube's flat position in _family(n, 1, sides).
+def _best_packing_1d(sides, starts, w, n: int):
+    """Max-weight packing of the 1D cubes (side, first cell) with flat
+    weights w, or of each row of a (rows, cubes) weight stack, in one DP.
 
-    row_of(k) gives the per-origin weights of side k, of shape (origins,) or
-    (rows, origins); it is called once per side, and each result is copied
-    straight into one flat (rows, cubes) table, side after side in the order
-    of sides, which breaks ties between sides.  A trailing -inf column is
-    what sides longer than j read.
+    The cubes are grouped by end cell in a stable sort, so each group keeps
+    the given order.  best[j, r] is the best weight of row r inside [0, j);
+    step j compares, for all rows at once, skipping cell j-1 with each cube
+    ending at j: the work follows the cube count.  Skipping wins a tie, then
+    the first cube in the given order (argmax, kept in taken).  Returns
+    (kept positions, value), one per row for a stack; the positions index
+    the given arrays, in descending order of their cubes' ends.
     """
-    keys = [k for k in sides if int(k) <= n]
-    sides = np.array([int(k) for k in keys], dtype=int)
-    width = n - sides + 1
-    starts = np.cumsum(width) - width
-    flat = np.full((1, 1), -np.inf)  # no sides: only the -inf column
-    for i, (k, a, w) in enumerate(zip(keys, starts, width)):
-        v = np.atleast_2d(np.asarray(row_of(k), dtype=float))
-        if i == 0:  # the first side's rows give the row count
-            flat = np.full((v.shape[0], width.sum() + 1), -np.inf)
-        flat[:, a: a + w] = v[:, :w]
-    first = starts - sides
-
-    def at_end(j: int) -> np.ndarray:
-        return flat[:, np.where(sides <= j, first + j, -1)].T
-
-    return sides, first, at_end
-
-
-def _dp_unbudgeted_1d(sides, row_of, n: int) -> list:
-    """Max-weight packing for every weight row in one DP; the weights are
-    read as in _weights_by_end_1d.
-
-    best[j, r] is the best weight of row r inside [0, j); step j compares,
-    for all rows at once, skipping cell j-1 with every cube ending at j.
-    Skipping wins a tie, then the first side in the order of sides.  Returns
-    one (kept positions, value) per row, the positions in the flat layout
-    of _family(n, 1, sides), in descending order of their cubes' ends.
-    """
-    sides, first, at_end = _weights_by_end_1d(sides, row_of, n)
-    rows = at_end(0).shape[1]
+    stack = np.atleast_2d(w)
+    rows = stack.shape[0]
+    ends = starts + sides
+    order = np.argsort(ends, kind="stable")
+    # the cubes ending at j are order[at[j]:at[j + 1]], first cells first[...]
+    at = np.searchsorted(ends[order], np.arange(n + 2)).tolist()
+    first = starts[order]
     best = np.zeros((n + 1, rows))
-    taken = np.zeros((n + 1, rows), dtype=int)  # 1 + index into sides, 0 = skip
-    cand = np.empty((sides.size + 1, rows))
+    taken = np.zeros((n + 1, rows), dtype=int)  # 0 = skip, i = group cube i-1
     cols = np.arange(rows)
     for j in range(1, n + 1):
+        lo, hi = at[j], at[j + 1]
+        if lo == hi:
+            best[j] = best[j - 1]
+            continue
+        cand = np.empty((hi - lo + 1, rows))
         cand[0] = best[j - 1]
-        np.add(best[np.maximum(j - sides, 0)], at_end(j), out=cand[1:])
+        np.add(best[first[lo:hi]], stack[:, order[lo:hi]].T, out=cand[1:])
         i = cand.argmax(axis=0)
         best[j] = cand[i, cols]
         taken[j] = i
+    order, first = order.tolist(), first.tolist()
     out = []
-    for r in range(rows):
+    for r, t in enumerate(taken.T.tolist()):
         kept, j = [], n
         while j > 0:
-            i = int(taken[j, r]) - 1
-            if i < 0:
-                j -= 1
+            if t[j]:
+                c = at[j] + t[j] - 1  # the kept cube's place in end order
+                kept.append(order[c])
+                j = first[c]
             else:
-                kept.append(first[i] + j)
-                j -= int(sides[i])
+                j -= 1
         out.append((np.array(kept, dtype=int), float(best[n, r])))
-    return out
+    return out if np.ndim(w) == 2 else out[0]
 
 
 def additive_pareto_1d(weights, grid) -> np.ndarray:
@@ -298,27 +279,25 @@ def max_additive_packing(weights, grid, measure_budget: int | None = None) -> tu
     """Maximize the sum of cube weights over packings.
 
     weights: callable Cube -> real, or {side: per-origin array} holding
-    every side.  1D is an exact DP over cell positions in O(N) numpy steps:
-    O(N^2) work, and O(N^3) work with O(N^2) memory for the budgeted
-    variant.  2D takes the cubes with weight > 0, weight descending, ties by
-    (side, origin): for N <= 4 the exact packing comes from _mask_dp over
-    them, which adds each packing's weights in that order; larger grids
-    take one _greedy_disjoint pass over them.  The value is the kept
-    weights summed in that order.  With measure_budget = m the packing must
-    cover exactly m cells.  Returns (Packing, value); the empty packing
-    (value 0) wins when every weight is <= 0.
+    every side, flattened by _flat_weights for the one solve of the grid's
+    dimension.  1D is the exact DP over cubes grouped by end cell, O(N)
+    numpy steps and O(N^2) work, ties to a skipped cell, then to the first
+    side in the weight dict's order; the budgeted variant is O(N^3) work
+    with O(N^2) memory.  2D takes the cubes with weight > 0, weight
+    descending, ties by (side, origin): for N <= 4 the exact packing comes
+    from _mask_dp over them, which adds each packing's weights in that
+    order; larger grids take one _greedy_disjoint pass over them.  The value
+    is the kept weights summed in that order.  With measure_budget = m the
+    packing must cover exactly m cells.  Returns (Packing, value); the
+    empty packing (value 0) wins when every weight is <= 0.
     """
     d, n = _check_grid(grid)
-    if d == 1 and measure_budget is None:
-        rows = _weight_rows(weights, n, 1)
-        kept, val = _dp_unbudgeted_1d(list(rows), rows.__getitem__, n)[0]
-        return _packing(kept, *_family(n, 1, list(rows)), n, 1), val
     sides, starts, w = _flat_weights(weights, n, d)
+    if measure_budget is None:
+        kept, val = _BEST_PACKING[d](sides, starts, w, n)
+        return _packing(kept, sides, starts, n, d), val
     if d == 2:
-        if measure_budget is not None:
-            raise ConfigError("measure budgets are supported in 1D only")
-        kept, val = _best_packing_2d(sides, starts, w, n)
-        return _packing(kept, sides, starts, n, 2), val
+        raise ConfigError("measure budgets are supported in 1D only")
     m = int(measure_budget)
     if not 0 <= m <= n:
         raise ConfigError(f"measure budget {m} outside 0..{n}")
@@ -330,9 +309,11 @@ def max_additive_packing(weights, grid, measure_budget: int | None = None) -> tu
 
 
 def _best_packing_2d(sides, starts, w, n: int) -> tuple:
-    """(kept positions, value) of max_additive_packing's 2D solve on the
-    family (sides, starts) with flat weights w, the value summed over the
-    kept positions in the order returned."""
+    """(kept positions, value) of the 2D packing solve on the cubes (side,
+    first cell) with flat weights w: the cubes with weight > 0, weight
+    descending, ties by (side, origin), through _mask_dp for N <= 4 and one
+    _greedy_disjoint pass beyond; the value summed over the kept positions
+    in the order returned."""
     pos = np.nonzero(w > 0)[0]
     order = pos[np.lexsort((starts[pos], sides[pos], -w[pos]))]
     if n <= EXACT_GUARD_2D:
@@ -341,6 +322,10 @@ def _best_packing_2d(sides, starts, w, n: int) -> tuple:
         kept = order[_greedy_disjoint(sides[order], starts[order], n, 2)]
     # cumsum adds left to right, as the DP and a running sum over acceptances
     return kept, float(np.cumsum(w[kept])[-1]) if kept.size else 0.0
+
+
+# the one packing solve per dimension: (sides, starts, w, n) -> (kept, value)
+_BEST_PACKING = {1: _best_packing_1d, 2: _best_packing_2d}
 
 
 def _dp_budgeted_1d(sides, starts, w, n: int, op) -> np.ndarray:

@@ -88,6 +88,8 @@ class TablePhi:
         v = np.asarray(v, dtype=float)
         if s.ndim != 1 or s.size < 1 or s.size != v.size:
             raise ConfigError("phi table needs matching s and phi(s) columns")
+        if not (np.all(np.isfinite(s)) and np.all(np.isfinite(v))):
+            raise ConfigError("phi table entries must be finite numbers")
         order = np.argsort(s)
         s, v = s[order], v[order]
         if s[0] <= 0 or s[-1] > 1 + 1e-12:
@@ -137,25 +139,28 @@ def phi_preset(name: str):
 
 
 def phi_from_csv(path) -> TablePhi:
-    """Load a phi table from CSV rows 's,phi(s)' (optional header)."""
+    """Load a phi table from CSV rows 's,phi(s)'; the first data row may be
+    a header, any later row must hold two numbers."""
     ss, vs = [], []
     try:
         with open(path) as fh:
             lines = fh.readlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read phi table {path}: {exc}") from exc
-    for line in lines:
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split(",")
+    rows = [line.strip() for line in lines]
+    rows = [r for r in rows if r and not r.startswith("#")]
+    for i, row in enumerate(rows):
+        fields = row.split(",")
         if len(fields) < 2:
-            raise ConfigError(f"phi table row needs 's,phi(s)', got {line!r}")
+            raise ConfigError(f"phi table row needs 's,phi(s)', got {row!r}")
         try:
-            ss.append(float(fields[0]))
-            vs.append(float(fields[1]))
+            s, v = float(fields[0]), float(fields[1])
         except ValueError:
-            continue  # header row
+            if i == 0:
+                continue  # header row
+            raise ConfigError(f"phi table row needs two numbers, got {row!r}") from None
+        ss.append(s)
+        vs.append(v)
     return TablePhi(ss, vs)
 
 

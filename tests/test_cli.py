@@ -208,12 +208,18 @@ def test_kprofile_negative_points_rejected(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "space",
-    ["lp:abc", "lp:nan", "weak:x", "marcinkiewicz:power:y", "marcinkiewicz:MISSING"],
+    ["lp:abc", "lp:nan", "weak:x", "marcinkiewicz:power:y", "marcinkiewicz:MISSING",
+     "marcinkiewicz:NANTABLE", "marcinkiewicz:BADROW"],
 )
 def test_norm_bad_space_is_config_error(tmp_path, capsys, space):
     grid = tmp_path / "f.csv"
     main(["gen", "indicator", "--d", "1", "--N", "8", "--out", str(grid)])
     capsys.readouterr()
+    # phi tables: a non-finite entry, and a non-numeric row past the header
+    for name, text in (("NANTABLE", "s,phi\n0.5,nan\n1,1\n"),
+                       ("BADROW", "s,phi\n0.25,0.5\nfoo,bar\n1,1\n")):
+        (tmp_path / f"{name}.csv").write_text(text)
+        space = space.replace(name, str(tmp_path / f"{name}.csv"))
     space = space.replace("MISSING", str(tmp_path / "missing.csv"))
     assert main(["norm", str(grid), "--space", space]) == 2
     assert capsys.readouterr().err.startswith("error: ")

@@ -138,7 +138,7 @@ def test_garo_exact_matches_rational_simplex(rng):
         assert repr(esti.exact) == repr(esti.lower)
         # certified lower bound from the witness packing
         assert est1.lower == pytest.approx(brute_garo_l1_lower(f), abs=1e-9)
-        assert est1.lower <= est1.exact + 1e-9
+        assert est1.lower <= est1.exact
 
 
 def test_garo_embedding_factor_four(rng):
@@ -150,10 +150,29 @@ def test_garo_embedding_factor_four(rng):
             assert est.exact <= 4 * grid_norm(space, f) * (1 + 1e-9)
 
 
+@pytest.mark.parametrize("kind,d,n,seed", [
+    ("random_steps", 1, 7, 0),
+    ("cosine_mix", 1, 7, 1),
+    ("random_steps", 1, 16, 1),
+    ("random_steps", 2, 3, 1),
+])
+def test_garo_l1_exact_never_below_lower(kind, d, n, seed):
+    # grids on which the LP alone lands 1-2 ulp below the certified bound
+    est = garo_norm(generate(kind, d, n, seed=seed), lp(1), exact_small=True)
+    assert est.lower <= est.exact
+
+
 def test_garo_exact_flag_errors(rng):
     f = GridFunction(1, 32, rng.normal(size=32))
     with pytest.raises(SizeGuardError):
         garo_norm(f, lp(1), exact_small=True)
+    # the Linf value is the lower bound, so it runs wherever that does
+    for g in (f, GridFunction(2, 8, rng.normal(size=64))):
+        est = garo_norm(g, lp(math.inf), exact_small=True)
+        assert repr(est.exact) == repr(est.lower)
+    with pytest.raises(SizeGuardError):
+        garo_norm(GridFunction(1, 512, rng.normal(size=512)), lp(math.inf),
+                  exact_small=True)
     small = GridFunction(1, 4, rng.normal(size=4))
     with pytest.raises(ConfigError):
         garo_norm(small, lp(2), exact_small=True)

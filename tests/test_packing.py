@@ -118,6 +118,22 @@ def test_max_measure_duplicated_candidates(rng, d, n):
                     if all(q in keepset for q in p)), default=0.0)
         assert val == pytest.approx(best, abs=1e-12)
         assert max_measure_packing(keep, (d, n))[1] == val
+    # sides 2 and 3 (1D) or 1 and 3 (2D) only, offered shuffled with
+    # duplicates: the witness is pinned, ties to the smaller side first
+    keep = [q for q in cubes if q.side in ((2, 3) if d == 1 else (1, 3))]
+    offered = keep + keep[::2]
+    pk, val = max_measure_packing([offered[i] for i in rng.permutation(len(offered))],
+                                  (d, n))
+    pinned = {
+        (1, 7): [((0,), 2), ((2,), 2), ((4,), 3)],
+        (1, 10): [((o,), 2) for o in range(0, 10, 2)],
+        (2, 3): [((i, j), 1) for i in range(3) for j in range(3)],
+        (2, 4): [((0, j), 1) for j in range(4)] + [((i, 0), 1) for i in (1, 2, 3)]
+        + [((1, 1), 3)],
+    }
+    assert [(q.origin, q.side) for q in pk] == pinned[d, n]
+    ref, ref_val = max_measure_packing(keep, (d, n))
+    assert pk.cubes == ref.cubes and val == ref_val
 
 
 def _weight_desc_sum(weights, packing):
@@ -336,7 +352,14 @@ def test_max_additive_tie_break_pinned():
     per_cell = {k: np.full(n - k + 1, float(k)) for k in range(1, n + 1)}
     reverse = dict(reversed(list(per_cell.items())))
     zero = {k: np.zeros(n - k + 1) for k in range(1, n + 1)}
+    # restricted: no unit at an odd origin and no side-4 cube
+    restricted = {k: v.copy() for k, v in per_cell.items()}
+    restricted[1][1::2] = restricted[4][:] = -math.inf
+    # negative odd sides under ties of the even ones
+    negative = {k: np.full(n - k + 1, float(k) if k % 2 == 0 else -1.0)
+                for k in range(1, n + 1)}
     units = [Cube((o,), 1) for o in range(n)]
+    pairs = [Cube((o,), 2) for o in range(0, n, 2)]
     for w, m, want, value in (
         (per_cell, None, units, 6.0),
         (reverse, None, [Cube((0,), 6)], 6.0),
@@ -345,6 +368,12 @@ def test_max_additive_tie_break_pinned():
         (per_cell, 4, units[:4], 4.0),
         (reverse, 4, [Cube((0,), 4)], 4.0),
         (zero, 3, units[:3], 0.0),
+        (restricted, None, pairs, 6.0),
+        (dict(reversed(list(restricted.items()))), None, [Cube((0,), 6)], 6.0),
+        (restricted, 4, pairs[:2], 4.0),
+        (negative, None, pairs, 6.0),
+        (dict(reversed(list(negative.items()))), None, [Cube((0,), 6)], 6.0),
+        (negative, 4, pairs[:2], 4.0),
     ):
         pk, val = max_additive_packing(w, (1, n), measure_budget=m)
         assert pk.cubes == want and val == value
