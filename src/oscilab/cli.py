@@ -90,6 +90,13 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _write_out(path, text: str) -> None:
+    """Write text, newline-terminated, to the optional --out path."""
+    if path:
+        with open(path, "w") as fh:
+            fh.write(text + "\n")
+
+
 def _cmd_gen(args) -> int:
     params = {}
     if args.kind == "logspike":
@@ -115,9 +122,7 @@ def _cmd_norm(args) -> int:
         method="rearranged profile norm",
     )
     text = dump_json(rep)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+    _write_out(args.out, text)
     print(text)
     return 0
 
@@ -148,9 +153,7 @@ def _cmd_garo(args) -> int:
         constants={"upper": est.upper, "exact": est.exact, "lower": est.lower},
     )
     text = dump_json(rep)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+    _write_out(args.out, text)
     print(text)
     return 0
 
@@ -189,9 +192,7 @@ def _cmd_verify(args) -> int:
         config["s"] = args.s
     report = run_suite(args.suite, config)
     text = dump_json(report)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+    _write_out(args.out, text)
     for c in report["checks"]:
         print(f"[{c['status']:>4}] {c['name']}: {c['paper_anchor']}")
     print(f"suite {args.suite}: {'PASS' if report['passed'] else 'FAIL'}")

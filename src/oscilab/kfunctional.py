@@ -21,6 +21,7 @@ route and the exhaustive oracle use bitwise-identical comparisons.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -28,8 +29,8 @@ import numpy as np
 
 from .errors import ConfigError, InvariantViolation
 from .grid import CubeTable, GridFunction
-from .maximal import (DEFAULT_S, _sup_of, _sup_over_cubes, local_maximal,
-                      resolve_cube_mode, sharp_maximal)
+from .maximal import (DEFAULT_S, _sup_of, local_maximal, resolve_cube_mode,
+                      sharp_maximal)
 from .packing import EXACT_GUARD_2D, _best_by_cells, _greedy_disjoint, _vitali
 from .rearrange import StepProfile, rearrange
 
@@ -163,11 +164,11 @@ def k_l1_bmo(
 
     BS   -> t * (f#)*(t)
     JT   -> int_0^t (M#_s f)*(u) du
-    PACK -> t * F(t) with the packing level sweep
+    PACK -> t * F(t), packing profile F
     PACK_P -> t * F_p(t), the L_p variant (needs p in (0,1))
     """
     f0 = _mean_zero(f)
-    # (f#)* for BS and the default t-grid, and the PACK level sweep, read
+    # (f#)* for BS and the default t-grid, and the packing profile F, read
     # one table's mean oscillations
     table = CubeTable(f0, resolve_cube_mode(f0, cube_mode))
     sharp = (rearrange(_sup_of(table, table.osc))
@@ -181,11 +182,11 @@ def k_l1_bmo(
         prof = rearrange(local_maximal(f0, s, cube_mode))
         raw = prof.integral_to(t_grid)
     elif method == "PACK":
-        raw = t_grid * _LevelSweep(table, table.osc).values(t_grid)
+        raw = t_grid * _f_values(table, table.osc, t_grid)
     elif method == "PACK_P":
         if p is None or not 0 < p < 1:
             raise ConfigError("PACK_P needs p in (0,1)")
-        raw = t_grid * _LevelSweep(table, table.osc_p(p)).values(t_grid)
+        raw = t_grid * _f_values(table, table.osc_p(p), t_grid)
         method = f"PACK_P({p:g})"
     else:
         raise ConfigError(f"unknown K method {method!r}")
@@ -195,102 +196,93 @@ def k_l1_bmo(
 # ---------------------------------------------------------------------------
 # the packing profile F
 
-class _LevelSweep:
-    """F(t) at many t for one statistic of a grid.CubeTable.
+def _f_values(table: CubeTable, stat: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """F at every t of ts, each inside (0, 1], for one statistic of a
+    grid.CubeTable, flat over its cube positions (side, origin lex).
 
-    stat is flat over the table's cube positions, (side, origin lex), and
-    the table gives their sides and first cells.  F(t) is the largest
-    statistic level v for which the maximal cell count of a disjoint family
-    of cubes with statistic >= v exceeds t*N^d, that is the largest minimum
-    statistic over packings of more than t*N^d cells.
-
-    Every exact case reads F(t) from one table best[c], the largest minimum
+    F(t) is the largest statistic level v for which the maximal cell count
+    of a disjoint family of cubes with statistic >= v exceeds t*N^d, that
+    is the largest minimum statistic over packings of more than t*N^d cells.
+    Every exact case reads it from one table best[c], the largest minimum
     statistic over packings of at least c cells, with one searchsorted:
-    - full cubes in 1D, and in 2D with N <= EXACT_GUARD_2D: the suffix
-      maximum of packing._best_by_cells with np.minimum, the largest
-      minimum statistic per exactly covered cell count (the 1D cell-count
-      DP, O(N^3), or the 2D subset DP over cell masks).
     - dyadic cubes, 1D and 2D: they are nested or disjoint, so the maximal
       cubes with statistic >= v pack their whole union and best[c] is the
       c-th largest over cells of the top statistic of a cube holding it,
       O(N^d log N).
-    2D full cubes beyond that guard count cells per level with the greedy
-    selection by size, a certified lower bound, and F(t) is a binary
-    search over the levels: a level is one packing._greedy_disjoint pass,
-    side descending then origin lex, over the cubes with statistic >= level.
+    - full cubes in 1D, and in 2D with N <= EXACT_GUARD_2D: the suffix
+      maximum of packing._best_by_cells with np.minimum, the largest
+      minimum statistic per exactly covered cell count (the 1D cell-count
+      DP, O(N^3), or the 2D subset DP over cell masks).
+    2D full cubes beyond that guard search the greedy counts of
+    _greedy_counts_2d with _level_search, a certified lower bound.
     """
+    if not np.all((ts > 0) & (ts <= 1)):
+        raise ConfigError("F is defined on (0, 1]")
+    n, d = table.f.res, table.f.dim
+    if table.dyadic:
+        best = np.concatenate(([np.inf], np.sort(_sup_of(table, stat).values)[::-1]))
+    elif d == 1 or n <= EXACT_GUARD_2D:
+        best = _best_by_cells(table.sides, table.starts, stat, n, d, np.minimum)
+        best = np.maximum.accumulate(best[::-1])[::-1]
+    else:
+        levels, cells = _greedy_counts_2d(table, stat)
+        return np.array([_level_search(levels, cells, float(t) * n**d) for t in ts])
+    best = np.append(best, -np.inf)  # c = 0..N^d+1
+    # smallest cell count c with c > t*N^d
+    vals = best[np.searchsorted(np.arange(n**d + 1), ts * n**d, side="right")]
+    return np.where(vals > 0, vals, 0.0)
 
-    def __init__(self, table: CubeTable, stat: np.ndarray):
-        self.table, self.stat, self.dyadic = table, stat, table.dyadic
-        self.f, self.n, self.d = table.f, table.f.res, table.f.dim
-        self.levels = None  # the greedy level search only
-        if self.d == 1 or self.dyadic or self.n <= EXACT_GUARD_2D:
-            return
-        self.sides, self.starts = table.sides, table.starts
-        self.order = np.lexsort((self.starts, -self.sides))
-        levels = np.unique(stat[stat > 0])
-        if levels.size > _LEVEL_CAP_2D:
-            # keep the exact top levels and the whole-cube statistic (the
-            # ||f||_1 witness near t=1), thin the rest uniformly
-            top = levels[-32:]
-            rest = levels[:-32]
-            pick = np.unique(
-                np.linspace(0, rest.size - 1, _LEVEL_CAP_2D - 32).astype(int)
-            )
-            levels = np.union1d(rest[pick], top)
-            if stat[-1] > 0:
-                levels = np.union1d(levels, [stat[-1]])
-        self.levels = levels
-        self._cache: dict = {}
 
-    def _top_by_cell(self) -> np.ndarray:
-        """Per cell, the largest statistic of a dyadic cube holding it."""
-        return _sup_over_cubes(self.f, self.table.by_side(self.stat).__getitem__,
-                               True)
+def _greedy_counts_2d(table: CubeTable, stat: np.ndarray):
+    """(levels, cells) for a 2D full-cube table: the positive statistic
+    levels ascending, thinned to _LEVEL_CAP_2D, and cells(i), the cell count
+    of one packing._greedy_disjoint pass, side descending then origin lex,
+    over the cubes with statistic >= levels[i]; a lower bound on the
+    maximal packed count, memoised per level."""
+    levels = np.unique(stat[stat > 0])
+    if levels.size > _LEVEL_CAP_2D:
+        # keep the exact top levels and the whole-cube statistic (the
+        # ||f||_1 witness near t=1), thin the rest uniformly
+        top = levels[-32:]
+        rest = levels[:-32]
+        pick = np.unique(
+            np.linspace(0, rest.size - 1, _LEVEL_CAP_2D - 32).astype(int)
+        )
+        levels = np.union1d(rest[pick], top)
+        if stat[-1] > 0:
+            levels = np.union1d(levels, [stat[-1]])
+    n, sides, starts = table.f.res, table.sides, table.starts
+    order = np.lexsort((starts, -sides))
 
-    def values(self, ts: np.ndarray) -> np.ndarray:
-        """F at every t of ts, each inside (0, 1]."""
-        if not np.all((ts > 0) & (ts <= 1)):
-            raise ConfigError("F is defined on (0, 1]")
-        if self.levels is not None:
-            return np.array([self._value_2d(float(t)) for t in ts])
-        cells = self.n**self.d
-        best = np.append(self._best_by_cells(), -np.inf)  # c = 0..N^d+1
-        # smallest cell count c with c > t*N^d
-        vals = best[np.searchsorted(np.arange(cells + 1), ts * cells, side="right")]
-        return np.where(vals > 0, vals, 0.0)
+    @functools.cache
+    def cells(i: int) -> int:
+        idx = order[stat[order] >= levels[i]]
+        kept = _greedy_disjoint(sides[idx], starts[idx], n, 2)
+        return int((sides[idx[kept]] ** 2).sum())
 
-    def _best_by_cells(self) -> np.ndarray:
-        """best[c] = the largest minimum statistic over packings of at least
-        c cells, for c = 0..N^d."""
-        if self.dyadic:
-            return np.concatenate(([np.inf], np.sort(self._top_by_cell())[::-1]))
-        best = _best_by_cells(self.table.sides, self.table.starts, self.stat,
-                              self.n, self.d, np.minimum)
-        return np.maximum.accumulate(best[::-1])[::-1]
+    return levels, cells
 
-    def _cells_2d(self, level_idx: int) -> int:
-        if level_idx not in self._cache:
-            idx = self.order[self.stat[self.order] >= self.levels[level_idx]]
-            kept = _greedy_disjoint(self.sides[idx], self.starts[idx], self.n, 2)
-            self._cache[level_idx] = int((self.sides[idx[kept]] ** 2).sum())
-        return self._cache[level_idx]
 
-    def _value_2d(self, t: float) -> float:
-        """Largest level whose greedy packed cell count exceeds t*N^2."""
-        threshold = t * self.n**self.d
-        if self.levels.size == 0 or self._cells_2d(0) <= threshold:
-            return 0.0
-        lo, hi = 0, self.levels.size - 1  # predicate cells(i) > thr decreasing
-        if self._cells_2d(hi) > threshold:
-            return float(self.levels[hi])
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if self._cells_2d(mid) > threshold:
-                lo = mid
-            else:
-                hi = mid
-        return float(self.levels[lo])
+def _level_search(levels: np.ndarray, cells, threshold: float) -> float:
+    """The largest of the ascending levels whose packed cell count
+    cells(i) exceeds threshold, 0.0 if none does.
+
+    A binary search: it assumes the counts fall as the level rises.  Greedy
+    counts need not, and where they do not it may stop at a level below the
+    largest one whose count exceeds threshold.
+    """
+    if levels.size == 0 or cells(0) <= threshold:
+        return 0.0
+    lo, hi = 0, levels.size - 1  # predicate cells(i) > threshold decreasing
+    if cells(hi) > threshold:
+        return float(levels[hi])
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if cells(mid) > threshold:
+            lo = mid
+        else:
+            hi = mid
+    return float(levels[lo])
 
 
 def f_sharp_curve(
@@ -302,7 +294,7 @@ def f_sharp_curve(
     """F(t) (or its L_p variant) on a grid of t values."""
     ts = np.asarray(t_grid, dtype=float)
     table = CubeTable(f, resolve_cube_mode(f, cube_mode))
-    return _LevelSweep(table, table.osc_p(p)).values(ts)
+    return _f_values(table, table.osc_p(p), ts)
 
 
 def f_sharp_profile(f: GridFunction, t: float, cube_mode: str = "auto") -> float:

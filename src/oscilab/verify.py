@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import math
 import numbers
-import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from .errors import ConfigError
 from .functionals import (
+    GARO_EXACT_GUARD_1D,
+    GARO_EXACT_GUARD_2D,
     campanato_norm,
     gamma_membership,
     garo_norm,
@@ -46,6 +46,7 @@ from .maximal import (
 from .packing import union_measure, vitali_select
 from .rearrange import (
     dilate,
+    distribution,
     double_star,
     hardy_P,
     hlpc_dominates,
@@ -58,19 +59,6 @@ from .spaces import grid_norm, lp, marcinkiewicz, norm, phi_preset, weak_lp
 SUITE_IDS = ("rearr", "maximal", "garo", "kfun", "morrey", "blowup")
 
 __all__ = ["SUITE_IDS", "run_suite"]
-
-
-def _pmap(fn, items):
-    raw = os.environ.get("OSCILAB_THREADS", "1") or "1"
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"OSCILAB_THREADS must be an integer, got {raw!r}") from exc
-    items = list(items)
-    if cap <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=cap) as ex:
-        return list(ex.map(fn, items))
 
 
 def _corpus(seed: int, n_1d, n_2d, per_grid: int = 4) -> list:
@@ -122,10 +110,9 @@ def suite_rearr(config: dict) -> list:
     seed = config.get("seed", 0)
     corpus = _corpus(seed, n_1d=(8, 16, 32), n_2d=(6, 8, 12), per_grid=3)
     checks = []
-    scale = lambda f: max(1.0, float(np.max(np.abs(f.values))))
 
     worst = 0.0
-    for lo, hi in _pmap(_sandwich_worst, corpus):
+    for lo, hi in map(_sandwich_worst, corpus):
         worst = max(worst, lo, hi)
     checks.append(check(
         "oscillation-sandwich",
@@ -136,8 +123,6 @@ def suite_rearr(config: dict) -> list:
     ok = True
     for f in corpus:
         prof = rearrange(f)
-        from .rearrange import distribution
-
         for t in np.unique(np.abs(f.values)):
             lhs = distribution(f, float(t))
             rhs = float(np.count_nonzero(prof.sample(
@@ -310,7 +295,7 @@ def suite_maximal(config: dict) -> list:
         svals = [s] + ([0.1, 0.3] if i < 9 else []) + (sweep if i % 3 == 0 else [])
         return dict(zip(svals, local_maximals(corpus[i], svals)))
 
-    mlocs = _pmap(mlocs_for, range(len(corpus)))
+    mlocs = [mlocs_for(i) for i in range(len(corpus))]
     tables = [CubeTable(f) for f in corpus]
 
     ok = True
@@ -336,10 +321,8 @@ def suite_maximal(config: dict) -> list:
         ok, measured=worsts, tolerance=f"2*8^d/s at s={s}",
     ))
 
-    worst = max(_pmap(
-        lambda i: equ103_max_ratio(corpus[i], mlocs[i][s], tables[i]),
-        range(len(corpus)),
-    ))
+    worst = max(equ103_max_ratio(f, ml[s], table)
+                for f, ml, table in zip(corpus, mlocs, tables))
     checks.append(check(
         "oscillation-vs-local-integral",
         "int_Q|f-f_Q| <= 8 int_Q M#_s f for every cube",
@@ -388,7 +371,7 @@ def suite_garo(config: dict) -> list:
             f, f.with_values(2 * sharp_maximal(f).values))
         oksharp &= membersharp
         if np.ptp(f.values) > 0:
-            member0, _, slack = gamma_membership(f, f.with_values(0 * f.values))
+            member0, _, _ = gamma_membership(f, f.with_values(0 * f.values))
             ok0 &= not member0
     checks.append(check(
         "admissible-4|f|", "4|f| is an admissible majorant of f", ok4))
@@ -397,8 +380,8 @@ def suite_garo(config: dict) -> list:
     checks.append(check(
         "zero-not-admissible", "0 is inadmissible for nonconstant f", ok0))
 
-    tiny = [f for f in corpus if (f.dim == 1 and f.res <= 16) or
-            (f.dim == 2 and f.res <= 4)]
+    guard = {1: GARO_EXACT_GUARD_1D, 2: GARO_EXACT_GUARD_2D}
+    tiny = [f for f in corpus if f.res <= guard[f.dim]]
     bracket = 0.0
     factor4 = 0.0
     lower_ok = True

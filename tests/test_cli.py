@@ -277,12 +277,6 @@ def test_verify_config_seed_reaches_suite(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_verify_non_integer_threads_is_config_error(monkeypatch, capsys):
-    monkeypatch.setenv("OSCILAB_THREADS", "abc")
-    assert main(["verify", "maximal"]) == 2
-    assert "OSCILAB_THREADS" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize("argv", [
     ["plot", "{bad}", "--out", "{tmp}/p.svg"],  # a non-numeric row
     ["plot", "{short}", "--out", "{tmp}/p.svg"],  # a row with one column

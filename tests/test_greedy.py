@@ -22,7 +22,7 @@ from oscilab import (
 )
 from oscilab.functionals import _packing_family_2d
 from oscilab.grid import CubeTable
-from oscilab.kfunctional import _LevelSweep, f_sharp_curve
+from oscilab.kfunctional import _greedy_counts_2d, _level_search, f_sharp_curve
 
 
 def _occupancy_greedy(cubes, n, d):
@@ -128,18 +128,18 @@ def test_packing_family_2d_pinned(n, kind, p):
 def test_f_sharp_curve_2d_greedy_pinned(n, mode):
     f = generate("random_steps", 2, n, seed=7 + n)
     table = CubeTable(f, mode == "dyadic")
-    sweep = _LevelSweep(table, table.osc)
-    cubes = enumerate_cubes((2, n), dyadic_only=mode == "dyadic")  # stat's order
-    assert len(cubes) == sweep.stat.size
-    stat = dict(zip(cubes, sweep.stat.tolist()))
+    levels, cells = _greedy_counts_2d(table, table.osc)
+    cubes = enumerate_cubes((2, n), dyadic_only=mode == "dyadic")  # osc's order
+    assert len(cubes) == table.osc.size
+    stat = dict(zip(cubes, table.osc.tolist()))
     order = sorted(cubes, key=lambda q: (-q.side, q.origin))
     counts = []
-    for lam in sweep.levels:  # side descending, then origin lex
+    for lam in levels:  # side descending, then origin lex
         kept = _occupancy_greedy([q for q in order if not stat[q] < lam], n, 2)
         counts.append(sum(q.ncells() for q in kept))
-    assert [sweep._cells_2d(i) for i in range(len(counts))] == counts
-    ref = _LevelSweep(table, table.osc)
-    ref._cells_2d = counts.__getitem__  # the library's search over pinned counts
+    assert [cells(i) for i in range(len(counts))] == counts
     ts = np.geomspace(f.cell_measure / 2, 1.0, 64)
     got = f_sharp_curve(f, ts, cube_mode=mode)
-    assert repr(got.tolist()) == repr(ref.values(ts).tolist())
+    # the library's search over the pinned counts
+    want = [_level_search(levels, counts.__getitem__, float(t) * n**2) for t in ts]
+    assert repr(got.tolist()) == repr(want)

@@ -20,7 +20,7 @@ from oscilab import (
     vitali_threshold_estimate,
 )
 from oscilab.grid import Cube, CubeTable, cube_windows, enumerate_cubes, sides_for
-from oscilab.kfunctional import KProfile, _LevelSweep, running_max
+from oscilab.kfunctional import KProfile, _level_search, running_max
 from oscilab.packing import max_measure_packing
 
 
@@ -141,9 +141,7 @@ def test_f_sharp_2d_dyadic_matches_union_count(n):
     # dyadic cubes are nested or disjoint, so F(t) is the largest level v
     # whose cubes with statistic >= v cover more than t*N^2 cells
     f = generate("random_steps", 2, n, seed=7 + n)
-    table = CubeTable(f, dyadic=True)
-    sweep = _LevelSweep(table, table.osc)
-    stat = sweep.stat.tolist()
+    stat = CubeTable(f, dyadic=True).osc.tolist()
     cubes = enumerate_cubes((2, n), dyadic_only=True)  # stat's order
     assert len(cubes) == len(stat)
     covered = np.zeros((n, n), dtype=bool)
@@ -161,6 +159,34 @@ def test_f_sharp_2d_dyadic_matches_union_count(n):
     ts = np.union1d(np.geomspace(0.5 / n**2, 1.0, 64), np.arange(1, n * n + 1) / n**2)
     want = [next((v for v, c in zip(levels, counts) if c > t * n * n), 0.0) for t in ts]
     assert np.array_equal(f_sharp_curve(f, ts, cube_mode="dyadic"), want)
+
+
+@pytest.mark.parametrize("d,n,mode", [
+    (1, 8, "full"),
+    (2, 4, "full"),  # the exact subset DP
+    (2, 8, "dyadic"),
+    (2, 8, "full"),  # the greedy level search
+])
+@pytest.mark.parametrize("t", [0.0, 1.5, math.nan])
+def test_f_rejects_t_outside_unit_interval(d, n, mode, t):
+    f = generate("random_steps", d, n, seed=3)
+    with pytest.raises(ConfigError, match=r"F is defined on \(0, 1\]"):
+        f_sharp_curve(f, [0.5, t], cube_mode=mode)
+    with pytest.raises(ConfigError, match=r"F is defined on \(0, 1\]"):
+        k_l1_bmo(f, [0.5, t], method="PACK", cube_mode=mode)
+
+
+def test_level_search_on_hand_made_counts():
+    levels = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
+    assert _level_search(np.array([]), [].__getitem__, 5) == 0.0
+    assert _level_search(levels, [5, 4, 3, 2, 1].__getitem__, 5) == 0.0
+    assert _level_search(levels, [9, 8, 7, 6, 6].__getitem__, 5) == 5.0
+    assert _level_search(levels, [9, 8, 7, 3, 1].__getitem__, 5) == 3.0
+    # the counts need not fall as the level rises: the binary search stops
+    # at levels[1], while the largest level whose count exceeds 5 is
+    # levels[3].  This pins today's search; a monotone envelope over the
+    # evaluated levels would return levels[3], a declared value change.
+    assert _level_search(levels, [10, 9, 1, 9, 1].__getitem__, 5) == levels[1]
 
 
 def test_f_sharp_p_example():

@@ -23,14 +23,6 @@ def test_every_suite_passes(suite):
         assert c["paper_anchor"]  # every check names the statement it tests
 
 
-def test_suite_reports_ignore_thread_count(monkeypatch):
-    monkeypatch.setenv("OSCILAB_THREADS", "4")
-    r1 = dump_json(run_suite("rearr", {"seed": 3}))
-    monkeypatch.setenv("OSCILAB_THREADS", "1")
-    r2 = dump_json(run_suite("rearr", {"seed": 3}))
-    assert r1 == r2
-
-
 def test_equivalence_report_shape():
     f = generate("random_steps", 1, 16, seed=9)
     ts = np.geomspace(1e-2, 1.0, 9)
