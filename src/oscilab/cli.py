@@ -62,7 +62,6 @@ def build_parser() -> argparse.ArgumentParser:
     ga.add_argument("grid_csv")
     ga.add_argument("--space", default="lp:1")
     ga.add_argument("--s", type=float, default=DEFAULT_S)
-    ga.add_argument("--exact-small", action="store_true")
     ga.add_argument("--out", default=None)
 
     k = sub.add_parser("kprofile", help="K-functional profile CSV")
@@ -143,13 +142,17 @@ def _cmd_maximal(args) -> int:
 def _cmd_garo(args) -> int:
     f = read_grid_csv(args.grid_csv)
     space = space_from_string(args.space)
-    est = garo_norm(f, space, s=args.s, exact_small=args.exact_small)
+    est = garo_norm(f, space, s=args.s)
+    if est.exact is None:
+        method = "16*local-maximal upper"
+    else:  # exact is set for L1 (an LP) and Linf (closed form) only
+        method = "exact LP" if space.p == 1 else "exact closed form"
     rep = functional_report(
         "garo",
         {"space": args.space, "s": args.s, "d": f.dim, "N": f.res},
         est.exact if est.exact is not None else est.upper,
-        witness=est.to_json()["witness_packing"],
-        method="exact LP" if est.exact is not None else "16*local-maximal upper",
+        witness=None if est.witness_packing is None else est.witness_packing.to_json(),
+        method=method,
         constants={"upper": est.upper, "exact": est.exact, "lower": est.lower},
     )
     text = dump_json(rep)

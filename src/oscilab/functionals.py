@@ -78,7 +78,7 @@ def _conjugate_exponent(p: float) -> float:
 # shared 2D candidate packings
 
 def _packing_family_2d(table: CubeTable, p: float) -> list:
-    """Deterministic candidate packings beyond the exact-small regime, each
+    """Deterministic candidate packings beyond the exact regime (N > 4), each
     an array of flat positions in acceptance order: the unit-cell partition
     plus greedy selections in stable key-descending order under several
     weight keys.  Single-cube packings are handled separately (vectorized)."""
@@ -125,8 +125,10 @@ def jn_norm(f: GridFunction, p: float) -> float:
         return float(_best_packing_2d(table.sides, table.starts, w, n)[1] ** (1.0 / p))
     best = float(np.max(meas_arr * osc_arr**p, initial=0.0))
     for pk in _packing_family_2d(table, p):
-        best = max(best, sum(m * osc**p for m, osc in
-                             zip(meas_arr[pk].tolist(), osc_arr[pk].tolist())))
+        total = 0.0  # left to right: built-in sum() compensates since 3.12
+        for m, osc in zip(meas_arr[pk].tolist(), osc_arr[pk].tolist()):
+            total += m * osc**p
+        best = max(best, total)
     return float(best ** (1.0 / p))
 
 
@@ -202,8 +204,9 @@ class GaRoEstimate:
     """Two-sided information on the Garsia-Rodemich norm.
 
     upper: 16 * ||local maximal||_X (an admissible majorant route);
-    exact: the infimum over admissible majorants: for L1 on tiny grids (a
-           linear program), for Linf wherever lower is (closed form);
+    exact: the infimum over admissible majorants, set wherever it is
+           reachable: for Linf wherever lower is (closed form), for L1 on
+           tiny grids (a linear program); None otherwise;
     witness_packing: packing certifying the reported lower bound;
     lower: the certified lower bound itself (L1/Linf only).
     """
@@ -212,18 +215,6 @@ class GaRoEstimate:
     exact: float | None = None
     witness_packing: Packing | None = None
     lower: float | None = None
-    s_used: float = DEFAULT_S
-
-    def to_json(self) -> dict:
-        return {
-            "upper": self.upper,
-            "exact": self.exact,
-            "lower": self.lower,
-            "witness_packing": None
-            if self.witness_packing is None
-            else self.witness_packing.to_json(),
-            "s_used": self.s_used,
-        }
 
 
 def _space_kind(space: RISpaceSpec) -> str:
@@ -263,14 +254,13 @@ def garo_norm(
     f: GridFunction,
     space: RISpaceSpec,
     s: float = DEFAULT_S,
-    exact_small: bool = False,
     cube_mode: str = "auto",
 ) -> GaRoEstimate:
     """Garsia-Rodemich norm estimate for f in X.
 
     The upper route is 16 * ||M#_s f||_X.  For X in {L1, Linf} a certified
-    packing lower bound is attached (1D N <= 256, 2D N <= 48), and with
-    exact_small the exact infimum over admissible majorants: for Linf
+    packing lower bound is attached (1D N <= 256, 2D N <= 48), and the exact
+    infimum over admissible majorants wherever it is reachable: for Linf
     max_Q doubleosc(Q)/|Q|, the lower bound itself, wherever that is
     computed; for L1 a linear program on tiny grids (1D N <= 16, 2D N <= 4),
     never below the lower bound.
@@ -278,39 +268,29 @@ def garo_norm(
     if not 0 < s < 1:
         raise ConfigError(f"s must lie in (0,1), got {s}")
     upper = 16.0 * norm(space, rearrange(local_maximal(f, s, cube_mode)))
-    est = GaRoEstimate(upper=upper, s_used=s)
     kind = _space_kind(space)
-    desk = f.res <= (FULL_GUARD_1D if f.dim == 1 else FULL_GUARD_2D)
-    if kind != "other" and desk:
-        table = CubeTable(f)
-        if kind == "l1":
-            kept, value = _BEST_PACKING[f.dim](table.sides, table.starts, table.do, f.res)
-            est.lower = float(value)
-            est.witness_packing = _packing(kept, table.sides, table.starts, f.res, f.dim)
-        else:  # the first best single cube in (side, origin) order
-            ratio = table.do / table.meas
-            i = int(np.argmax(ratio))
-            best = [_index_to_cube(table.sides[i], table.starts[i], f.res, f.dim)]
-            est.lower = max(float(ratio[i]), 0.0)
-            est.witness_packing = Packing(best if ratio[i] > 0 else [])
-    if exact_small:
-        if kind == "other":
-            raise ConfigError("exact majorant oracle supports only L1 and Linf")
-        if kind == "l1":
-            guard = GARO_EXACT_GUARD_1D if f.dim == 1 else GARO_EXACT_GUARD_2D
-        else:
-            guard = FULL_GUARD_1D if f.dim == 1 else FULL_GUARD_2D
-        if f.res > guard:
-            raise SizeGuardError(
-                f"exact majorant oracle guarded at N <= {guard} for d={f.dim}"
-            )
+    n, d = f.res, f.dim
+    if kind == "other" or n > (FULL_GUARD_1D if d == 1 else FULL_GUARD_2D):
+        return GaRoEstimate(upper)
+    table = CubeTable(f)
+    if kind == "l1":
+        kept, value = _BEST_PACKING[d](table.sides, table.starts, table.do, n)
+        lower = float(value)
+        witness = _packing(kept, table.sides, table.starts, n, d)
+        # HiGHS solves the LP to a tolerance and can land an ulp or two
+        # below the certified lower bound, so exact never reports less.
+        tiny = n <= (GARO_EXACT_GUARD_1D if d == 1 else GARO_EXACT_GUARD_2D)
+        exact = max(_garo_lp(table), lower) if tiny else None
+    else:
         # GaRo_Linf is max_Q doubleosc(Q)/|Q|, the lower bound: the constant
         # at that value is admissible, and an admissible gamma has
         # ||gamma||_inf |Q| >= int_Q gamma >= doubleosc(Q) on every cube.
-        # HiGHS solves the L1 LP to a tolerance and can land an ulp or two
-        # below the certified lower bound, so exact never reports less.
-        est.exact = est.lower if kind == "linf" else max(_garo_lp(table), est.lower)
-    return est
+        ratio = table.do / table.meas
+        i = int(np.argmax(ratio))  # the first best single cube in (side, origin) order
+        lower = exact = max(float(ratio[i]), 0.0)
+        best = [_index_to_cube(table.sides[i], table.starts[i], n, d)]
+        witness = Packing(best if ratio[i] > 0 else [])
+    return GaRoEstimate(upper, exact, witness, lower)
 
 
 def garo_p_lambda(f: GridFunction, p: float, lam: float) -> float:
@@ -348,7 +328,10 @@ def garo_p_lambda(f: GridFunction, p: float, lam: float) -> float:
                             table.counts)
 
     def ratio_of(pk) -> float:  # pk: positions, ascending
-        do, budget = sum(do_arr[pk].tolist()), sum(cube_budget[pk].tolist())
+        do = budget = 0.0  # left to right: built-in sum() compensates since 3.12
+        for x, b in zip(do_arr[pk].tolist(), cube_budget[pk].tolist()):
+            do += x
+            budget += b
         return do / budget**q if budget > 0 else 0.0
 
     best = max(best, ratio_of(np.arange(n**d)))  # unit: side 1 comes first

@@ -101,15 +101,6 @@ class StepProfile:
         idx = self._piece_left(ts)
         return self._cum[idx] + self.values[idx] * (ts - self.breakpoints[idx])
 
-    def total_integral(self) -> float:
-        return float(self._cum[-1])
-
-    def to_json(self) -> dict:
-        return {
-            "breakpoints": self.breakpoints.tolist(),
-            "values": self.values.tolist(),
-        }
-
     def write_csv(self, path) -> None:
         """Rows (t, v): value v is taken on the piece ending at t."""
         with open(path, "w") as fh:
@@ -119,17 +110,21 @@ class StepProfile:
 
     @classmethod
     def read_csv(cls, path) -> "StepProfile":
-        ts, vs = [], []
-        with open(path) as fh:
-            header = fh.readline()
-            if not header.strip().lower().startswith("t,"):
-                raise ConfigError(f"expected 't,value' header in {path}")
-            for line in fh:
-                if not line.strip():
-                    continue
-                a, b = line.strip().split(",")[:2]
-                ts.append(float(a))
-                vs.append(float(b))
+        """Read what write_csv writes; an unreadable file, a wrong header or
+        a row without two numbers is a ConfigError."""
+        try:
+            with open(path) as fh:
+                header = fh.readline()
+                rows = [line.strip().split(",") for line in fh if line.strip()]
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read profile file {path}: {exc}") from exc
+        if not header.strip().lower().startswith("t,"):
+            raise ConfigError(f"expected 't,value' header in {path}")
+        try:
+            ts = [float(r[0]) for r in rows]
+            vs = [float(r[1]) for r in rows]
+        except (ValueError, IndexError) as exc:
+            raise ConfigError(f"bad profile row in {path}: {exc}") from exc
         return cls(np.concatenate(([0.0], ts)), np.asarray(vs))
 
     @classmethod
@@ -316,7 +311,7 @@ def _sorted_abs(g: StepProfile) -> StepProfile:
     return StepProfile(bp, vals[order])
 
 
-def hlpc_dominates(g1: StepProfile, g2: StepProfile, atol: float = 1e-12) -> bool:
+def hlpc_dominates(g1: StepProfile, g2: StepProfile) -> bool:
     """True iff int_0^t g1* <= int_0^t g2* for all t in (0,1].
 
     The difference of cumulative integrals is piecewise linear, so checking
@@ -328,4 +323,4 @@ def hlpc_dominates(g1: StepProfile, g2: StepProfile, atol: float = 1e-12) -> boo
     i1 = r1.integral_to(ts)
     i2 = r2.integral_to(ts)
     scale = max(1.0, float(np.max(np.abs(i2))))
-    return bool(np.all(i1 <= i2 + atol * scale))
+    return bool(np.all(i1 <= i2 + 1e-12 * scale))

@@ -152,12 +152,12 @@ def test_criterion_1_oracle_equality():
             f_sharp_curve(f, ts) - brute_f_sharp(f, ts, None)
         ))))
         if f.dim == 1 and f.res <= 6:
-            est1 = garo_norm(f, lp(1), exact_small=True)
+            est1 = garo_norm(f, lp(1))
             worst = max(worst, abs(est1.exact - garo_l1_exact_oracle(f)))
-            esti = garo_norm(f, lp(math.inf), exact_small=True)
+            esti = garo_norm(f, lp(math.inf))
             worst = max(worst, abs(esti.exact - garo_linf_exact_oracle(f)))
     # LP hand solution: half indicator on two cells
-    est = garo_norm(GridFunction(1, 2, [1.0, 0.0]), lp(1), exact_small=True)
+    est = garo_norm(GridFunction(1, 2, [1.0, 0.0]), lp(1))
     worst = max(worst, abs(est.exact - 0.5))
     _report(1, worst <= 1e-9,
             f"jn/gp/F/garo vs exhaustive oracles on 100 functions, "
@@ -257,7 +257,7 @@ def test_criterion_2_exact_inequalities(corpus, battery):
         for _ in range(3):
             f = GridFunction(1, n, rng.normal(size=n))
             for space in (lp(1), lp(math.inf)):
-                est = garo_norm(f, space, exact_small=True)
+                est = garo_norm(f, space)
                 base = grid_norm(space, f)
                 if base > 0:
                     garo4_worst = max(garo4_worst, est.exact / base)

@@ -64,10 +64,33 @@ def test_garo_cli(tmp_path, capsys):
     grid = tmp_path / "f.csv"
     main(["gen", "indicator", "--d", "1", "--N", "2", "--side", "1",
           "--out", str(grid)])
-    assert main(["garo", str(grid), "--space", "lp:1", "--exact-small"]) == 0
+    assert main(["garo", str(grid), "--space", "lp:1"]) == 0
     rep = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert rep["value"] == pytest.approx(0.5, abs=1e-9)
     assert rep["constants"]["upper"] >= rep["value"]
+    assert rep["method"] == "exact LP"
+    assert rep["witness"] is not None
+
+
+@pytest.mark.parametrize("space,method", [
+    ("lp:inf", "exact closed form"),
+    ("weak:2", "16*local-maximal upper"),
+])
+def test_garo_cli_method_label(tmp_path, capsys, space, method):
+    grid = tmp_path / "f.csv"
+    main(["gen", "random_steps", "--d", "1", "--N", "8", "--out", str(grid)])
+    capsys.readouterr()
+    assert main(["garo", str(grid), "--space", space]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["method"] == method
+    exact = rep["constants"]["exact"]
+    assert rep["value"] == (rep["constants"]["upper"] if exact is None else exact)
+
+
+def test_garo_cli_flag_removed(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["garo", str(tmp_path / "f.csv"), "--exact-small"])
+    assert exc.value.code == 2
 
 
 def test_kprofile_cli(tmp_path):

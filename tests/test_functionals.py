@@ -17,7 +17,6 @@ from oscilab import (
     Cube,
     GridFunction,
     Packing,
-    SizeGuardError,
     campanato_norm,
     gamma_membership,
     garo_norm,
@@ -30,6 +29,11 @@ from oscilab import (
     sharp_maximal,
     sobolev_seminorm,
     weak_lp,
+)
+from oscilab.functionals import (
+    GARO_EXACT_GUARD_1D,
+    GARO_EXACT_GUARD_2D,
+    _packing_family_2d,
 )
 from oscilab.grid import CubeTable
 from oscilab.packing import max_additive_packing
@@ -46,6 +50,20 @@ def test_jn_examples():
     for p in (1.5, 2.0, 7.0):
         assert jn_norm(f, p) == pytest.approx(0.5, abs=1e-12)
     assert jn_norm(gf([4, 4, 4]), 2.0) == 0.0
+
+
+def test_jn_2d_family_sums_run_left_to_right():
+    # built-in sum() over floats compensates since Python 3.12 and gives
+    # ...091 here; a left-to-right sum gives the same bits on every version
+    f = generate("random_steps", 2, 6, seed=1)
+    table = CubeTable(f)
+    best = float(np.max(table.meas * table.osc**2.0))
+    for pk in _packing_family_2d(table, 2.0):
+        total = 0.0
+        for i in pk.tolist():
+            total += float(table.meas[i]) * float(table.osc[i]) ** 2.0
+        best = max(best, total)
+    assert jn_norm(f, 2.0) == best**0.5 == 0.6327740746150092
 
 
 def test_gp_examples():
@@ -113,7 +131,7 @@ def test_gamma_membership_grid_mismatch():
 
 
 def test_garo_hand_lp():
-    est = garo_norm(gf([1, 0]), lp(1), exact_small=True)
+    est = garo_norm(gf([1, 0]), lp(1))
     assert est.exact == pytest.approx(0.5, abs=1e-10)
     assert est.lower == pytest.approx(0.5, abs=1e-12)
     assert est.exact <= est.upper * (1 + 1e-9)
@@ -130,9 +148,9 @@ def test_garo_exact_matches_rational_simplex(rng):
     # lands 1.1e-16 below the lower bound
     grids.append(generate("random_steps", 1, 3, seed=0))
     for f in grids:
-        est1 = garo_norm(f, lp(1), exact_small=True)
+        est1 = garo_norm(f, lp(1))
         assert est1.exact == pytest.approx(garo_l1_exact_oracle(f), abs=1e-9)
-        esti = garo_norm(f, lp(math.inf), exact_small=True)
+        esti = garo_norm(f, lp(math.inf))
         assert esti.exact == pytest.approx(garo_linf_exact_oracle(f), abs=1e-9)
         # GaRo_Linf = max_Q doubleosc(Q)/|Q|: exact is the lower bound
         assert repr(esti.exact) == repr(esti.lower)
@@ -146,7 +164,7 @@ def test_garo_embedding_factor_four(rng):
         n = int(rng.integers(2, 12))
         f = GridFunction(1, n, rng.normal(size=n))
         for space in (lp(1), lp(math.inf)):
-            est = garo_norm(f, space, exact_small=True)
+            est = garo_norm(f, space)
             assert est.exact <= 4 * grid_norm(space, f) * (1 + 1e-9)
 
 
@@ -158,24 +176,31 @@ def test_garo_embedding_factor_four(rng):
 ])
 def test_garo_l1_exact_never_below_lower(kind, d, n, seed):
     # grids on which the LP alone lands 1-2 ulp below the certified bound
-    est = garo_norm(generate(kind, d, n, seed=seed), lp(1), exact_small=True)
+    est = garo_norm(generate(kind, d, n, seed=seed), lp(1))
     assert est.lower <= est.exact
 
 
-def test_garo_exact_flag_errors(rng):
-    f = GridFunction(1, 32, rng.normal(size=32))
-    with pytest.raises(SizeGuardError):
-        garo_norm(f, lp(1), exact_small=True)
-    # the Linf value is the lower bound, so it runs wherever that does
-    for g in (f, GridFunction(2, 8, rng.normal(size=64))):
-        est = garo_norm(g, lp(math.inf), exact_small=True)
+def test_garo_exact_where_reachable(rng):
+    # L1: the LP runs up to the exact guard; beyond it lower stays, exact goes
+    for d, guard in ((1, GARO_EXACT_GUARD_1D), (2, GARO_EXACT_GUARD_2D)):
+        for n in (guard, guard + 1):
+            est = garo_norm(GridFunction(d, n, rng.normal(size=n**d)), lp(1))
+            assert est.lower is not None and est.witness_packing is not None
+            assert (est.exact is not None) == (n <= guard)
+            if est.exact is not None:
+                assert est.lower <= est.exact
+    # Linf: the exact value is the lower bound, so it is set wherever that is
+    for g in (GridFunction(1, 256, rng.normal(size=256)),
+              GridFunction(2, 48, rng.normal(size=48 * 48))):
+        est = garo_norm(g, lp(math.inf))
         assert repr(est.exact) == repr(est.lower)
-    with pytest.raises(SizeGuardError):
-        garo_norm(GridFunction(1, 512, rng.normal(size=512)), lp(math.inf),
-                  exact_small=True)
-    small = GridFunction(1, 4, rng.normal(size=4))
-    with pytest.raises(ConfigError):
-        garo_norm(small, lp(2), exact_small=True)
+    # beyond the desk guards (1D N <= 256, 2D N <= 48) only the upper route
+    for g, space in ((GridFunction(1, 512, rng.normal(size=512)), lp(math.inf)),
+                     (GridFunction(2, 64, rng.normal(size=64 * 64)), lp(1)),
+                     (GridFunction(1, 4, rng.normal(size=4)), lp(2))):
+        est = garo_norm(g, space)
+        assert est.exact is None and est.lower is None
+        assert est.witness_packing is None and est.upper > 0
 
 
 def test_garo_upper_route_without_exact(rng):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from oscilab import (
+    ConfigError,
     Cube,
     GridFunction,
     StepProfile,
@@ -266,6 +267,15 @@ def test_profile_csv_roundtrip(tmp_path):
     back = StepProfile.read_csv(path)
     assert np.allclose(back.breakpoints, prof.breakpoints)
     assert np.allclose(back.values, prof.values)
+
+
+@pytest.mark.parametrize("text", ["t,value\nfoo\n", "t,value\n0.5,x\n", None])
+def test_profile_csv_bad_input_is_config_error(tmp_path, text):
+    path = tmp_path / "prof.csv"
+    if text is not None:  # None: a missing file
+        path.write_text(text)
+    with pytest.raises(ConfigError):
+        StepProfile.read_csv(path)
 
 
 def test_logspike_rearrangement_matches_closed_form():

@@ -37,18 +37,37 @@ def test_equivalence_report_shape():
         assert e["max_ratio"] >= e["min_ratio"] > 0
 
 
-@pytest.mark.parametrize("suite,digest", [
-    ("maximal", "a766ad76b86dd73c091726b9ee8e011c91ff8240cfb87f56de5b580367721f11"),
-    ("blowup", "6b1a82891845d5ff5b1c4dbcdb0d72a3bdc28f7b80a493763cc8009bd82c79ba"),
-    ("rearr", "e4b8af0db092319892833c5084092dd921c31f12123ccf51a00183fbe3092722"),
-    ("garo", "abe0f2ef88b70eff95e4dc67ea30fb0ccc8bb27fe0342fc2e5d28337cbcdde1d"),
-    ("kfun", "b81cb376250ae9a3eaf00509c7975d148a3d93c24182de70f73dfb93476fcadd"),
-    ("morrey", "d5450b26fdb3bb0d0eb9d4151ef8a03e03a5549804b3604d0153d219c3f90d89"),
+# the report digests of seeds 0, 1 and 2 per suite
+_DIGESTS = {
+    "maximal": ("a766ad76b86dd73c091726b9ee8e011c91ff8240cfb87f56de5b580367721f11",
+                "8a53ead1f6faf4a212125cac316ecc974d7bd0b442c3cabfbc7eb48b6011067f",
+                "89d6144f8749a56922c28dba21a190f563359c83aebc8a3de2bdabc870b8f045"),
+    "blowup": ("6b1a82891845d5ff5b1c4dbcdb0d72a3bdc28f7b80a493763cc8009bd82c79ba",
+               "32a856a5c79b8214aac8c46ca3b676d63d00bd35889b2a73f7d0875c2943ccb9",
+               "a7c51badbec1c0a7be072f4b58e3a7f149a349bcdb45502cd06763c3fd6e28c7"),
+    "rearr": ("e4b8af0db092319892833c5084092dd921c31f12123ccf51a00183fbe3092722",
+              "35e3e5ae45af13a23b301c31a1ff8472d714e37713d71aba20a1982d8124b9d2",
+              "2fe3554c1613acbeb627cf7f8d6623e3cba61e42763e787e8620f169cdfe8348"),
+    "garo": ("abe0f2ef88b70eff95e4dc67ea30fb0ccc8bb27fe0342fc2e5d28337cbcdde1d",
+             "d6bb26244708489745fd1104d803af5d86db9dfe49c65c52804332fad018525f",
+             "0f3452e44af06a0dc33df0e84081f9ec33dc08a1ce8a515b580a9f81f176164c"),
+    "kfun": ("b81cb376250ae9a3eaf00509c7975d148a3d93c24182de70f73dfb93476fcadd",
+             "f32d6789cee93b980228f5a15a7021ce990e34db477dc5ce5845b3a78681a255",
+             "db56811fe92bf7b912d480fac7cf175ec90fefb361c50068bdd1c316d1331214"),
+    "morrey": ("d5450b26fdb3bb0d0eb9d4151ef8a03e03a5549804b3604d0153d219c3f90d89",
+               "64b4ac6824fc47d1d1394a768519780d0ee6ad0c8877525395aae10309f65513",
+               "829d7c80a0e11b436395098eb25daf4b5417eda5a55501422fb3a7502a3c7536"),
+}
+
+
+@pytest.mark.parametrize("suite,seed,digest", [
+    pytest.param(suite, seed, digest, id=f"{suite}-{digest}")
+    for suite, digests in _DIGESTS.items() for seed, digest in enumerate(digests)
 ])
-def test_suite_report_bytes_pinned(suite, digest):
-    # the seed-0 report of every suite, pinned to its bytes: a faster path
-    # must give the same report
-    rep = dump_json(run_suite(suite, {"seed": 0}))
+def test_suite_report_bytes_pinned(suite, seed, digest):
+    # every suite's report for each pinned seed, pinned to its bytes: a
+    # faster path must give the same report
+    rep = dump_json(run_suite(suite, {"seed": seed}))
     assert hashlib.sha256(rep.encode()).hexdigest() == digest
 
 
