@@ -12,7 +12,7 @@ import numpy as np
 from .errors import ConfigError, OscilabError
 from .functionals import garo_norm
 from .generators import GENERATOR_KINDS, generate
-from .grid import read_grid_csv, write_grid_csv
+from .grid import _csv_numbers, _read_csv_rows, read_grid_csv, write_grid_csv
 from .kfunctional import k_l1_bmo, k_l1_linf
 from .maximal import DEFAULT_S, hl_maximal, local_maximal, sharp_maximal
 from .report import dump_json, functional_report
@@ -203,20 +203,14 @@ def _cmd_verify(args) -> int:
 
 
 def _read_profile_csv(path):
-    """(label, ts, values) of a t,value[,label] CSV after its header line;
-    an unreadable file or a row without two finite numbers is a ConfigError."""
-    ts, vs, label = [], [], path
-    try:
-        with open(path) as fh:
-            rows = [ln.strip().split(",") for ln in fh.readlines()[1:] if ln.strip()]
-        for parts in rows:
-            ts.append(float(parts[0]))
-            vs.append(float(parts[1]))
-            label = parts[2] if len(parts) > 2 else label
-    except (OSError, UnicodeDecodeError, ValueError, IndexError) as exc:
-        raise ConfigError(f"cannot read profile file {path}: {exc!r}") from exc
-    if not np.all(np.isfinite(ts + vs)):
-        raise ConfigError(f"non-finite t or value in profile file {path}")
+    """(label, ts, values) of a t,value[,label] CSV under its 't' header;
+    the label is the last row's third field, or else the path."""
+    rows = _read_csv_rows(path, "profile file")
+    if not rows or rows[0][0].strip().lower() != "t":
+        raise ConfigError(f"expected a 't,value' header in profile file {path}")
+    data = rows[1:]
+    ts, vs = _csv_numbers(data, 2, "profile file", path).reshape(-1, 2).T.tolist()
+    label = data[-1][2] if data and len(data[-1]) > 2 else path
     return label, ts, vs
 
 

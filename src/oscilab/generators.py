@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError
-from .grid import GridFunction
+from .grid import Cube, GridFunction
 
 __all__ = ["generate", "GENERATOR_KINDS", "cell_centers"]
 
@@ -39,14 +39,11 @@ def generate(kind: str, d: int, n: int, seed: int = 0, **params) -> GridFunction
     if kind == "constant":
         return GridFunction(d, n, np.full(n**d, float(params.get("c", 1.0))))
     if kind == "indicator":
-        side = int(params.get("side", max(n // 2, 1)))
-        origin = tuple(params.get("origin", (0,) * d))
-        vals = np.zeros((n,) * d)
-        if d == 1:
-            vals[origin[0]: origin[0] + side] = 1.0
-        else:
-            vals[origin[0]: origin[0] + side, origin[1]: origin[1] + side] = 1.0
-        return GridFunction(d, n, vals.ravel())
+        cube = Cube(params.get("origin", (0,) * d), params.get("side", max(n // 2, 1)))
+        cube.check(n, d)
+        vals = np.zeros(n**d)
+        vals[cube.flat_cells(n)] = 1.0
+        return GridFunction(d, n, vals)
     if kind == "logspike":
         a = float(params.get("a", 0.25))
         if not 0 < a <= 1:
@@ -104,6 +101,8 @@ def generate(kind: str, d: int, n: int, seed: int = 0, **params) -> GridFunction
         return GridFunction(d, n, np.asarray(vals).ravel())
     if kind == "checkerboard":
         period = int(params.get("period", 1))
+        if period < 1:
+            raise ConfigError(f"checkerboard needs period >= 1, got {period}")
         idx = np.arange(n) // period
         if d == 1:
             vals = np.where(idx % 2 == 0, 1.0, -1.0)

@@ -12,12 +12,17 @@ position in the (side, origin lex) order of enumerate_cubes; _family gives
 each position its side and first cell (the flat index of its origin cell),
 and CubeTable gives each position its statistics, every one computed by a
 single reducer here.
+
+It also holds the one reader of input files, _read_csv_rows with
+_csv_numbers; read_grid_csv, spaces.phi_from_csv and the CLI's profile
+reader add only their own format rules.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -500,13 +505,35 @@ def write_grid_csv(f: GridFunction, path) -> None:
                 fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
 
 
-def read_grid_csv(path) -> GridFunction:
+def _read_csv_rows(path, what: str) -> list:
+    """The non-blank lines of a CSV file, stripped and split at commas; an
+    unreadable file is a ConfigError that names it as `what`."""
     try:
         with open(path) as fh:
-            header = fh.readline().strip()
-            rows = [line.strip() for line in fh if line.strip()]
+            return [line.split(",") for line in map(str.strip, fh) if line]
     except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read grid file {path}: {exc}") from exc
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+
+
+def _csv_numbers(rows, width: int | None, what: str, path) -> np.ndarray:
+    """The first `width` fields of each row (every field with width=None),
+    row after row, as one flat array of finite floats; a short row, a
+    non-number or a non-finite value is a ConfigError."""
+    if width is not None and any(len(r) < width for r in rows):
+        raise ConfigError(f"{what} {path} needs {width} fields a row")
+    fields = rows if width is None else (r[:width] for r in rows)
+    try:
+        vals = np.fromiter(map(float, chain.from_iterable(fields)), float)
+    except ValueError as exc:
+        raise ConfigError(f"non-numeric field in {what} {path}: {exc}") from exc
+    if not np.isfinite(vals).all():
+        raise ConfigError(f"non-finite number in {what} {path}")
+    return vals
+
+
+def read_grid_csv(path) -> GridFunction:
+    rows = _read_csv_rows(path, "grid file")
+    header = ",".join(rows[0]) if rows else ""
     if not header.startswith(CSV_HEADER_PREFIX):
         raise ConfigError(
             f"missing grid header '{CSV_HEADER_PREFIX} d=<d> N=<N>' in {path}"
@@ -518,13 +545,7 @@ def read_grid_csv(path) -> GridFunction:
         d, n = int(fields["d"]), int(fields["N"])
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"malformed grid header: {header!r}") from exc
-    if d != 1 and len({r.count(",") for r in rows}) > 1:
+    widths = set(map(len, rows[1:]))
+    if len(widths) > 1 or d == 1 and widths - {1}:  # a 1D row holds one value
         raise ConfigError(f"ragged rows in grid file {path}")
-    try:
-        if d == 1:
-            vals = np.array([float(r) for r in rows])
-        else:
-            vals = np.array([float(tok) for r in rows for tok in r.split(",")])
-    except ValueError as exc:
-        raise ConfigError(f"non-numeric cell in grid file {path}: {exc}") from exc
-    return GridFunction(d, n, vals)
+    return GridFunction(d, n, _csv_numbers(rows[1:], None, "grid file", path))

@@ -71,6 +71,8 @@ class KProfile:
         v = np.asarray(self.values, dtype=float)
         if t.ndim != 1 or t.size != v.size or t.size == 0:
             raise ConfigError("K profile needs matching nonempty t and values")
+        if not (np.isfinite(t).all() and np.isfinite(v).all()):
+            raise ConfigError("K profile t and values must be finite")
         if np.any(t <= 0) or np.any(t > 1) or np.any(np.diff(t) <= 0):
             raise ConfigError("t grid must be increasing inside (0, 1]")
         scale = max(1.0, float(v.max(initial=0.0)))
@@ -291,7 +293,9 @@ def f_sharp_curve(
     p: float | None = None,
     cube_mode: str = "auto",
 ) -> np.ndarray:
-    """F(t) (or its L_p variant) on a grid of t values."""
+    """F(t) (or its L_p variant, 0 < p < 1) on a grid of t values."""
+    if p is not None and not 0 < p < 1:
+        raise ConfigError(f"p must lie in (0,1), got {p}")
     ts = np.asarray(t_grid, dtype=float)
     table = CubeTable(f, resolve_cube_mode(f, cube_mode))
     return _f_values(table, table.osc_p(p), ts)
@@ -307,8 +311,6 @@ def f_sharp_profile_p(
 ) -> float:
     """L_p variant of the packing profile, 0 < p < 1: the cube statistic is
     ((1/|Q|) int_Q |f-f_Q|^p)^(1/p)."""
-    if not 0 < p < 1:
-        raise ConfigError(f"p must lie in (0,1), got {p}")
     return float(f_sharp_curve(f, [t], p=p, cube_mode=cube_mode)[0])
 
 

@@ -44,6 +44,8 @@ class StepProfile:
         vals = np.asarray(self.values, dtype=float)
         if bp.ndim != 1 or vals.ndim != 1 or bp.size != vals.size + 1:
             raise ConfigError("need m+1 breakpoints for m values")
+        if not (np.isfinite(bp).all() and np.isfinite(vals).all()):
+            raise ConfigError("profile breakpoints and values must be finite")
         if bp[0] != 0.0 or abs(bp[-1] - 1.0) > 1e-12:
             raise ConfigError("breakpoints must run from 0 to 1")
         if np.any(np.diff(bp) <= 0):
@@ -100,32 +102,6 @@ class StepProfile:
         ts = np.minimum(ts, 1.0)
         idx = self._piece_left(ts)
         return self._cum[idx] + self.values[idx] * (ts - self.breakpoints[idx])
-
-    def write_csv(self, path) -> None:
-        """Rows (t, v): value v is taken on the piece ending at t."""
-        with open(path, "w") as fh:
-            fh.write("t,value\n")
-            for t, v in zip(self.breakpoints[1:], self.values):
-                fh.write(f"{t:.17g},{v:.17g}\n")
-
-    @classmethod
-    def read_csv(cls, path) -> "StepProfile":
-        """Read what write_csv writes; an unreadable file, a wrong header or
-        a row without two numbers is a ConfigError."""
-        try:
-            with open(path) as fh:
-                header = fh.readline()
-                rows = [line.strip().split(",") for line in fh if line.strip()]
-        except (OSError, UnicodeDecodeError) as exc:
-            raise ConfigError(f"cannot read profile file {path}: {exc}") from exc
-        if not header.strip().lower().startswith("t,"):
-            raise ConfigError(f"expected 't,value' header in {path}")
-        try:
-            ts = [float(r[0]) for r in rows]
-            vs = [float(r[1]) for r in rows]
-        except (ValueError, IndexError) as exc:
-            raise ConfigError(f"bad profile row in {path}: {exc}") from exc
-        return cls(np.concatenate(([0.0], ts)), np.asarray(vs))
 
     @classmethod
     def constant(cls, c: float) -> "StepProfile":

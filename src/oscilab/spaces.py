@@ -18,6 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError
+from .grid import _csv_numbers, _read_csv_rows
 from .rearrange import StepProfile, rearrange
 
 __all__ = [
@@ -39,8 +40,6 @@ __all__ = [
 class PowerPhi:
     """phi(s) = s**q with q in [0, 1]."""
 
-    kind = "power"
-
     def __init__(self, q: float):
         if not 0 <= q <= 1:
             raise ConfigError(f"power exponent must lie in [0,1], got {q}")
@@ -61,8 +60,6 @@ class LogSlowPhi:
     exponents vanish; this is the canonical zero-lower-index example.
     """
 
-    kind = "log-slow"
-
     def __init__(self):
         self.knots = np.array([])
 
@@ -80,8 +77,6 @@ class TablePhi:
     Extended linearly through the origin below the first knot, which keeps
     concavity and phi(0+) = 0.
     """
-
-    kind = "table"
 
     def __init__(self, s: Sequence[float], v: Sequence[float]):
         s = np.asarray(s, dtype=float)
@@ -139,29 +134,15 @@ def phi_preset(name: str):
 
 
 def phi_from_csv(path) -> TablePhi:
-    """Load a phi table from CSV rows 's,phi(s)'; the first data row may be
-    a header, any later row must hold two numbers."""
-    ss, vs = [], []
+    """Load a phi table from CSV rows 's,phi(s)'; '#' lines are comments, and
+    the first data row is a header if it does not start with two numbers."""
+    rows = [r for r in _read_csv_rows(path, "phi table") if not r[0].startswith("#")]
     try:
-        with open(path) as fh:
-            lines = fh.readlines()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read phi table {path}: {exc}") from exc
-    rows = [line.strip() for line in lines]
-    rows = [r for r in rows if r and not r.startswith("#")]
-    for i, row in enumerate(rows):
-        fields = row.split(",")
-        if len(fields) < 2:
-            raise ConfigError(f"phi table row needs 's,phi(s)', got {row!r}")
-        try:
-            s, v = float(fields[0]), float(fields[1])
-        except ValueError:
-            if i == 0:
-                continue  # header row
-            raise ConfigError(f"phi table row needs two numbers, got {row!r}") from None
-        ss.append(s)
-        vs.append(v)
-    return TablePhi(ss, vs)
+        float(rows[0][0]), float(rows[0][1])
+    except (IndexError, ValueError):
+        rows = rows[1:]  # a header row, or no row at all
+    s, v = _csv_numbers(rows, 2, "phi table", path).reshape(-1, 2).T
+    return TablePhi(s, v)
 
 
 @dataclass(frozen=True, eq=False)

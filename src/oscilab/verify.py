@@ -57,18 +57,19 @@ from .report import check, suite_report
 from .spaces import grid_norm, lp, marcinkiewicz, norm, phi_preset, weak_lp
 
 SUITE_IDS = ("rearr", "maximal", "garo", "kfun", "morrey", "blowup")
+_CORPUS_PER_GRID = 3  # functions of each grid size in _corpus
 
 __all__ = ["SUITE_IDS", "run_suite"]
 
 
-def _corpus(seed: int, n_1d, n_2d, per_grid: int = 4) -> list:
+def _corpus(seed: int, n_1d, n_2d) -> list:
     """Deterministic mixed corpus of grid functions."""
     out = []
     kinds = ["random_steps", "cosine_mix", "indicator", "logspike", "checkerboard"]
     i = 0
     for d, sizes in ((1, n_1d), (2, n_2d)):
         for n in sizes:
-            for j in range(per_grid):
+            for j in range(_CORPUS_PER_GRID):
                 kind = kinds[(i + j) % len(kinds)]
                 params = {}
                 if kind == "logspike":
@@ -76,7 +77,7 @@ def _corpus(seed: int, n_1d, n_2d, per_grid: int = 4) -> list:
                 if kind == "checkerboard":
                     params["period"] = 1 + (n // 8) * (j % 2)
                 out.append(generate(kind, d, n, seed=seed + i + j, **params))
-            i += per_grid
+            i += _CORPUS_PER_GRID
     return out
 
 
@@ -108,7 +109,7 @@ def _abs_diff_parts(x: np.ndarray, y: np.ndarray) -> tuple:
 
 def suite_rearr(config: dict) -> list:
     seed = config.get("seed", 0)
-    corpus = _corpus(seed, n_1d=(8, 16, 32), n_2d=(6, 8, 12), per_grid=3)
+    corpus = _corpus(seed, n_1d=(8, 16, 32), n_2d=(6, 8, 12))
     checks = []
 
     worst = 0.0
@@ -254,7 +255,7 @@ def _herz_bounds(f: GridFunction) -> tuple:
 def suite_maximal(config: dict) -> list:
     seed = config.get("seed", 0)
     s = config.get("s", DEFAULT_S)
-    corpus = _corpus(seed, n_1d=(16, 32, 64), n_2d=(8, 12, 16), per_grid=3)
+    corpus = _corpus(seed, n_1d=(16, 32, 64), n_2d=(8, 12, 16))
     checks = []
 
     ok = True
@@ -361,7 +362,7 @@ def suite_garo(config: dict) -> list:
     seed = config.get("seed", 0)
     s = config.get("s", DEFAULT_S)
     checks = []
-    corpus = _corpus(seed, n_1d=(8, 12, 16), n_2d=(4, 6, 8), per_grid=3)
+    corpus = _corpus(seed, n_1d=(8, 12, 16), n_2d=(4, 6, 8))
 
     ok0 = ok4 = oksharp = True
     for f in corpus:
@@ -427,7 +428,7 @@ def suite_kfun(config: dict) -> list:
     seed = config.get("seed", 0)
     s = config.get("s", DEFAULT_S)
     checks = []
-    corpus = _corpus(seed, n_1d=(8, 16, 32), n_2d=(6, 8), per_grid=3)
+    corpus = _corpus(seed, n_1d=(8, 16, 32), n_2d=(6, 8))
     ts = np.geomspace(1e-3, 1.0, 25)
 
     # profile invariants are validated by the KProfile constructor

@@ -202,6 +202,7 @@ def test_dump_json_canonical():
         ("token", "# oscilab d=1 N=2 junk\n1.0\n2.0\n"),
         ("nonnumeric", "# oscilab d=1 N=2\n1.0\nx\n"),
         ("ragged", "# oscilab d=2 N=2\n1.0,2.0\n3.0\n"),
+        ("wide1d", "# oscilab d=1 N=2\n1.0,2.0\n"),  # a 1D row holds one value
     ],
 )
 def test_kprofile_bad_grid_is_config_error(tmp_path, capsys, name, text):
@@ -307,6 +308,10 @@ def test_verify_config_seed_reaches_suite(tmp_path):
     ["plot", "{tmp}/missing.csv", "--out", "{tmp}/p.svg"],
     ["gen", "constant", "--out", "{tmp}/no/such/dir/x.csv"],
     ["kprofile", "{grid}", "--out", "{tmp}/no/such/dir/k.csv"],
+    ["plot", "{headerless}", "--out", "{tmp}/p.svg"],  # no 't' header line
+    ["gen", "indicator", "--side", "0", "--out", "{tmp}/x.csv"],
+    ["gen", "indicator", "--N", "8", "--side", "9", "--out", "{tmp}/x.csv"],
+    ["gen", "checkerboard", "--period", "0", "--out", "{tmp}/x.csv"],
 ])
 def test_bad_profile_or_unwritable_out_is_usage_error(tmp_path, capsys, argv):
     names = {"tmp": tmp_path}
@@ -314,6 +319,8 @@ def test_bad_profile_or_unwritable_out_is_usage_error(tmp_path, capsys, argv):
                        ("inf", "0.5,inf,BS\n")):
         names[name] = tmp_path / f"{name}.csv"
         names[name].write_text("t,value,method\n" + text)
+    names["headerless"] = tmp_path / "headerless.csv"
+    names["headerless"].write_text("0.25,2\n0.5,1\n1,0\n")
     names["grid"] = tmp_path / "f.csv"
     main(["gen", "indicator", "--d", "1", "--N", "4", "--out", str(names["grid"])])
     capsys.readouterr()

@@ -85,6 +85,10 @@ def test_k_profile_invariants_all_methods(rng):
 def test_kprofile_rejects_bad_data():
     with pytest.raises(Exception):
         KProfile(np.array([0.5, 0.25]), np.array([1.0, 2.0]), "X")
+    for t, v in (([math.nan, 1.0], [1.0, 2.0]), ([0.5, 1.0], [1.0, math.nan]),
+                 ([0.5, 1.0], [1.0, math.inf])):
+        with pytest.raises(ConfigError):
+            KProfile(np.array(t), np.array(v), "X")
 
 
 def test_running_max():
@@ -195,6 +199,9 @@ def test_f_sharp_p_example():
     assert f_sharp_profile_p(f, 0.3, 0.5) == pytest.approx(0.5, rel=1e-12)
     with pytest.raises(ConfigError):
         f_sharp_profile_p(f, 0.3, 1.5)
+    for p in (0, -1, 1, math.nan, math.inf):
+        with pytest.raises(ConfigError):
+            f_sharp_curve(f, [0.3], p=p)
 
 
 def test_f_sharp_p_matches_bruteforce(rng):

@@ -260,22 +260,14 @@ def test_hlpc_implies_norm_monotone(rng):
     assert hits >= len(profs)  # at least the diagonal
 
 
-def test_profile_csv_roundtrip(tmp_path):
-    prof = rearrange(gf([3, 1, 2, 2]))
-    path = tmp_path / "prof.csv"
-    prof.write_csv(path)
-    back = StepProfile.read_csv(path)
-    assert np.allclose(back.breakpoints, prof.breakpoints)
-    assert np.allclose(back.values, prof.values)
-
-
-@pytest.mark.parametrize("text", ["t,value\nfoo\n", "t,value\n0.5,x\n", None])
-def test_profile_csv_bad_input_is_config_error(tmp_path, text):
-    path = tmp_path / "prof.csv"
-    if text is not None:  # None: a missing file
-        path.write_text(text)
+@pytest.mark.parametrize("bp,vals", [
+    ([0, 0.5, 1], [math.nan, 0]),  # a nan value
+    ([0, 0.5, 1], [math.inf, 0]),  # an inf value
+    ([0, math.nan, 1], [1, 0]),  # a nan breakpoint
+])
+def test_step_profile_rejects_non_finite(bp, vals):
     with pytest.raises(ConfigError):
-        StepProfile.read_csv(path)
+        StepProfile(np.array(bp, dtype=float), np.array(vals, dtype=float))
 
 
 def test_logspike_rearrangement_matches_closed_form():
