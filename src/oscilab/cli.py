@@ -143,16 +143,12 @@ def _cmd_garo(args) -> int:
     f = read_grid_csv(args.grid_csv)
     space = space_from_string(args.space)
     est = garo_norm(f, space, s=args.s)
-    if est.exact is None:
-        method = "16*local-maximal upper"
-    else:  # exact is set for L1 (an LP) and Linf (closed form) only
-        method = "exact LP" if space.p == 1 else "exact closed form"
     rep = functional_report(
         "garo",
         {"space": args.space, "s": args.s, "d": f.dim, "N": f.res},
         est.exact if est.exact is not None else est.upper,
         witness=None if est.witness_packing is None else est.witness_packing.to_json(),
-        method=method,
+        method=est.method,
         constants={"upper": est.upper, "exact": est.exact, "lower": est.lower},
     )
     text = dump_json(rep)

@@ -1,13 +1,12 @@
 """Packing functionals and related norms.
 
 The packing suprema are exact in 1D (dynamic programs over cell positions)
-and for tiny 2D grids (N <= 4: one subset DP over bitmasks of covered
-cells, packing._mask_dp, cubes x 2^(N^2) numpy work, equal bit for bit to
-the maximum over every packing of its weights summed in a fixed cube
-order); larger 2D grids are estimated
-over a shared deterministic family of candidate packings, which keeps the
-per-packing Holder comparison between the functionals valid for the
-reported values.  Each greedy packing there, and in the 2D sweep of
+and for small 2D grids (N <= 4: the skyline DP packing._skyline_dp, a
+row-major scan of the cells, equal bit for bit to the maximum over every
+packing of its weights summed in a fixed order); larger 2D grids are
+estimated over a shared deterministic family of candidate packings, which
+keeps the per-packing Holder comparison between the functionals valid for
+the reported values.  Each greedy packing there, and in the 2D sweep of
 garo_p_lambda, is one pass of the cell-bitmask kernel
 packing._greedy_disjoint over integer cube indices (11,440 cubes at N=32).
 
@@ -107,8 +106,7 @@ def jn_norm(f: GridFunction, p: float) -> float:
     """sup over packings of (sum |Q_i| osc(Q_i)^p)^(1/p).
 
     Exact in 1D via the additive packing DP and for 2D N <= 4 via the
-    subset DP over bitmasks of covered cells; estimated over the shared
-    candidate family otherwise.
+    skyline DP; estimated over the shared candidate family otherwise.
     """
     if not p > 1:
         raise ConfigError(f"JN functional needs p > 1, got {p}")
@@ -139,11 +137,10 @@ def gp_norm(f: GridFunction, p: float) -> float:
     ratio is subadditive over packing members when the measure exponent is
     1), which is the BMO-equivalent value up to the sandwich factor 2.
     Exact in 1D and in 2D for N <= 4: the best doubleosc sum per covered
-    cell count comes from packing._best_by_cells, in 2D the subset DP over
-    bitmasks of covered cells, cubes x 2^(N^2) numpy work (30 x 65536 at
-    N=4), and the value equals bit for bit the maximum over every packing
-    of its doubleosc values summed left to right in cube order over
-    Packing.total_measure^(1/p').  Larger 2D grids give the best over
+    cell count comes from packing._best_by_cells, in 2D the skyline DP, and
+    the value equals bit for bit the maximum over every packing of its
+    doubleosc values, summed left to right in row-major order of the cubes'
+    first cells, over Packing.total_measure^(1/p').  Larger 2D grids give the best over
     single cubes and the shared candidate family, a lower bound.
     """
     _require_desk_scale(f)
@@ -208,13 +205,16 @@ class GaRoEstimate:
            reachable: for Linf wherever lower is (closed form), for L1 on
            tiny grids (a linear program); None otherwise;
     witness_packing: packing certifying the reported lower bound;
-    lower: the certified lower bound itself (L1/Linf only).
+    lower: the certified lower bound itself (L1/Linf only);
+    method: the route of the reported value, exact where set, else upper:
+            "exact LP", "exact closed form" or "16*local-maximal upper".
     """
 
     upper: float
     exact: float | None = None
     witness_packing: Packing | None = None
     lower: float | None = None
+    method: str = "16*local-maximal upper"
 
 
 def _space_kind(space: RISpaceSpec) -> str:
@@ -281,6 +281,7 @@ def garo_norm(
         # below the certified lower bound, so exact never reports less.
         tiny = n <= (GARO_EXACT_GUARD_1D if d == 1 else GARO_EXACT_GUARD_2D)
         exact = max(_garo_lp(table), lower) if tiny else None
+        method = "exact LP" if tiny else GaRoEstimate.method
     else:
         # GaRo_Linf is max_Q doubleosc(Q)/|Q|, the lower bound: the constant
         # at that value is admissible, and an admissible gamma has
@@ -290,7 +291,8 @@ def garo_norm(
         lower = exact = max(float(ratio[i]), 0.0)
         best = [_index_to_cube(table.sides[i], table.starts[i], n, d)]
         witness = Packing(best if ratio[i] > 0 else [])
-    return GaRoEstimate(upper, exact, witness, lower)
+        method = "exact closed form"
+    return GaRoEstimate(upper, exact, witness, lower, method)
 
 
 def garo_p_lambda(f: GridFunction, p: float, lam: float) -> float:

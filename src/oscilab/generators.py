@@ -36,6 +36,9 @@ def generate(kind: str, d: int, n: int, seed: int = 0, **params) -> GridFunction
     the corner cube of measure a, sampled at cell centers; random_steps and
     cosine_mix: seeded; checkerboard: alternating blocks of the given period.
     """
+    if d not in (1, 2) or n < 1 or seed < 0:
+        raise ConfigError(f"generators need d in {{1, 2}}, N >= 1 and seed >= 0, "
+                          f"got d={d}, N={n}, seed={seed}")
     if kind == "constant":
         return GridFunction(d, n, np.full(n**d, float(params.get("c", 1.0))))
     if kind == "indicator":

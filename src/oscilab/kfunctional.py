@@ -12,11 +12,12 @@ The packing route evaluates F(t) = sup over packings of the rearranged
 mean-oscillation step function at t: F(t) is the largest oscillation level
 v for which the maximal total measure of a disjoint family of cubes with
 oscillation >= v exceeds t.  Wherever it is exact (1D, dyadic cubes, and
-2D full cubes with N <= 4) one bottleneck (max-min) computation gives the
-largest minimum oscillation for every packed cell count, hence F at every
-t at once; larger 2D full-cube grids count greedily packed cells per level,
-a lower bound.  Measures are compared in integer cell counts so every
-route and the exhaustive oracle use bitwise-identical comparisons.
+2D full cubes with N <= 4, by the skyline DP of packing) one bottleneck
+(max-min) computation gives the largest minimum oscillation for every
+packed cell count, hence F at every t at once; larger 2D full-cube grids
+count greedily packed cells per level, a lower bound.  Measures are
+compared in integer cell counts so every route and the exhaustive oracle
+use bitwise-identical comparisons.
 """
 
 from __future__ import annotations
@@ -214,7 +215,7 @@ def _f_values(table: CubeTable, stat: np.ndarray, ts: np.ndarray) -> np.ndarray:
     - full cubes in 1D, and in 2D with N <= EXACT_GUARD_2D: the suffix
       maximum of packing._best_by_cells with np.minimum, the largest
       minimum statistic per exactly covered cell count (the 1D cell-count
-      DP, O(N^3), or the 2D subset DP over cell masks).
+      DP, O(N^3), or the 2D skyline DP).
     2D full cubes beyond that guard search the greedy counts of
     _greedy_counts_2d with _level_search, a certified lower bound.
     """

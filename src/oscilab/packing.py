@@ -1,5 +1,5 @@
 """Optimization over cube packings: exact 1D dynamic programs, one exact
-2D subset DP for tiny grids, greedy Vitali selection.
+2D skyline DP for small grids, greedy Vitali selection.
 
 Max-weight packing has one private solve per dimension, _BEST_PACKING[d],
 on flat (sides, starts, w) arrays: _best_packing_1d is one exact DP over
@@ -8,13 +8,13 @@ the cubes passed, on one weight row or a (rows, cubes) stack;
 _best_packing_2d takes the positive weights, weight descending.  The
 cell-count DP _dp_budgeted_1d tracks cells left uncovered (O(N^3) work,
 O(N^2) memory).  2D maximum-weight square packing is combinatorially hard:
-on tiny grids (N <= EXACT_GUARD_2D) every exact answer comes from one
-include/exclude DP over bitmasks of covered cells, _mask_dp (cubes x
-2^(N^2) numpy work); larger grids fall back to greedy selection whose
-value is a certified lower bound.  _best_by_cells, the best value (sum or
-max-min) per covered cell count, is the one entry to both exact cell-count
-DPs for F, G_p and the Pareto profiles.  Every greedy selection,
-here and in functionals and kfunctional, is one pass of _greedy_disjoint.
+up to N = EXACT_GUARD_2D every exact answer comes from _skyline_dp, a
+row-major scan of the cells over skyline states; larger grids fall back to
+greedy selection, a certified lower bound.  _best_by_cells, the best value
+(sum or max-min) per covered cell count, is the one entry to both exact
+cell-count DPs for F, G_p and the Pareto profiles.  Every greedy
+selection, here and in functionals and kfunctional, is one pass of
+_greedy_disjoint.
 
 The solvers take and return flat positions of grid._family; only the public
 functions convert to and from Cube objects, through grid's helpers.
@@ -22,7 +22,6 @@ functions convert to and from Cube objects, through grid's helpers.
 
 from __future__ import annotations
 
-import functools
 import math
 from typing import Iterable
 
@@ -41,7 +40,7 @@ __all__ = [
     "EXACT_GUARD_2D",
 ]
 
-EXACT_GUARD_2D = 4  # 2D packings are exact up to N = 4: 2^16 cell masks
+EXACT_GUARD_2D = 4  # 2D packings are exact up to N = 4, by _skyline_dp
 VITALI_COVER_FACTOR = 5  # per-dimension constant of the covering argument
 
 
@@ -80,44 +79,61 @@ def _greedy_disjoint(sides, starts, n: int, d: int) -> list:
     return kept
 
 
-@functools.cache
-def _disjoint_masks(m: int, n: int) -> np.ndarray:
-    """The bitmasks of the N^2 cells disjoint from mask m, ascending, as a
-    read-only int32 array shared by every _mask_dp call (about 2.2 MB for
-    the 30 cubes of N=4)."""
-    masks = np.arange(1 << (n * n), dtype=np.int32)
-    out = masks[(masks & m) == 0]
-    out.flags.writeable = False
-    return out
+def _skyline_dp(sides, starts, w, n: int, op) -> tuple:
+    """Exact DP over the 2D packings of the cubes (side, first cell) with
+    flat weights w, scanning the N^2 cells in row-major order.
 
+    A state is the skyline (per column, the rows at and below the scan line
+    already covered: base-(N+1) digits of one int64 key) and the covered
+    cell count, kept as key * (N^2+1) + count.  A covered cell counts its
+    column down; a free cell is left uncovered or starts a cube whose top
+    row runs along free columns (an earlier cube reaching a lower row of it
+    would cover its top row too).  op=np.add (start 0) keeps each state's
+    largest weight sum, a packing's weights added in row-major order of
+    first cells; op=np.minimum (start +inf) the largest minimum weight.
+    x -> op(x, w) is monotone, so the values are optimal bit for bit.  Value
+    ties go to the carried state, then to the cubes in the given order.
 
-def _mask_dp(sides, starts, w, n: int, op) -> tuple:
-    """Include/exclude DP over the 2D cubes (side, first cell) in the given
-    order, on one row of 2^(N^2) floats indexed by bitmasks of covered cells.
-
-    op=np.add (start 0): best[mask] is the largest weight sum of a packing
-    covering exactly the cells of mask, its weights added in cube order.
-    op=np.minimum (start +inf): the largest minimum weight, as in
-    _dp_budgeted_1d.  -inf marks masks no packing covers.
-    take[i, mask] is set where cube i raised best[mask]: walked backwards
-    over the cubes from a mask, the set flags give the packing.  Each cube
-    is one numpy gather over the masks disjoint from it, cubes x 2^(N^2)
-    work (30 x 65536 at N=4).  x -> op(x, w) is monotone, so best[mask] is
-    the optimum over the packings of mask bit for bit.
+    Returns (best, packing_of): best[c] is the best value over packings of
+    exactly c cells, c = 0..N^2, -inf where none covers c; packing_of(c)
+    gives the positions, ascending, of that packing.
     """
-    size = 1 << (n * n)
-    best = np.full(size, -np.inf)
-    best[0] = 0.0 if op is np.add else np.inf
-    take = np.zeros((sides.size, size), dtype=bool)
-    for i, (k, s, wi) in enumerate(zip(sides.tolist(), starts.tolist(), w.tolist())):
-        m = _block(k, n, 2) << s
-        src = _disjoint_masks(m, n)
-        cand = op(best[src], wi)
-        up = cand > best[src + m]
-        dst = src[up] + m
-        take[i, dst] = True
-        best[dst] = cand[up]
-    return best, take
+    m = n * n + 1
+    base = np.int64(n + 1) ** np.arange(n + 1)
+    order = np.argsort(starts, kind="stable")  # each cell's cubes in given order
+    at = np.searchsorted(starts[order], np.arange(m)).tolist()
+    k, col, w = sides[order], starts[order] % n, w[order]
+    top_row = base[k]  # digits col..col+k-1 zero: the top row is free
+    # a cube covers k-1 more rows of col and k rows of the next k-1 columns
+    grow = ((k - 1) * base[col] + k * (base[col + k] - base[col + 1]) // n) * m + k * k
+    state = np.zeros(1, dtype=np.int64)
+    value = np.array([0.0 if op is np.add else np.inf])
+    trail = []
+    for cell, (lo, hi) in enumerate(zip(at, at[1:])):  # the cell's cubes: lo..hi-1
+        p = base[cell % n] * m
+        above = state // p
+        ci, si = np.nonzero(above % top_row[lo:hi, None] == 0)
+        ci += lo
+        covered = above % (n + 1) > 0
+        cand = np.concatenate((state - p * covered, state[si] + grow[ci]))
+        cand_value = np.concatenate((value, op(value[si], w[ci])))
+        ranked = np.lexsort((-cand_value, cand))  # stable: ties keep given order
+        pick = ranked[np.diff(cand[ranked], prepend=-1) != 0]
+        trail.append((pick, state.size, si, ci))
+        state, value = cand[pick], cand_value[pick]
+    best = np.full(m, -np.inf)
+    best[state] = value  # the skyline is empty: a final state is its count
+
+    def packing_of(c: int) -> np.ndarray:
+        i, kept = int(np.searchsorted(state, c)), []
+        for pick, carried, si, ci in reversed(trail):
+            j = int(pick[i]) - carried  # candidates: carried states, then cubes
+            if j >= 0:
+                kept.append(order[ci[j]])
+            i = j + carried if j < 0 else int(si[j])
+        return np.sort(np.array(kept, dtype=int))
+
+    return best, packing_of
 
 
 def _best_by_cells(sides, starts, w, n: int, d: int, op) -> np.ndarray:
@@ -125,26 +141,10 @@ def _best_by_cells(sides, starts, w, n: int, d: int, op) -> np.ndarray:
     cell) with flat weights w covering exactly c cells, c = 0..N^d: the
     largest sum for op=np.add, the largest minimum for op=np.minimum (+inf
     for c = 0); -inf where no packing covers c cells.  1D reads
-    _dp_budgeted_1d, 2D (N <= 4) the max of _mask_dp over each cell count."""
+    _dp_budgeted_1d, 2D _skyline_dp."""
     if d == 1:
         return _dp_budgeted_1d(sides, starts, w, n, op)[n, ::-1].copy()
-    best = _mask_dp(sides, starts, w, n, op)[0]
-    value = np.full(n * n + 1, -np.inf)
-    np.maximum.at(value, np.bitwise_count(np.arange(best.size)), best)
-    return value
-
-
-def _mask_dp_packing(sides, starts, w, n: int) -> list:
-    """Positions, ascending, of a maximum-weight packing of the cubes in
-    the given order: the take flags of _mask_dp walked back from the first
-    mask of largest sum."""
-    best, take = _mask_dp(sides, starts, w, n, np.add)
-    mask, kept = int(np.argmax(best)), []
-    for i in range(sides.size - 1, -1, -1):
-        if take[i, mask]:
-            kept.append(i)
-            mask ^= _block(int(sides[i]), n, 2) << int(starts[i])
-    return kept[::-1]
+    return _skyline_dp(sides, starts, w, n, op)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -261,17 +261,16 @@ def additive_pareto_2d(weights, grid) -> np.ndarray:
     """value[m] = max sum of weights over 2D packings covering exactly m
     cells, for N <= EXACT_GUARD_2D; -inf marks unreachable m.
 
-    _mask_dp with np.add over the cubes in (side, origin lex) order, the
-    order a left-to-right sum over a packing's cubes adds their weights, so
-    value[m] equals the largest such sum bit for bit.
+    _skyline_dp with np.add, which adds a packing's weights left to right
+    in row-major order of the cubes' first cells, so value[m] equals the
+    largest such sum bit for bit.
     """
     d, n = _check_grid(grid)
     if d != 2:
         raise ConfigError("additive_pareto_2d is 2D only")
     if n > EXACT_GUARD_2D:
-        raise SizeGuardError(
-            f"the 2D subset DP is guarded at N <= {EXACT_GUARD_2D}, got N={n}"
-        )
+        raise SizeGuardError(f"the exact 2D packing DP is guarded at "
+                             f"N <= {EXACT_GUARD_2D}, got N={n}")
     return _best_by_cells(*_flat_weights(weights, n, 2), n, 2, np.add)
 
 
@@ -285,10 +284,9 @@ def max_additive_packing(weights, grid, measure_budget: int | None = None) -> tu
     side in the weight dict's order; the budgeted variant is O(N^3) work
     with O(N^2) memory.  2D takes the cubes with weight > 0, weight
     descending, ties by (side, origin): for N <= 4 the exact packing comes
-    from _mask_dp over them, which adds each packing's weights in that
-    order; larger grids take one _greedy_disjoint pass over them.  The value
-    is the kept weights summed in that order.  With measure_budget = m the
-    packing must cover exactly m cells.  Returns (Packing, value); the
+    from _skyline_dp over them, beyond from one _greedy_disjoint pass; the
+    value is the kept weights summed in that order.  With measure_budget = m
+    the packing must cover exactly m cells.  Returns (Packing, value); the
     empty packing (value 0) wins when every weight is <= 0.
     """
     d, n = _check_grid(grid)
@@ -311,16 +309,18 @@ def max_additive_packing(weights, grid, measure_budget: int | None = None) -> tu
 def _best_packing_2d(sides, starts, w, n: int) -> tuple:
     """(kept positions, value) of the 2D packing solve on the cubes (side,
     first cell) with flat weights w: the cubes with weight > 0, weight
-    descending, ties by (side, origin), through _mask_dp for N <= 4 and one
+    descending, ties by (side, origin), through _skyline_dp for N <= 4 (the
+    packing of its best state, ties to the fewest covered cells) and one
     _greedy_disjoint pass beyond; the value summed over the kept positions
     in the order returned."""
     pos = np.nonzero(w > 0)[0]
     order = pos[np.lexsort((starts[pos], sides[pos], -w[pos]))]
     if n <= EXACT_GUARD_2D:
-        kept = order[_mask_dp_packing(sides[order], starts[order], w[order], n)]
+        best, packing_of = _skyline_dp(sides[order], starts[order], w[order], n, np.add)
+        kept = order[packing_of(int(np.argmax(best)))]  # ties to the fewest cells
     else:
         kept = order[_greedy_disjoint(sides[order], starts[order], n, 2)]
-    # cumsum adds left to right, as the DP and a running sum over acceptances
+    # cumsum adds left to right, as a running sum over acceptances
     return kept, float(np.cumsum(w[kept])[-1]) if kept.size else 0.0
 
 

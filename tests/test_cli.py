@@ -312,6 +312,11 @@ def test_verify_config_seed_reaches_suite(tmp_path):
     ["gen", "indicator", "--side", "0", "--out", "{tmp}/x.csv"],
     ["gen", "indicator", "--N", "8", "--side", "9", "--out", "{tmp}/x.csv"],
     ["gen", "checkerboard", "--period", "0", "--out", "{tmp}/x.csv"],
+    ["gen", "indicator", "--d", "0", "--N", "4", "--out", "{tmp}/x.csv"],
+    ["gen", "constant", "--d", "-1", "--N", "4", "--out", "{tmp}/x.csv"],
+    ["gen", "constant", "--d", "1", "--N", "-3", "--out", "{tmp}/x.csv"],
+    ["gen", "random_steps", "--d", "2", "--N", "4", "--seed", "-1",
+     "--out", "{tmp}/x.csv"],
 ])
 def test_bad_profile_or_unwritable_out_is_usage_error(tmp_path, capsys, argv):
     names = {"tmp": tmp_path}

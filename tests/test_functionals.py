@@ -203,6 +203,22 @@ def test_garo_exact_where_reachable(rng):
         assert est.witness_packing is None and est.upper > 0
 
 
+def test_garo_method_names_route(rng):
+    # the route of the reported value: exact where set, else the upper bound
+    for g, space, method in (
+        (GridFunction(2, 4, rng.normal(size=16)), lp(1), "exact LP"),
+        (GridFunction(1, GARO_EXACT_GUARD_1D + 1, rng.normal(size=17)), lp(1),
+         "16*local-maximal upper"),
+        (GridFunction(2, 5, rng.normal(size=25)), lp(math.inf), "exact closed form"),
+        (GridFunction(1, 512, rng.normal(size=512)), lp(math.inf),
+         "16*local-maximal upper"),
+        (GridFunction(1, 8, rng.normal(size=8)), weak_lp(2), "16*local-maximal upper"),
+    ):
+        est = garo_norm(g, space)
+        assert est.method == method
+        assert (est.exact is None) == (method == "16*local-maximal upper")
+
+
 def test_garo_upper_route_without_exact(rng):
     f = GridFunction(1, 24, rng.normal(size=24))
     est = garo_norm(f, weak_lp(2), s=0.05)
@@ -350,8 +366,8 @@ def test_garo_p_lambda_batched_sweep_matches_per_mu(n, kind, lam):
 
 def _gp_by_enumeration(f: GridFunction, ps) -> list:
     """gp_norm on a 2D N <= 4 grid as every packing gives it: the do values
-    summed left to right in cube order, Packing.total_measure, and the
-    running max from 0.0, for each p in ps."""
+    summed left to right in row-major order of first cells,
+    Packing.total_measure, and the running max from 0.0, for each p in ps."""
     n = f.res
     table = CubeTable(f)
     do_by_side = table.by_side(table.do)
@@ -360,7 +376,7 @@ def _gp_by_enumeration(f: GridFunction, ps) -> list:
         do = sum(
             float(do_by_side[qc.side][qc.origin[0] * (n - qc.side + 1)
                                       + qc.origin[1]])
-            for qc in packing
+            for qc in sorted(packing, key=lambda q: q.origin)
         )
         sums.append((do, packing.total_measure(n)))
     out = []

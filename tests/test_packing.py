@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from oscilab import (
     ConfigError,
     Cube,
     GeometryError,
+    Packing,
     SizeGuardError,
     additive_pareto_1d,
     additive_pareto_2d,
@@ -18,6 +20,8 @@ from oscilab import (
     union_measure,
     vitali_select,
 )
+from oscilab.grid import _family
+from oscilab.packing import _best_by_cells, _best_packing_2d, _skyline_dp
 
 
 def test_enumerate_packings_tiny():
@@ -209,7 +213,9 @@ def test_additive_pareto_2d_matches_enumeration(rng):
         expect = [0.0] + [-math.inf] * 9
         for p in enumerate_packings((2, 3)):
             m = p.total_cells()
-            expect[m] = max(expect[m], sum(weights[q] for q in p))
+            # summed in row-major order of first cells, as the DP adds them
+            row_major = sorted(p, key=lambda q: q.origin)
+            expect[m] = max(expect[m], sum(weights[q] for q in row_major))
         assert additive_pareto_2d(lambda q: weights[q], (2, 3)).tolist() == expect
 
 
@@ -218,6 +224,89 @@ def test_additive_pareto_2d_guards():
         additive_pareto_2d(lambda q: 1.0, (2, 5))
     with pytest.raises(ConfigError):
         additive_pareto_2d(lambda q: 1.0, (1, 4))
+
+
+@functools.cache
+def _row_major_packings(n: int) -> np.ndarray:
+    """Every 2D packing as a row of family positions, cubes in row-major
+    order of first cells, padded with -1: the empty packing first."""
+    sides, starts = _family(n, 2, range(1, n + 1))
+    at = {(k, s): i for i, (k, s) in enumerate(zip(sides.tolist(), starts.tolist()))}
+    rows = [[at[q.side, q.origin[0] * n + q.origin[1]]
+             for q in sorted(p, key=lambda q: q.origin)]
+            for p in enumerate_packings((2, n))]
+    out = np.full((len(rows) + 1, n * n), -1)
+    for r, row in enumerate(rows, start=1):
+        out[r, :len(row)] = row
+    return out
+
+
+def _skyline_weights(rng, kind: str, size: int) -> np.ndarray:
+    if kind == "normal":
+        return rng.normal(size=size)
+    if kind == "halves":  # ties and exact zeros
+        return rng.integers(-2, 5, size=size) / 2.0
+    return np.where(rng.random(size) < 0.4, -math.inf, rng.normal(size=size))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("kind", ["normal", "halves", "restricted"])
+def test_skyline_dp_matches_enumeration(n, kind):
+    rng = np.random.default_rng(700 + n)
+    sides, starts = _family(n, 2, range(1, n + 1))
+    packings = _row_major_packings(n)
+    real = packings >= 0
+    cells = np.where(real, sides[packings] ** 2, 0).sum(axis=1)
+    for trial in range(3):
+        w = _skyline_weights(rng, kind, sides.size)
+        total = np.zeros(len(packings))  # summed left to right, row-major
+        for col in range(n * n):
+            total = total + np.where(real[:, col], w[packings[:, col]], 0.0)
+        low = np.where(real, w[packings], math.inf).min(axis=1)
+        expect_sum = np.full(n * n + 1, -math.inf)
+        expect_min = np.full(n * n + 1, -math.inf)
+        np.maximum.at(expect_sum, cells, total)
+        np.maximum.at(expect_min, cells, low)
+        for op, expect in ((np.add, expect_sum), (np.minimum, expect_min)):
+            assert _best_by_cells(sides, starts, w, n, 2, op).tolist() == expect.tolist()
+        # the witness: positive cubes only, the best row-major sum bit for
+        # bit, ties to the fewest covered cells
+        kept, val = _best_packing_2d(sides, starts, w, n)
+        assert np.all(w[kept] > 0)
+        Packing([Cube(divmod(s, n), k) for k, s in
+                 zip(sides[kept].tolist(), starts[kept].tolist())]).validate(n)
+        rm = 0.0
+        for i in kept[np.argsort(starts[kept])]:
+            rm += w[i]
+        ok = low > 0
+        best = total[ok].max()  # the empty packing (row 0) has low = inf
+        assert rm == best
+        assert sides[kept] @ sides[kept] == cells[ok][total[ok] == best].min()
+        assert val == pytest.approx(best, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_skyline_dp_matches_milp(n):
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
+    rng = np.random.default_rng(800 + n)
+    sides, starts = _family(n, 2, range(1, n + 1))
+    cover = np.zeros((n * n, sides.size))  # cover[cell, cube]
+    for i, (k, s) in enumerate(zip(sides.tolist(), starts.tolist())):
+        cover[Cube(divmod(s, n), k).flat_cells(n), i] = 1
+    area = sides.astype(float) ** 2
+    for kind in ("normal", "halves"):
+        w = _skyline_weights(rng, kind, sides.size)
+        best, _ = _skyline_dp(sides, starts, w, n, np.add)
+        for c in (None, 3, n * n // 2 + 1, n * n):
+            rows = [LinearConstraint(cover, 0, 1)]
+            if c is not None:
+                rows.append(LinearConstraint(area[None, :], c, c))
+            res = milp(-w, constraints=rows, integrality=np.ones(sides.size),
+                       bounds=Bounds(0, 1), options={"mip_rel_gap": 0})
+            assert res.success
+            got = best.max() if c is None else best[c]
+            assert got == pytest.approx(-res.fun, abs=1e-9)
 
 
 def test_budgeted_dp_and_pareto(rng):
