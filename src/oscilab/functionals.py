@@ -7,8 +7,10 @@ packing of its weights summed in a fixed order); larger 2D grids are
 estimated over a shared deterministic family of candidate packings, which
 keeps the per-packing Holder comparison between the functionals valid for
 the reported values.  Each greedy packing there, and in the 2D sweep of
-garo_p_lambda, is one pass of the cell-bitmask kernel
-packing._greedy_disjoint over integer cube indices (11,440 cubes at N=32).
+garo_p_lambda, is one pass of the greedy kernel packing._greedy_disjoint
+over integer cube indices (11,440 cubes at N=32): one bigint test per
+walked cube, plus one numpy sieve, O(N^d + cubes left), per segment of
+walked cubes, which drops the cubes meeting those kept so far.
 
 Each functional reads the statistics it needs from one grid.CubeTable,
 flat by cube position (grid._family order), and passes its weights to the

@@ -256,10 +256,11 @@ def _greedy_counts_2d(table: CubeTable, stat: np.ndarray):
             levels = np.union1d(levels, [stat[-1]])
     n, sides, starts = table.f.res, table.sides, table.starts
     order = np.lexsort((starts, -sides))
+    ranked = stat[order]  # gathered once for every level
 
     @functools.cache
     def cells(i: int) -> int:
-        idx = order[stat[order] >= levels[i]]
+        idx = order[ranked >= levels[i]]
         kept = _greedy_disjoint(sides[idx], starts[idx], n, 2)
         return int((sides[idx[kept]] ** 2).sum())
 

@@ -14,7 +14,9 @@ greedy selection, a certified lower bound.  _best_by_cells, the best value
 (sum or max-min) per covered cell count, is the one entry to both exact
 cell-count DPs for F, G_p and the Pareto profiles.  Every greedy
 selection, here and in functionals and kfunctional, is one pass of
-_greedy_disjoint.
+_greedy_disjoint: one bigint test per walked cube, and after every
+_SEGMENT walked cubes one numpy sieve, O(N^d + cubes left), that drops the
+cubes meeting the cells covered so far.
 
 The solvers take and return flat positions of grid._family; only the public
 functions convert to and from Cube objects, through grid's helpers.
@@ -42,12 +44,36 @@ __all__ = [
 
 EXACT_GUARD_2D = 4  # 2D packings are exact up to N = 4, by _skyline_dp
 VITALI_COVER_FACTOR = 5  # per-dimension constant of the covering argument
+_SEGMENT = 128  # cubes walked by _greedy_disjoint between two sieves
 
 
-def _block(k: int, n: int, d: int) -> int:
-    """Mask of the side-k cube at the origin of an N^d grid, bit c = cell c."""
-    row = (1 << k) - 1
-    return row if d == 1 else sum(row << (r * n) for r in range(k))
+def _blocks(sides, n: int, d: int) -> dict:
+    """{k: mask of the side-k cube at the origin of an N^d grid} for each
+    side k in the array sides, bit c = cell c: the row (1<<k)-1 times the
+    repunit (2^{kN}-1)/(2^N-1) of its k rows in 2D (one row in 1D), O(1)
+    int ops per side."""
+    unit = (1 << n) - 1
+    return {k: ((1 << k) - 1) * (((1 << (k if d == 2 else 1) * n) - 1) // unit)
+            for k in np.flatnonzero(np.bincount(sides)).tolist()}
+
+
+def _misses(occ: int, sides, starts, n: int, d: int) -> np.ndarray:
+    """Whether each cube (side, first cell) misses every cell set in occ:
+    its box sum over the unpacked cells is 0, read from one integer
+    summed-area table ((N+1)^2 flat in 2D)."""
+    cells = np.unpackbits(np.frombuffer(occ.to_bytes((n**d + 7) // 8, "little"),
+                                        dtype=np.uint8), bitorder="little")
+    sat = np.zeros((n + 1) ** d, dtype=np.int32)
+    if d == 1:
+        np.cumsum(cells[:n], out=sat[1:])
+        return sat[starts + sides] == sat[starts]
+    sat = sat.reshape(n + 1, n + 1)
+    np.cumsum(cells[:n * n].reshape(n, n), axis=0, out=sat[1:, 1:])
+    np.cumsum(sat[1:, 1:], axis=1, out=sat[1:, 1:])
+    sat = sat.ravel()
+    a = starts + starts // n  # top-left corner in the (N+1)^2 table
+    down = sides * (n + 1)
+    return sat[a + down + sides] - sat[a + sides] - sat[a + down] + sat[a] == 0
 
 
 def _packing(kept, sides, starts, n: int, d: int) -> Packing:
@@ -61,21 +87,32 @@ def _packing(kept, sides, starts, n: int, d: int) -> Packing:
 def _greedy_disjoint(sides, starts, n: int, d: int) -> list:
     """The one greedy disjoint selection: walk the cubes (side, first cell)
     in the given order, keep each that misses every cube kept so far, and
-    return the kept positions in acceptance order.  The kept union is one
-    Python int over the N^d cells and a cube's mask its side's block shifted
-    to its first cell: one `&` per cube and one `|=` per keep, each on
-    N^d-bit ints; the walk stops once every cell is covered."""
-    sides, starts = sides.tolist(), starts.tolist()
-    blocks = {k: _block(k, n, d) for k in set(sides)}
+    return the kept positions in acceptance order.
+
+    The kept union is one Python int over the N^d cells and a cube's mask
+    its side's _blocks mask shifted to its first cell: one `&` per walked
+    cube and one `|=` per keep, and the walk stops once every cell is
+    covered.  The cubes are walked in segments of _SEGMENT; after each, one
+    _misses sieve, O(N^d + cubes left) in numpy, drops every later cube that
+    meets the union.  A cube meeting an earlier keep can never be kept, so
+    the positions are those of the plain walk, and each segment opens with
+    a keep.
+    """
+    blocks = _blocks(sides, n, d)
     full = (1 << n**d) - 1
     occ, kept = 0, []
-    for i, (k, s) in enumerate(zip(sides, starts)):
-        m = blocks[k] << s
-        if not occ & m:
-            occ |= m
-            kept.append(i)
-            if occ == full:
-                break
+    pos = np.arange(sides.size)
+    while pos.size:
+        head, pos = pos[:_SEGMENT], pos[_SEGMENT:]
+        for i, k, s in zip(head.tolist(), sides[head].tolist(), starts[head].tolist()):
+            m = blocks[k] << s
+            if not occ & m:
+                occ |= m
+                kept.append(i)
+                if occ == full:
+                    return kept
+        if pos.size:
+            pos = pos[_misses(occ, sides[pos], starts[pos], n, d)]
     return kept
 
 
@@ -374,7 +411,7 @@ def _budgeted_kept_1d(g, sides, w, n: int, m: int) -> np.ndarray:
 
 def _union_cells(sides, starts, n: int, d: int) -> int:
     occ = 0
-    blocks = {k: _block(k, n, d) for k in set(sides.tolist())}
+    blocks = _blocks(sides, n, d)
     for k, s in zip(sides.tolist(), starts.tolist()):
         occ |= blocks[k] << s
     return occ.bit_count()

@@ -602,8 +602,8 @@ def suite_blowup(config: dict) -> list:
     # resolution scales with the spike: fixed cells per spike width; a fixed
     # grid would leave the slowly-varying norm floor-dominated and flatten
     # the ratio growth
-    res_j = config.get("res_j", 11)
-    ks = list(range(2, config.get("kmax", 10) + 1))
+    res_j = config.get("res_j", _BLOWUP_DEFAULTS["res_j"])
+    ks = list(range(2, config.get("kmax", _BLOWUP_DEFAULTS["kmax"]) + 1))
     xlog = marcinkiewicz(phi_preset("log-slow"))
 
     # each spike, its median, M#_s f and the two rearrangements once per k,
@@ -638,7 +638,7 @@ def suite_blowup(config: dict) -> list:
         band < 2.0, measured={"band": band}, tolerance=2.0,
     ))
 
-    n_fs = config.get("n_fs", 2**14)
+    n_fs = config.get("n_fs", _BLOWUP_DEFAULTS["n_fs"])
     l1 = lp(1)
     growth_seq = []
     for k in range(2, 9):
@@ -670,6 +670,11 @@ _SUITE_KEYS = {"morrey": ("count",), "blowup": ("res_j", "kmax", "n_fs")}
 # least value of each integer key: the blowup ratios need two spikes to
 # compare, and its smallest spike (a = 2^-8) needs a cell center inside it
 _INT_MIN = {"seed": 0, "count": 1, "res_j": 1, "kmax": 2, "n_fs": 2**8}
+_BLOWUP_DEFAULTS = {"res_j": 11, "kmax": 10, "n_fs": 2**14}
+# the blowup suite's grids, spikes of 2^(k + res_j) cells for k <= kmax and
+# the f# family of n_fs cells, have at most 2^_LOG2_GRID_CAP cells (the
+# default spikes reach it)
+_LOG2_GRID_CAP = 21
 
 
 def _check_config(config: dict) -> None:
@@ -683,6 +688,16 @@ def _check_config(config: dict) -> None:
                 or value < _INT_MIN[key]):
             raise ConfigError(f"config key {key!r} must be an integer >= "
                               f"{_INT_MIN[key]}, got {value!r}")
+    size = {key: config.get(key, v) for key, v in _BLOWUP_DEFAULTS.items()}
+    if size["kmax"] + size["res_j"] > _LOG2_GRID_CAP:
+        raise ConfigError(f"config keys 'kmax' + 'res_j' must be <= "
+                          f"{_LOG2_GRID_CAP}: the largest spike grid has "
+                          f"2^(kmax + res_j) cells, got {size['kmax']} + "
+                          f"{size['res_j']}")
+    n_fs = size["n_fs"]
+    if n_fs & (n_fs - 1) or n_fs > 2**_LOG2_GRID_CAP:
+        raise ConfigError(f"config key 'n_fs' must be a power of two <= "
+                          f"2^{_LOG2_GRID_CAP}, got {n_fs!r}")
 
 
 def run_suite(suite_id: str, config: dict | None = None) -> dict:

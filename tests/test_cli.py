@@ -292,6 +292,24 @@ def test_verify_bad_config_value_is_config_error(capsys, suite, config):
     assert err.startswith("error: ") and next(iter(json.loads(config))) in err
 
 
+@pytest.mark.parametrize("config", [{"res_j": 100}, {"kmax": 60},
+                                    {"kmax": 11}, {"n_fs": 300},
+                                    {"n_fs": 2**22}])
+def test_blowup_grid_size_capped_before_allocation(capsys, monkeypatch, config):
+    from oscilab import ConfigError
+    import oscilab.verify as V
+
+    def no_grid(*args, **kwargs):
+        raise AssertionError("a grid was built before validation")
+
+    monkeypatch.setattr(V, "generate", no_grid)
+    with pytest.raises(ConfigError, match=next(iter(config))):
+        V.run_suite("blowup", config)
+    assert main(["verify", "blowup", "--config", json.dumps(config)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and next(iter(config)) in err
+
+
 def test_verify_config_seed_reaches_suite(tmp_path):
     # --seed is an override: without it the seed of --config is the one run
     a, b = tmp_path / "a.json", tmp_path / "b.json"

@@ -21,8 +21,9 @@ from oscilab import (
     vitali_select,
 )
 from oscilab.functionals import _packing_family_2d
-from oscilab.grid import CubeTable
+from oscilab.grid import CubeTable, _family, _index_to_cube
 from oscilab.kfunctional import _greedy_counts_2d, _level_search, f_sharp_curve
+from oscilab.packing import _SEGMENT, _greedy_disjoint
 
 
 def _occupancy_greedy(cubes, n, d):
@@ -143,3 +144,78 @@ def test_f_sharp_curve_2d_greedy_pinned(n, mode):
     # the library's search over the pinned counts
     want = [_level_search(levels, counts.__getitem__, float(t) * n**2) for t in ts]
     assert repr(got.tolist()) == repr(want)
+
+
+# _greedy_disjoint walks the cubes in segments and sieves the rest in numpy
+# between them; each case below crosses at least one segment boundary
+# unless it is trivially short, and must keep the plain walk's positions.
+
+def _reference_positions(sides, starts, n, d):
+    """Positions kept by _occupancy_greedy, one Cube object per position."""
+    cubes = [_index_to_cube(k, s, n, d) for k, s in zip(sides.tolist(), starts.tolist())]
+    at = {id(q): i for i, q in enumerate(cubes)}
+    return [at[id(q)] for q in _occupancy_greedy(cubes, n, d)]
+
+
+def _assert_kernel(sides, starts, n, d):
+    sides, starts = np.asarray(sides, dtype=int), np.asarray(starts, dtype=int)
+    assert _greedy_disjoint(sides, starts, n, d) == _reference_positions(sides, starts, n, d)
+
+
+@pytest.mark.parametrize("d,n", [(2, 5), (2, 13), (2, 32), (1, 20), (1, 300)])
+def test_kernel_shuffled_family(d, n):
+    sides, starts = _family(n, d, range(1, n + 1))
+    perm = np.random.default_rng(400 + n).permutation(sides.size)
+    _assert_kernel(sides[perm], starts[perm], n, d)
+
+
+@pytest.mark.parametrize("n", [5, 13, 32])
+def test_kernel_key_descending_and_level_filtered(n):
+    table = CubeTable(generate("random_steps", 2, n, seed=500 + n))
+    sides, starts, stat = table.sides, table.starts, table.osc
+    key = np.where(table.meas > 0, table.do / table.meas, 0.0)
+    order = np.argsort(-key, kind="stable")  # as _packing_family_2d passes it
+    _assert_kernel(sides[order], starts[order], n, 2)
+    order = np.lexsort((starts, -sides))  # as _greedy_counts_2d passes it
+    for level in np.quantile(stat[stat > 0], [0.0, 0.5, 0.9, 0.99]):
+        idx = order[stat[order] >= level]
+        _assert_kernel(sides[idx], starts[idx], n, 2)
+
+
+@pytest.mark.parametrize("d,n", [(2, 13), (1, 300)])
+def test_kernel_duplicated_cubes(d, n):
+    sides, starts = _family(n, d, range(1, n + 1))
+    pick = np.random.default_rng(600 + n).integers(0, sides.size, size=3 * _SEGMENT)
+    pick = np.concatenate((pick, pick[::-1]))  # every cube offered at least twice
+    _assert_kernel(sides[pick], starts[pick], n, d)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_kernel_empty_input(d):
+    assert _greedy_disjoint(np.zeros(0, dtype=int), np.zeros(0, dtype=int), 7, d) == []
+
+
+def test_kernel_grid_fills_before_input_ends():
+    n = 13  # 169 unit cells: the grid fills in the second segment
+    sides, starts = _family(n, 2, range(1, n + 1))
+    assert _greedy_disjoint(sides, starts, n, 2) == list(range(n * n))
+    back = np.arange(sides.size)[::-1]  # the whole grid first
+    assert _greedy_disjoint(sides[back], starts[back], n, 2) == [0]
+    _assert_kernel(sides, starts, n, 2)
+
+
+def test_kernel_keep_at_segment_ends():
+    # 2D N=13: the side-2 cube at (0,0) first, then cubes meeting it up to
+    # the last position of the first segment, which holds a free cube; the
+    # next segment opens with a free cube, then cubes meeting only the one
+    # kept last in the first segment, and one more free cube
+    n = 13
+    dead = [(1, 0), (1, 1), (1, n), (1, n + 1), (2, 0), (3, 0)]
+    sides = [2] + [dead[i % len(dead)][0] for i in range(_SEGMENT - 2)] + [2]
+    starts = [0] + [dead[i % len(dead)][1] for i in range(_SEGMENT - 2)] + [5 * n + 5]
+    sides += [2, 1, 3, 4, 1]
+    starts += [10 * n + 10, 6 * n + 6, 4 * n + 4, 0, 12 * n + 12]
+    assert len(sides) == _SEGMENT + 5
+    _assert_kernel(sides, starts, n, 2)
+    assert _greedy_disjoint(np.array(sides), np.array(starts), n, 2) == [
+        0, _SEGMENT - 1, _SEGMENT, _SEGMENT + 4]
