@@ -4,19 +4,23 @@ The packing suprema are exact in 1D (dynamic programs over cell positions)
 and for small 2D grids (N <= 4: the skyline DP packing._skyline_dp, a
 row-major scan of the cells, equal bit for bit to the maximum over every
 packing of its weights summed in a fixed order); larger 2D grids are
-estimated over a shared deterministic family of candidate packings, which
-keeps the per-packing Holder comparison between the functionals valid for
-the reported values.  Each greedy packing there, and in the 2D sweep of
-garo_p_lambda, is one pass of the greedy kernel packing._greedy_disjoint
+estimated over a shared deterministic family of five greedy candidate
+packings, which keeps the per-packing Holder comparison between the
+functionals valid for the reported values.  The unit-cell partition is no
+candidate: a side-1 cube is one cell, its osc and doubleosc are exactly 0,
+so that partition scores 0.  Each greedy packing there, and in the 2D sweep
+of garo_p_lambda, is one pass of the greedy kernel packing._greedy_disjoint
 over integer cube indices (11,440 cubes at N=32): one bigint test per
 walked cube, plus one numpy sieve, O(N^d + cubes left), per segment of
 walked cubes, which drops the cubes meeting those kept so far.
 
 Each functional reads the statistics it needs from one grid.CubeTable,
 flat by cube position (grid._family order), and passes its weights to the
-packing solve of its dimension as flat arrays: candidate packings,
-witnesses and LP rows are positions, made Cube objects only for returned
-witnesses.
+one packing solve of its dimension, packing._BEST_PACKING[d], as flat
+arrays; garo_p_lambda's sweep is one call on a stack of weight rows.
+Candidate packings, witnesses and LP rows are positions, made Cube objects
+only for returned witnesses, and every packing ratio, sum(num)/sum(den)^q
+over a packing's cubes, is scored by the one left-to-right loop _best_ratio.
 """
 
 from __future__ import annotations
@@ -28,16 +32,8 @@ import numpy as np
 
 from .errors import ConfigError, SizeGuardError
 from .grid import CubeTable, GridFunction, Packing, _index_to_cube
-from .maximal import DEFAULT_S, FULL_GUARD_1D, FULL_GUARD_2D, local_maximal
-from .packing import (
-    EXACT_GUARD_2D,
-    _BEST_PACKING,
-    _best_by_cells,
-    _best_packing_1d,
-    _best_packing_2d,
-    _greedy_disjoint,
-    _packing,
-)
+from .maximal import DEFAULT_S, local_maximal, resolve_cube_mode
+from .packing import EXACT_GUARD_2D, _BEST_PACKING, _best_by_cells, _greedy_disjoint, _packing
 from .rearrange import rearrange
 from .spaces import RISpaceSpec, norm
 
@@ -59,42 +55,54 @@ GARO_EXACT_GUARD_2D = 4
 
 
 def _require_desk_scale(f: GridFunction) -> None:
-    guard = FULL_GUARD_1D if f.dim == 1 else FULL_GUARD_2D
-    if f.res > guard:
+    if resolve_cube_mode(f):  # past the full-cube guard of maximal
         raise SizeGuardError(
-            f"packing functionals enumerate all cubes; need N <= {guard} for d={f.dim}"
+            f"packing functionals enumerate all cubes; N={f.res} is past the "
+            f"full-cube guard for d={f.dim}"
         )
 
 
 def _conjugate_exponent(p: float) -> float:
     """1/p' = 1 - 1/p; returns the exponent 1/p' used on packing measures."""
-    if math.isinf(p):
-        return 1.0
-    if p <= 1:
-        raise ConfigError(f"packing functionals need p > 1, got {p}")
+    if not 1 < p <= math.inf:
+        raise ConfigError(f"packing functionals need p in (1, inf], got {p}")
     return 1.0 - 1.0 / p
+
+
+def _best_ratio(best: float, packings, num, den, q: float) -> float:
+    """max(best, sum(num[pk]) / sum(den[pk])**q over the packings pk), both
+    sums run left to right in the given order (built-in sum() compensates
+    since 3.12); a packing whose den sum is 0 is skipped."""
+    for pk in packings:
+        top = bottom = 0.0
+        for x, m in zip(num[pk].tolist(), den[pk].tolist()):
+            top += x
+            bottom += m
+        if bottom > 0:
+            best = max(best, top / bottom**q)
+    return best
 
 
 # ---------------------------------------------------------------------------
 # shared 2D candidate packings
 
 def _packing_family_2d(table: CubeTable, p: float) -> list:
-    """Deterministic candidate packings beyond the exact regime (N > 4), each
-    an array of flat positions in acceptance order: the unit-cell partition
-    plus greedy selections in stable key-descending order under several
-    weight keys.  Single-cube packings are handled separately (vectorized)."""
+    """Deterministic candidate packings beyond the exact regime (N > 4) for
+    finite p > 1, each an array of flat positions in acceptance order: the
+    greedy selections in stable key-descending order under five weight
+    keys.  Single cubes are scored separately (vectorized).  The unit-cell
+    partition is no candidate: a side-1 cube has osc = do = 0, so it scores
+    0."""
     osc_arr, do_arr, meas_arr = table.osc, table.do, table.meas
     n, sides, starts = table.f.res, table.sides, table.starts
-    family = [np.arange(n * n)]  # unit partition: the side-1 cubes come first
-    q = _conjugate_exponent(p)
-    pw = p if math.isfinite(p) else 8.0
     keys = [
         osc_arr,
         do_arr,
-        np.where(meas_arr > 0, do_arr / meas_arr, 0.0),
-        meas_arr * osc_arr**pw,
-        np.where(meas_arr > 0, do_arr / meas_arr**q, 0.0),
+        do_arr / meas_arr,
+        meas_arr * osc_arr**p,
+        do_arr / meas_arr**_conjugate_exponent(p),
     ]
+    family = []
     for key in keys:
         order = np.argsort(-key, kind="stable")
         family.append(order[_greedy_disjoint(sides[order], starts[order], n, 2)])
@@ -105,31 +113,31 @@ def _packing_family_2d(table: CubeTable, p: float) -> list:
 # John-Nirenberg and Garsia-Rodemich packing conditions
 
 def jn_norm(f: GridFunction, p: float) -> float:
-    """sup over packings of (sum |Q_i| osc(Q_i)^p)^(1/p).
+    """sup over packings of (sum |Q_i| osc(Q_i)^p)^(1/p), 1 < p < inf.
 
     Exact in 1D via the additive packing DP and for 2D N <= 4 via the
     skyline DP; estimated over the shared candidate family otherwise.
     """
-    if not p > 1:
-        raise ConfigError(f"JN functional needs p > 1, got {p}")
+    if not 1 < p < math.inf:
+        raise ConfigError(f"JN functional needs p in (1, inf), got {p}")
     _require_desk_scale(f)
-    n = f.res
+    n, d = f.res, f.dim
     table = CubeTable(f)
     meas_arr, osc_arr = table.meas, table.osc
-    if f.dim == 1:
+    family = _packing_family_2d(table, p) if d == 2 and n > EXACT_GUARD_2D else None
+    if d == 1:
         w = meas_arr * osc_arr**p
-        return float(_best_packing_1d(table.sides, table.starts, w, n)[1] ** (1.0 / p))
-    if n <= EXACT_GUARD_2D:
-        # scalar pow per cube: numpy's array power may round differently
-        w = np.array([m * x**p for m, x in zip(meas_arr.tolist(), osc_arr.tolist())])
-        return float(_best_packing_2d(table.sides, table.starts, w, n)[1] ** (1.0 / p))
+    else:
+        # a scalar pow per cube that a 2D packing sum reads: numpy's array
+        # power may round differently
+        read = (np.arange(meas_arr.size) if family is None
+                else np.unique(np.concatenate(family)))
+        w = np.zeros(meas_arr.size)
+        w[read] = [m * x**p for m, x in zip(meas_arr[read].tolist(), osc_arr[read].tolist())]
+    if family is None:
+        return float(_BEST_PACKING[d](table.sides, table.starts, w, n)[1] ** (1.0 / p))
     best = float(np.max(meas_arr * osc_arr**p, initial=0.0))
-    for pk in _packing_family_2d(table, p):
-        total = 0.0  # left to right: built-in sum() compensates since 3.12
-        for m, osc in zip(meas_arr[pk].tolist(), osc_arr[pk].tolist()):
-            total += m * osc**p
-        best = max(best, total)
-    return float(best ** (1.0 / p))
+    return float(_best_ratio(best, family, w, meas_arr, 0.0) ** (1.0 / p))
 
 
 def gp_norm(f: GridFunction, p: float) -> float:
@@ -146,11 +154,11 @@ def gp_norm(f: GridFunction, p: float) -> float:
     single cubes and the shared candidate family, a lower bound.
     """
     _require_desk_scale(f)
+    q = _conjugate_exponent(p)
     table = CubeTable(f)
     do_arr, meas_arr = table.do, table.meas
     if math.isinf(p):
         return float(np.max(do_arr / meas_arr, initial=0.0))
-    q = _conjugate_exponent(p)
     n, d = f.res, f.dim
     if d == 1:
         vals = _best_by_cells(table.sides, table.starts, do_arr, n, 1, np.add)[1:]
@@ -168,14 +176,7 @@ def gp_norm(f: GridFunction, p: float) -> float:
             best = max(best, float(pareto[m]) / meas**q)
         return best
     best = float(np.max(do_arr / meas_arr**q, initial=0.0))
-    for pk in _packing_family_2d(table, p):
-        do = meas = 0.0
-        for x, m in zip(do_arr[pk].tolist(), meas_arr[pk].tolist()):
-            do += x
-            meas += m
-        if meas > 0:
-            best = max(best, do / meas**q)
-    return float(best)
+    return float(_best_ratio(best, _packing_family_2d(table, p), do_arr, meas_arr, q))
 
 
 def gamma_membership(f: GridFunction, gamma: GridFunction):
@@ -272,7 +273,7 @@ def garo_norm(
     upper = 16.0 * norm(space, rearrange(local_maximal(f, s, cube_mode)))
     kind = _space_kind(space)
     n, d = f.res, f.dim
-    if kind == "other" or n > (FULL_GUARD_1D if d == 1 else FULL_GUARD_2D):
+    if kind == "other" or resolve_cube_mode(f):
         return GaRoEstimate(upper)
     table = CubeTable(f)
     if kind == "l1":
@@ -303,12 +304,12 @@ def garo_p_lambda(f: GridFunction, p: float, lam: float) -> float:
     lam = 0 coincides with gp_norm (exact in 1D); p = inf reduces to the
     single-cube supremum.  For finite p with lam < 0 the measure budget is
     no longer integer-valued, so the value is a certified lower bound: the
-    best over single cubes, the unit partition, and packings produced by an
-    exact Lagrangian sweep on the penalized weights doubleosc - mu * budget
-    over 33 multipliers mu.  In 1D the sweep is one batched DP with a weight
-    row per mu, O(N) numpy steps over all 33 rows; in 2D it is one packing
-    solve per mu on flat weights.  Each packing is read by flat position,
-    its cubes summed in (side, origin) order.
+    best over single cubes and the packings produced by an exact Lagrangian
+    sweep on the penalized weights doubleosc - mu * budget over 33
+    multipliers mu.  The sweep is one packing solve on a stack of 33 weight
+    rows, one per mu: in 1D one batched DP, O(N) numpy steps over all rows;
+    in 2D one solve per row.  Each packing is read by flat position, its
+    cubes summed in (side, origin) order.
     """
     d = f.dim
     if not -d < lam <= 0:
@@ -316,6 +317,7 @@ def garo_p_lambda(f: GridFunction, p: float, lam: float) -> float:
     if lam == 0:
         return gp_norm(f, p)
     _require_desk_scale(f)
+    q = _conjugate_exponent(p)
     table = CubeTable(f)
     n = f.res
     expo = 1.0 + lam / d
@@ -323,22 +325,11 @@ def garo_p_lambda(f: GridFunction, p: float, lam: float) -> float:
     budget_arr = table.meas**expo
     if math.isinf(p):
         return float(np.max(do_arr / budget_arr, initial=0.0))
-    q = _conjugate_exponent(p)
     best = float(np.max(do_arr / budget_arr**q, initial=0.0))
-    sides, starts = table.sides, table.starts
     # |Q|^expo per cube by scalar powers, the terms the ratios sum; budget_arr
     # is an array power and may round differently
     cube_budget = np.repeat([((k / n) ** d) ** expo for k in table.side_list],
                             table.counts)
-
-    def ratio_of(pk) -> float:  # pk: positions, ascending
-        do = budget = 0.0  # left to right: built-in sum() compensates since 3.12
-        for x, b in zip(do_arr[pk].tolist(), cube_budget[pk].tolist()):
-            do += x
-            budget += b
-        return do / budget**q if budget > 0 else 0.0
-
-    best = max(best, ratio_of(np.arange(n**d)))  # unit: side 1 comes first
     pos = do_arr[do_arr > 0]
     if pos.size:
         mu_grid = np.geomspace(
@@ -346,16 +337,11 @@ def garo_p_lambda(f: GridFunction, p: float, lam: float) -> float:
             float(np.max(pos / budget_arr[do_arr > 0])) + 1.0,
             33,
         )
-        if d == 1:  # one DP over all multipliers, a weight row per mu
-            w = mu_grid[:, None] * cube_budget
-            np.subtract(do_arr, w, out=w)
-            packings = [kept for kept, _ in _best_packing_1d(sides, starts, w, n)]
-        else:
-            packings = [_best_packing_2d(sides, starts, do_arr - mu * cube_budget, n)[0]
-                        for mu in mu_grid]
-        for pk in packings:
-            if pk.size:
-                best = max(best, ratio_of(np.sort(pk)))
+        w = mu_grid[:, None] * cube_budget
+        np.subtract(do_arr, w, out=w)
+        packings = [np.sort(kept)
+                    for kept, _ in _BEST_PACKING[d](table.sides, table.starts, w, n)]
+        best = _best_ratio(best, packings, do_arr, cube_budget, q)
     return best
 
 
@@ -380,8 +366,8 @@ def sobolev_seminorm(f: GridFunction, alpha: float, p: float) -> float:
     """
     if not 0 < alpha < 1:
         raise ConfigError(f"alpha must lie in (0,1), got {alpha}")
-    if p < 1:
-        raise ConfigError(f"p must be >= 1, got {p}")
+    if not 1 <= p < math.inf:
+        raise ConfigError(f"p must lie in [1, inf), got {p}")
     n, d, h = f.res, f.dim, f.cell_measure
     expo = d + alpha * p
     if d == 1:

@@ -2,12 +2,12 @@
 2D skyline DP for small grids, greedy Vitali selection.
 
 Max-weight packing has one private solve per dimension, _BEST_PACKING[d],
-on flat (sides, starts, w) arrays: _best_packing_1d is one exact DP over
-the cubes grouped by end cell, O(N) numpy steps with work in proportion to
-the cubes passed, on one weight row or a (rows, cubes) stack;
-_best_packing_2d takes the positive weights, weight descending.  The
-cell-count DP _dp_budgeted_1d tracks cells left uncovered (O(N^3) work,
-O(N^2) memory).  2D maximum-weight square packing is combinatorially hard:
+on flat (sides, starts, w) arrays, w one weight row or a (rows, cubes)
+stack: _best_packing_1d is one exact DP over the cubes grouped by end
+cell, O(N) numpy steps over all rows with work in proportion to the cubes
+passed; _best_packing_2d takes the positive weights, weight descending,
+one row after another.  The cell-count DP _dp_budgeted_1d tracks cells
+left uncovered (O(N^3) work, O(N^2) memory).  2D maximum-weight square packing is combinatorially hard:
 up to N = EXACT_GUARD_2D every exact answer comes from _skyline_dp, a
 row-major scan of the cells over skyline states; larger grids fall back to
 greedy selection, a certified lower bound.  _best_by_cells, the best value
@@ -343,13 +343,16 @@ def max_additive_packing(weights, grid, measure_budget: int | None = None) -> tu
             float(g[n, n - m]))
 
 
-def _best_packing_2d(sides, starts, w, n: int) -> tuple:
+def _best_packing_2d(sides, starts, w, n: int):
     """(kept positions, value) of the 2D packing solve on the cubes (side,
     first cell) with flat weights w: the cubes with weight > 0, weight
     descending, ties by (side, origin), through _skyline_dp for N <= 4 (the
     packing of its best state, ties to the fewest covered cells) and one
     _greedy_disjoint pass beyond; the value summed over the kept positions
-    in the order returned."""
+    in the order returned.  A (rows, cubes) weight stack gives one such
+    pair per row, in row order."""
+    if np.ndim(w) == 2:
+        return [_best_packing_2d(sides, starts, row, n) for row in w]
     pos = np.nonzero(w > 0)[0]
     order = pos[np.lexsort((starts[pos], sides[pos], -w[pos]))]
     if n <= EXACT_GUARD_2D:
@@ -361,7 +364,8 @@ def _best_packing_2d(sides, starts, w, n: int) -> tuple:
     return kept, float(np.cumsum(w[kept])[-1]) if kept.size else 0.0
 
 
-# the one packing solve per dimension: (sides, starts, w, n) -> (kept, value)
+# the one packing solve per dimension: (sides, starts, w, n) -> (kept, value),
+# a list of them, one per row, for a (rows, cubes) weight stack w
 _BEST_PACKING = {1: _best_packing_1d, 2: _best_packing_2d}
 
 

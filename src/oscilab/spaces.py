@@ -160,7 +160,7 @@ class RISpaceSpec:
 
     def __post_init__(self):
         if self.family == "lp":
-            if self.p is None or self.p < 1:
+            if self.p is None or not 1 <= self.p:
                 raise ConfigError("Lp needs p in [1, inf]")
         elif self.family == "weak-lp":
             if self.p is None or not 1 < self.p < math.inf:

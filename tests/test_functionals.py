@@ -262,6 +262,25 @@ def test_garo_p_lambda_is_lower_bound_vs_bruteforce(rng):
         assert got >= 0.8 * best  # the candidate family is close on tiny grids
 
 
+@pytest.mark.parametrize("call", [
+    lambda f: jn_norm(f, math.inf),
+    lambda f: jn_norm(f, math.nan),
+    lambda f: gp_norm(f, math.nan),
+    lambda f: gp_norm(f, -math.inf),
+    lambda f: garo_p_lambda(f, math.nan, -0.5),
+    lambda f: garo_p_lambda(f, -math.inf, -0.5),
+    lambda f: sobolev_seminorm(f, 0.5, math.nan),
+    lambda f: sobolev_seminorm(f, 0.5, math.inf),
+    lambda f: grid_norm(lp(math.nan), f),
+], ids=["jn-inf", "jn-nan", "gp-nan", "gp-neg-inf", "garo-nan", "garo-neg-inf",
+        "sobolev-nan", "sobolev-inf", "lp-nan"])
+def test_invalid_exponents_raise(call):
+    # each returned a value that meant nothing: JN_inf gave 1.0 even on a
+    # constant, NaN exponents gave nan, -inf gave the p = inf value
+    with pytest.raises(ConfigError):
+        call(gf([0.0, 1.0, 3.0, 2.0]))
+
+
 def test_campanato_examples(rng):
     assert campanato_norm(gf([5, 5, 5, 5]), -0.5) == 0.0
     # linear function on an even grid: osc over a k-cell interval is

@@ -209,6 +209,20 @@ def test_stat_tables_match_scalar_ops(rng):
             assert np.array_equal(v, table.osc[table.sides == k])
 
 
+@pytest.mark.parametrize("d,n,dyadic", [(1, 7, False), (1, 64, True), (2, 5, False),
+                                        (2, 33, False), (2, 16, True)])
+def test_side_one_statistics_are_exactly_zero(d, n, dyadic):
+    # a side-1 cube is one cell: its window minus its own mean is exactly 0,
+    # which is why no packing functional scores the unit-cell partition
+    for kind in ("random_steps", "cosine_mix", "logspike"):
+        for seed in range(3):
+            table = CubeTable(generate(kind, d, n, seed=seed), dyadic)
+            unit = table.by_side(table.sides)[1].size
+            assert unit == n**d
+            for stat in (table.osc, table.osc_p(0.5), table.do):
+                assert stat[:unit].tolist() == [0.0] * unit
+
+
 def test_osc_built_once_and_only_where_read(monkeypatch):
     # one build of a table's osc sends every cube's window once through the
     # osc reducer, grid._window_osc

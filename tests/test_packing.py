@@ -21,7 +21,7 @@ from oscilab import (
     vitali_select,
 )
 from oscilab.grid import _family
-from oscilab.packing import _best_by_cells, _best_packing_2d, _skyline_dp
+from oscilab.packing import _BEST_PACKING, _best_by_cells, _best_packing_2d, _skyline_dp
 
 
 def test_enumerate_packings_tiny():
@@ -283,6 +283,22 @@ def test_skyline_dp_matches_enumeration(n, kind):
         assert rm == best
         assert sides[kept] @ sides[kept] == cells[ok][total[ok] == best].min()
         assert val == pytest.approx(best, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [3, 4, 8, 13])
+def test_best_packing_2d_stack_is_one_solve_per_row(n):
+    # skyline (N <= 4) and greedy (beyond) rows: ties and weights <= 0
+    rng = np.random.default_rng(900 + n)
+    sides, starts = _family(n, 2, range(1, n + 1))
+    stack = np.concatenate([rng.integers(-2, 4, size=(3, sides.size)) / 2.0,
+                            rng.normal(size=(3, sides.size)),
+                            np.zeros((1, sides.size)), -np.ones((1, sides.size))])
+    got = _BEST_PACKING[2](sides, starts, stack, n)
+    assert len(got) == len(stack)
+    for (kept, val), row in zip(got, stack):
+        want_kept, want_val = _best_packing_2d(sides, starts, row, n)
+        assert kept.tolist() == want_kept.tolist()
+        assert repr(val) == repr(want_val)
 
 
 @pytest.mark.parametrize("n", [5, 6])

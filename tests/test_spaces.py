@@ -190,6 +190,8 @@ def test_invalid_spaces():
     with pytest.raises(ConfigError):
         lp(0.5)
     with pytest.raises(ConfigError):
+        lp(math.nan)  # a NaN exponent once made grid_norm return nan
+    with pytest.raises(ConfigError):
         weak_lp(1.0)
     with pytest.raises(ConfigError):
         weak_lp(math.inf)
