@@ -326,22 +326,15 @@ def garo_p_lambda(f: GridFunction, p: float, lam: float) -> float:
     if math.isinf(p):
         return float(np.max(do_arr / budget_arr, initial=0.0))
     best = float(np.max(do_arr / budget_arr**q, initial=0.0))
-    # |Q|^expo per cube by scalar powers, the terms the ratios sum; budget_arr
-    # is an array power and may round differently
-    cube_budget = np.repeat([((k / n) ** d) ** expo for k in table.side_list],
-                            table.counts)
-    pos = do_arr[do_arr > 0]
-    if pos.size:
-        mu_grid = np.geomspace(
-            max(float(np.min(pos / budget_arr[do_arr > 0])), 1e-12),
-            float(np.max(pos / budget_arr[do_arr > 0])) + 1.0,
-            33,
-        )
-        w = mu_grid[:, None] * cube_budget
+    pos = do_arr > 0
+    if pos.any():
+        ratios = do_arr[pos] / budget_arr[pos]
+        mu_grid = np.geomspace(max(float(ratios.min()), 1e-12), float(ratios.max()) + 1.0, 33)
+        w = mu_grid[:, None] * budget_arr
         np.subtract(do_arr, w, out=w)
         packings = [np.sort(kept)
                     for kept, _ in _BEST_PACKING[d](table.sides, table.starts, w, n)]
-        best = _best_ratio(best, packings, do_arr, cube_budget, q)
+        best = _best_ratio(best, packings, do_arr, budget_arr, q)
     return best
 
 

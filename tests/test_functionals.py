@@ -343,7 +343,8 @@ def test_morrey_chain_1d(rng):
 
 def _garo_p_lambda_per_mu(f, p, lam):
     """1D garo_p_lambda with one max_additive_packing per multiplier, each
-    packing's ratio summed in Cube order."""
+    packing's ratio summed in Cube order; every cube's budget |Q|^(1+lam)
+    is read from one array power."""
     n = f.res
     table = CubeTable(f)
     do_by_side = table.by_side(table.do)
@@ -353,10 +354,11 @@ def _garo_p_lambda_per_mu(f, p, lam):
     budget_arr = np.concatenate(
         [np.full(do.size, k / n) for k, do in do_by_side.items()]
     ) ** expo
+    budget_by_side = table.by_side(budget_arr)
 
     def ratio_of(keys):
         do = sum(float(do_by_side[k][o]) for k, o in keys)
-        budget = sum((k / n) ** expo for k, _ in keys)
+        budget = sum(float(budget_by_side[k][o]) for k, o in keys)
         return do / budget**q if budget > 0 else 0.0
 
     best = max(
@@ -367,7 +369,7 @@ def _garo_p_lambda_per_mu(f, p, lam):
     ratios = do_arr[pos] / budget_arr[pos]
     lo, hi = max(float(ratios.min()), 1e-12), float(ratios.max()) + 1.0
     for mu in np.geomspace(lo, hi, 33):
-        weights = {k: do - mu * ((k / n) ** expo) for k, do in do_by_side.items()}
+        weights = {k: do - mu * budget_by_side[k] for k, do in do_by_side.items()}
         packing, _ = max_additive_packing(weights, (1, n))
         keys = [(qc.side, qc.origin[0]) for qc in packing]
         if keys:
