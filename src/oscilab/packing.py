@@ -7,10 +7,11 @@ stack: _best_packing_1d is one exact DP over the cubes grouped by end
 cell, O(N) numpy steps over all rows with work in proportion to the cubes
 passed; _best_packing_2d takes the positive weights, weight descending,
 one row after another.  The cell-count DP _dp_budgeted_1d tracks cells
-left uncovered (O(N^3) work, O(N^2) memory).  2D maximum-weight square packing is combinatorially hard:
-up to N = EXACT_GUARD_2D every exact answer comes from _skyline_dp, a
-row-major scan of the cells over skyline states; larger grids fall back to
-greedy selection, a certified lower bound.  _best_by_cells, the best value
+left uncovered (O(N^3) work, O(N^2) memory).  2D maximum-weight square
+packing is combinatorially hard: up to N = EXACT_GUARD_2D every exact
+answer comes from _skyline_dp, a row-major scan of the cells over skyline
+states; larger grids fall back to greedy selection, a certified lower
+bound.  _best_by_cells, the best value
 (sum or max-min) per covered cell count, is the one entry to both exact
 cell-count DPs for F, G_p and the Pareto profiles.  Every greedy
 selection, here and in functionals and kfunctional, is one pass of
