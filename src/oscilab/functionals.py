@@ -33,7 +33,7 @@ import numpy as np
 from .errors import ConfigError, SizeGuardError
 from .grid import CubeTable, GridFunction, Packing, _index_to_cube
 from .maximal import DEFAULT_S, local_maximal, resolve_cube_mode
-from .packing import EXACT_GUARD_2D, _BEST_PACKING, _best_by_cells, _greedy_disjoint, _packing
+from .packing import _BEST_PACKING, _best_by_cells, _exact_packing, _greedy_disjoint, _packing
 from .rearrange import rearrange
 from .spaces import RISpaceSpec, norm
 
@@ -124,7 +124,7 @@ def jn_norm(f: GridFunction, p: float) -> float:
     n, d = f.res, f.dim
     table = CubeTable(f)
     meas_arr, osc_arr = table.meas, table.osc
-    family = _packing_family_2d(table, p) if d == 2 and n > EXACT_GUARD_2D else None
+    family = None if _exact_packing(n, d) else _packing_family_2d(table, p)
     if d == 1:
         w = meas_arr * osc_arr**p
     else:
@@ -160,21 +160,15 @@ def gp_norm(f: GridFunction, p: float) -> float:
     if math.isinf(p):
         return float(np.max(do_arr / meas_arr, initial=0.0))
     n, d = f.res, f.dim
-    if d == 1:
-        vals = _best_by_cells(table.sides, table.starts, do_arr, n, 1, np.add)[1:]
-        ms = np.arange(1, n + 1)
+    if _exact_packing(n, d):
+        vals = _best_by_cells(table.sides, table.starts, do_arr, n, d, np.add)[1:]
+        ms = np.arange(1, n**d + 1)
+        # Packing.total_measure of every 2D packing of m cells: at N <= 4 the
+        # fsum of the cube measures depends on m alone, whatever the sides
+        budget = ((ms / n) ** q if d == 1 else
+                  np.array([math.fsum([(1 / n) ** 2] * m) ** q for m in ms.tolist()]))
         ok = np.isfinite(vals)
-        return float(np.max(vals[ok] / (ms[ok] / n) ** q, initial=0.0))
-    if n <= EXACT_GUARD_2D:
-        pareto = _best_by_cells(table.sides, table.starts, do_arr, n, 2, np.add)
-        best = 0.0
-        for m in range(1, n * n + 1):  # unit cells reach every m
-            # Packing.total_measure of every packing covering m cells: at
-            # N <= 4 the fsum of the cube measures depends on the cell count
-            # alone, whatever the sides
-            meas = math.fsum([(1 / n) ** 2] * m)
-            best = max(best, float(pareto[m]) / meas**q)
-        return best
+        return float(np.max(vals[ok] / budget[ok], initial=0.0))
     best = float(np.max(do_arr / meas_arr**q, initial=0.0))
     return float(_best_ratio(best, _packing_family_2d(table, p), do_arr, meas_arr, q))
 

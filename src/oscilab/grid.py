@@ -6,12 +6,12 @@ axis-aligned, grid-aligned subcubes addressed by an origin cell index vector
 and a side length in cells.
 
 This is the one module that maps cubes to integers, and the one that
-computes per-cube statistics apart from the quantile oscillations of
-maximal.local_maximals.  Other modules address a cube by its flat
+computes per-cube statistics.  Other modules address a cube by its flat
 position in the (side, origin lex) order of enumerate_cubes; _family gives
 each position its side and first cell (the flat index of its origin cell),
 and CubeTable gives each position its statistics, every one computed by a
-single reducer here.
+single reducer here: means, integrals, mean and L_p oscillations, double
+oscillations and the quantile oscillations of the local maximal function.
 
 It also holds the one reader of input files, _read_csv_rows with
 _csv_numbers; read_grid_csv, spaces.phi_from_csv and the CLI's profile
@@ -398,6 +398,35 @@ def _window_osc(w: np.ndarray, mu: np.ndarray, p: float | None = None) -> np.nda
     return (dev**p).mean(axis=1) ** (1.0 / p)
 
 
+def exceedance_count(s: float, m: int) -> int:
+    """Cells allowed to exceed the deviation level: the exact translation of
+    the strict bound count < s*m on an m-cell cube (snapped against float
+    dust in s*m)."""
+    if not 0 < s < 1:
+        raise ConfigError(f"quantile parameter must lie in (0,1), got {s}")
+    return max(math.ceil(s * m - 1e-9) - 1, 0)
+
+
+def _qosc_sorted(w_sorted: np.ndarray, kexc: int) -> np.ndarray:
+    m = w_sorted.shape[1]
+    width = m - kexc
+    upper = w_sorted[:, width - 1: width + kexc]
+    lower = w_sorted[:, : kexc + 1]
+    return (upper - lower).min(axis=1) / 2.0
+
+
+def _halve(a: np.ndarray, p: int, d: int, op) -> np.ndarray:
+    """Combine with op the 2^d children of each dyadic cube: a holds one
+    value per cube of a side, p cubes per axis in lex order; the result
+    holds one per cube of twice that side."""
+    a = a.reshape((p,) * d)
+    for axis in range(d):
+        even = (slice(None),) * axis + (slice(0, None, 2),)
+        odd = (slice(None),) * axis + (slice(1, None, 2),)
+        a = op(a[even], a[odd])
+    return a.ravel()
+
+
 class CubeTable:
     """Every per-cube statistic of f over one cube family, full or dyadic.
 
@@ -408,13 +437,16 @@ class CubeTable:
     - mean, sum: the cube average of f and the integral of f over it;
     - osc, osc_p(p): the mean oscillation as in mean_oscillation, and the
       L_p oscillation (mean |f - f_Q|^p)^(1/p);
-    - do: the normalized double oscillation as in double_oscillation.
+    - do: the normalized double oscillation as in double_oscillation;
+    - qosc(svals): one row per s of the quantile oscillations, as in
+      maximal.quantile_oscillation, shape (len(svals), cubes).
     mean, sum and the oscillations reduce each side's windows through
     _window_stat, in cache-sized blocks for 2D full cubes.  The arrays are
     read-only, as every reader of the table shares them.  by_side(stat)
-    splits any such flat array into views, {side: per-origin array}, in
-    ascending side order.  Each call builds its own table and none is kept
-    on f: f.values is writeable, so a kept statistic could go stale.
+    splits any such array along its last axis into views, {side:
+    per-origin array}, in ascending side order.  Each call builds its own
+    table and none is kept on f: f.values is writeable, so a kept
+    statistic could go stale.
     """
 
     def __init__(self, f: GridFunction, dyadic: bool = False):
@@ -430,14 +462,15 @@ class CubeTable:
             stat.flags.writeable = False
         return self._stats[name]
 
-    def _reduce(self, reduce) -> np.ndarray:
-        return np.concatenate([_window_stat(self.f, k, self.dyadic, reduce)
-                               for k in self.side_list])
+    def _reduce(self, reduce, sort: bool = False) -> np.ndarray:
+        return np.concatenate([_window_stat(self.f, k, self.dyadic, reduce, sort)
+                               for k in self.side_list], axis=-1)
 
     def by_side(self, stat: np.ndarray) -> dict:
-        """{side: view of stat over that side's origins}."""
+        """{side: view of stat over that side's origins}, sliced along the
+        last axis."""
         ends = np.cumsum(self.counts).tolist()
-        return {k: stat[e - c: e] for k, c, e in zip(self.side_list, self.counts, ends)}
+        return {k: stat[..., e - c: e] for k, c, e in zip(self.side_list, self.counts, ends)}
 
     @property
     def sides(self) -> np.ndarray:
@@ -470,6 +503,40 @@ class CubeTable:
     def osc_p(self, p: float | None) -> np.ndarray:
         return self._lazy(("osc", p), lambda: self._reduce(
             lambda w: _window_osc(w, w.mean(axis=1), p)))
+
+    def qosc(self, svals) -> np.ndarray:
+        svals = tuple(svals)
+        return self._lazy(("qosc", svals), lambda: self._quantile_oscillations(svals))
+
+    def _quantile_oscillations(self, svals: tuple) -> np.ndarray:
+        # each sorted window row gives every s its statistic, one
+        # _qosc_sorted per distinct exceedance count kexc
+        def reduce(w):
+            kexcs = [exceedance_count(s, w.shape[1]) for s in svals]
+            by_kexc = {e: _qosc_sorted(w, e) for e in set(kexcs)}
+            return np.stack([by_kexc[e] for e in kexcs])
+
+        if not self.dyadic:
+            return self._reduce(reduce, sort=True)
+        # dyadic sides, smallest first, carry each cube's max and min by
+        # pairwise halving: a side with kexc = 0 at every s reads
+        # (max - min)/2 from them, and on the others a constant cube has
+        # quantile oscillation 0 at every s, so only the varied ones sort
+        f, d = self.f, self.f.dim
+        out = np.zeros((len(svals), sum(self.counts)))
+        hi = lo = f.values
+        for k, part in self.by_side(out).items():
+            if k > 1:
+                p = f.res // (k // 2)
+                hi, lo = _halve(hi, p, d, np.maximum), _halve(lo, p, d, np.minimum)
+            if max(exceedance_count(s, k**d) for s in svals) == 0:
+                part[...] = (hi - lo) / 2.0
+                continue
+            varied = np.flatnonzero(hi != lo)
+            w = cube_windows(f, k, True)[varied]  # a copy, never f's values
+            w.sort(axis=1)
+            part[:, varied] = reduce(w)
+        return out
 
     @property
     def do(self) -> np.ndarray:

@@ -32,7 +32,7 @@ from .errors import ConfigError, InvariantViolation
 from .grid import CubeTable, GridFunction
 from .maximal import (DEFAULT_S, _sup_of, local_maximal, resolve_cube_mode,
                       sharp_maximal)
-from .packing import EXACT_GUARD_2D, _best_by_cells, _greedy_disjoint, _vitali
+from .packing import _best_by_cells, _exact_packing, _greedy_disjoint, _vitali
 from .rearrange import StepProfile, rearrange
 
 __all__ = [
@@ -212,10 +212,10 @@ def _f_values(table: CubeTable, stat: np.ndarray, ts: np.ndarray) -> np.ndarray:
       cubes with statistic >= v pack their whole union and best[c] is the
       c-th largest over cells of the top statistic of a cube holding it,
       O(N^d log N).
-    - full cubes in 1D, and in 2D with N <= EXACT_GUARD_2D: the suffix
-      maximum of packing._best_by_cells with np.minimum, the largest
-      minimum statistic per exactly covered cell count (the 1D cell-count
-      DP, O(N^3), or the 2D skyline DP).
+    - full cubes where packing._exact_packing holds (1D, and 2D N <= 4):
+      the suffix maximum of packing._best_by_cells with np.minimum, the
+      largest minimum statistic per exactly covered cell count (the 1D
+      cell-count DP, O(N^3), or the 2D skyline DP).
     2D full cubes beyond that guard search the greedy counts of
     _greedy_counts_2d with _level_search, a certified lower bound.
     """
@@ -224,7 +224,7 @@ def _f_values(table: CubeTable, stat: np.ndarray, ts: np.ndarray) -> np.ndarray:
     n, d = table.f.res, table.f.dim
     if table.dyadic:
         best = np.concatenate(([np.inf], np.sort(_sup_of(table, stat).values)[::-1]))
-    elif d == 1 or n <= EXACT_GUARD_2D:
+    elif _exact_packing(n, d):
         best = _best_by_cells(table.sides, table.starts, stat, n, d, np.minimum)
         best = np.maximum.accumulate(best[::-1])[::-1]
     else:

@@ -1,34 +1,28 @@
 """Hardy-Littlewood, sharp and local (quantile) maximal operators.
 
 All three take the pointwise supremum of a per-cube statistic over every
-grid cube containing the cell.  The statistic sweeps are vectorized per cube
-side; beyond the full-enumeration guards (N > 256 in 1D, N > 48 in 2D) the
-operators switch to dyadic cubes, which requires N to be a power of two.
+grid cube containing the cell.  Each operator builds one grid.CubeTable,
+full cubes within the full-enumeration guards (N <= 256 in 1D, N <= 48 in
+2D) and dyadic cubes beyond them, which requires N to be a power of two,
+and reads one of its statistics: the cube means of |f|, the mean
+oscillations, or the quantile oscillations CubeTable.qosc.
 
-The statistics reach the cells through one top-down container-max sweep
+The statistic reaches the cells through one top-down container-max sweep
 (_sup_over_cubes): from the largest side down, each cube takes the max of
 its own statistic and those of the cubes containing it, O(#cubes) work in
-a few numpy calls per side, with no per-side N^d temporary.  The
-Hardy-Littlewood and sharp operators read the cube means and mean
-oscillations of one grid.CubeTable, which reduces 2D full-cube windows in
-cache-sized blocks of origin rows.  The local maximal function at
-any number of quantile levels s sorts each side's windows once
-(local_maximals) and sweeps every level at once over a leading s axis;
-dyadic sides on which no s allows an exceedance (kexc = 0) are not sorted
-at all, their (max - min)/2 coming from pairwise halving of the previous
-side's max and min, and on the other dyadic sides only the cubes whose max
-and min differ are sorted.
+a few numpy calls per side, with no per-side N^d temporary.  Leading axes
+of the statistic are swept at once, so local_maximals carries every
+quantile level s to the cells in one sweep.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 
 import numpy as np
 
 from .errors import ConfigError
-from .grid import Cube, CubeTable, GridFunction, _window_stat, cube_windows, sides_for
+from .grid import Cube, CubeTable, GridFunction, _qosc_sorted, exceedance_count
 from .rearrange import rearrange
 from .spaces import RISpaceSpec, norm
 
@@ -64,19 +58,9 @@ def resolve_cube_mode(f: GridFunction, cube_mode: str = "auto") -> bool:
     return f.res > guard
 
 
-def exceedance_count(s: float, m: int) -> int:
-    """Cells allowed to exceed the deviation level: the exact translation of
-    the strict bound count < s*m on an m-cell cube (snapped against float
-    dust in s*m)."""
-    if not 0 < s < 1:
-        raise ConfigError(f"quantile parameter must lie in (0,1), got {s}")
-    return max(math.ceil(s * m - 1e-9) - 1, 0)
-
-
-def _sup_over_cubes(f: GridFunction, per_side_stat, dyadic: bool,
-                    lead: tuple = ()) -> np.ndarray:
-    """best[..., cell] = max of per_side_stat(k), an array of shape
-    lead + (origins,), over every cube holding the cell.
+def _sup_over_cubes(table: CubeTable, stat: np.ndarray) -> np.ndarray:
+    """best[..., cell] = max of stat, shape (..., cubes) flat over the
+    table's cubes, over every cube holding the cell.
 
     Sides are taken in descending order.  acc holds, per origin of the
     current side, the largest statistic over the cubes containing that cube;
@@ -88,21 +72,21 @@ def _sup_over_cubes(f: GridFunction, per_side_stat, dyadic: bool,
     of the side's statistics.  O(#cubes) work and no N^d temporary per side;
     a max of the same floats is exact, whichever order it is taken in.
     """
-    n, d = f.res, f.dim
+    n, d = table.f.res, table.f.dim
+    lead = stat.shape[:-1]
     acc = None
-    for k in reversed(sides_for(n, dyadic)):
-        stat = per_side_stat(k)
+    for k, part in reversed(table.by_side(stat).items()):
         if acc is None:
-            acc = np.array(stat).reshape(lead + (1,) * d)
-        elif dyadic:
+            acc = np.array(part).reshape(lead + (1,) * d)
+        elif table.dyadic:
             p = n // (2 * k)
-            acc = np.maximum(stat.reshape(lead + (p, 2) * d),
+            acc = np.maximum(part.reshape(lead + (p, 2) * d),
                              acc.reshape(lead + (p, 1) * d))
         else:
             m = n - k + 1
-            new = np.array(stat).reshape(lead + (m,) * d)
-            for part in itertools.product((slice(0, -1), slice(1, None)), repeat=d):
-                np.maximum(new[(Ellipsis,) + part], acc, out=new[(Ellipsis,) + part])
+            new = np.array(part).reshape(lead + (m,) * d)
+            for cut in itertools.product((slice(0, -1), slice(1, None)), repeat=d):
+                np.maximum(new[(Ellipsis,) + cut], acc, out=new[(Ellipsis,) + cut])
             acc = new
     return acc.reshape(lead + (n**d,))
 
@@ -110,8 +94,7 @@ def _sup_over_cubes(f: GridFunction, per_side_stat, dyadic: bool,
 def _sup_of(table: CubeTable, stat: np.ndarray) -> GridFunction:
     """Per cell, the sup of stat, flat over the table's cubes, over the
     cubes holding the cell."""
-    best = _sup_over_cubes(table.f, table.by_side(stat).__getitem__, table.dyadic)
-    return table.f.with_values(best)
+    return table.f.with_values(_sup_over_cubes(table, stat))
 
 
 def hl_maximal(f: GridFunction, cube_mode: str = "auto") -> GridFunction:
@@ -126,26 +109,6 @@ def sharp_maximal(f: GridFunction, cube_mode: str = "auto") -> GridFunction:
     cubes.  Its sup norm is the BMO norm of f."""
     table = CubeTable(f, resolve_cube_mode(f, cube_mode))
     return _sup_of(table, table.osc)
-
-
-def _qosc_sorted(w_sorted: np.ndarray, kexc: int) -> np.ndarray:
-    m = w_sorted.shape[1]
-    width = m - kexc
-    upper = w_sorted[:, width - 1: width + kexc]
-    lower = w_sorted[:, : kexc + 1]
-    return (upper - lower).min(axis=1) / 2.0
-
-
-def _halve(a: np.ndarray, p: int, d: int, op) -> np.ndarray:
-    """Combine with op the 2^d children of each dyadic cube: a holds one
-    value per cube of a side, p cubes per axis in lex order; the result
-    holds one per cube of twice that side."""
-    a = a.reshape((p,) * d)
-    for axis in range(d):
-        even = (slice(None),) * axis + (slice(0, None, 2),)
-        odd = (slice(None),) * axis + (slice(1, None, 2),)
-        a = op(a[even], a[odd])
-    return a.ravel()
 
 
 def quantile_oscillation(f: GridFunction, q: Cube, s: float) -> float:
@@ -165,15 +128,9 @@ def quantile_oscillation(f: GridFunction, q: Cube, s: float) -> float:
 def local_maximals(f: GridFunction, svals, cube_mode: str = "auto") -> list:
     """Local maximal functions M#_s f for every s of svals, in that order.
 
-    Each side's windows are sorted once, O(N^d k^d log k) work for side k
-    in full mode, and every s reads its quantile oscillations from the same
-    sorted rows; one container-max sweep carries all of them to the cells.
-    Dyadic cubes first get their max and min by pairwise halving of the
-    previous side's, smallest side first, before the sweep runs from the
-    largest side down.  Sides on which no s allows an exceedance (kexc = 0,
-    e.g. sides up to 16 in 1D at s = 0.05) need only (max - min)/2 of each
-    cube; on the other sides a constant cube has quantile oscillation 0 at
-    every s, and only the cubes with max != min are sorted.  Each result
+    One CubeTable gives the quantile oscillations at every s,
+    CubeTable.qosc, from one sort of each side's windows, and one
+    container-max sweep carries all of them to the cells.  Each result
     equals local_maximal(f, s) bit for bit.
     """
     svals = list(svals)
@@ -181,42 +138,8 @@ def local_maximals(f: GridFunction, svals, cube_mode: str = "auto") -> list:
         exceedance_count(s, 1)
     if not svals:
         return []
-    d = f.dim
-    dyadic = resolve_cube_mode(f, cube_mode)
-    # per dyadic side: (max - min)/2 per cube where kexc = 0 for every s,
-    # else the flat origins of the cubes that are not constant
-    spread = {}
-    if dyadic:
-        hi = lo = f.values
-        for k in sides_for(f.res, True):
-            if k > 1:
-                p = f.res // (k // 2)
-                hi, lo = _halve(hi, p, d, np.maximum), _halve(lo, p, d, np.minimum)
-            if max(exceedance_count(s, k**d) for s in svals) == 0:
-                spread[k] = (hi - lo) / 2.0
-            else:
-                spread[k] = np.flatnonzero(hi != lo)
-
-    def stat(k):
-        kexcs = [exceedance_count(s, k**d) for s in svals]
-
-        def qosc(w):
-            by_kexc = {e: _qosc_sorted(w, e) for e in set(kexcs)}
-            return np.stack([by_kexc[e] for e in kexcs])
-
-        if not dyadic:
-            return _window_stat(f, k, dyadic, qosc, sort=True)
-        cubes = (f.res // k)**d
-        if max(kexcs) == 0:
-            return np.broadcast_to(spread.pop(k), (len(svals), cubes))
-        varied = spread.pop(k)
-        out = np.zeros((len(svals), cubes))
-        w = cube_windows(f, k, dyadic)[varied]  # a copy, never f's values
-        w.sort(axis=1)
-        out[:, varied] = qosc(w)
-        return out
-
-    best = _sup_over_cubes(f, stat, dyadic, lead=(len(svals),))
+    table = CubeTable(f, resolve_cube_mode(f, cube_mode))
+    best = _sup_over_cubes(table, table.qosc(svals))
     return [f.with_values(row) for row in best]
 
 
@@ -226,11 +149,7 @@ def local_maximal(
     """Local (quantile) maximal function: sup of quantile oscillations over
     containing cubes.  Decreases pointwise as s grows; bounded by osc/s
     through the Chebyshev inequality.  The one-level call of local_maximals:
-    one sort of each side's windows (2D full windows in cache-sized blocks),
-    except dyadic sides with kexc = 0 (e.g. sides up to 16 in 1D at
-    s = 0.05), which take (max - min)/2 from pairwise halving instead, and
-    constant dyadic cubes, whose statistic is 0; one container-max sweep
-    from the largest side down carries the statistics to the cells."""
+    one sweep of CubeTable.qosc([s])."""
     return local_maximals(f, [s], cube_mode)[0]
 
 

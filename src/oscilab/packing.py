@@ -48,6 +48,12 @@ VITALI_COVER_FACTOR = 5  # per-dimension constant of the covering argument
 _SEGMENT = 128  # cubes walked by _greedy_disjoint between two sieves
 
 
+def _exact_packing(n: int, d: int) -> bool:
+    """Whether packings of the N^d grid are solved exactly, 1D always and 2D
+    up to N = EXACT_GUARD_2D; beyond that every 2D route is greedy."""
+    return d == 1 or n <= EXACT_GUARD_2D
+
+
 def _blocks(sides, n: int, d: int) -> dict:
     """{k: mask of the side-k cube at the origin of an N^d grid} for each
     side k in the array sides, bit c = cell c: the row (1<<k)-1 times the
@@ -306,7 +312,7 @@ def additive_pareto_2d(weights, grid) -> np.ndarray:
     d, n = _check_grid(grid)
     if d != 2:
         raise ConfigError("additive_pareto_2d is 2D only")
-    if n > EXACT_GUARD_2D:
+    if not _exact_packing(n, d):
         raise SizeGuardError(f"the exact 2D packing DP is guarded at "
                              f"N <= {EXACT_GUARD_2D}, got N={n}")
     return _best_by_cells(*_flat_weights(weights, n, 2), n, 2, np.add)
@@ -356,7 +362,7 @@ def _best_packing_2d(sides, starts, w, n: int):
         return [_best_packing_2d(sides, starts, row, n) for row in w]
     pos = np.nonzero(w > 0)[0]
     order = pos[np.lexsort((starts[pos], sides[pos], -w[pos]))]
-    if n <= EXACT_GUARD_2D:
+    if _exact_packing(n, 2):
         best, packing_of = _skyline_dp(sides[order], starts[order], w[order], n, np.add)
         kept = order[packing_of(int(np.argmax(best)))]  # ties to the fewest cells
     else:

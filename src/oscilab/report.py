@@ -23,16 +23,28 @@ def check(
     tolerance=None,
 ) -> dict:
     """One verification entry.  anchor states the inequality or identity the
-    check exercises, in plain mathematical notation."""
+    check exercises, in plain mathematical notation.  A non-finite measured
+    float, also inside lists, tuples and dicts, is reported as the string
+    "inf", "-inf" or "nan", which strict JSON can hold."""
     if isinstance(status, (bool, np.bool_)):
         status = "pass" if status else "fail"
     return {
         "name": name,
         "paper_anchor": anchor,
         "status": status,
-        "measured_constant": measured,
+        "measured_constant": _finite_or_name(measured),
         "tolerance": tolerance,
     }
+
+
+def _finite_or_name(x):
+    if isinstance(x, dict):
+        return {k: _finite_or_name(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return type(x)(map(_finite_or_name, x))
+    if isinstance(x, float) and not np.isfinite(x):
+        return str(float(x))
+    return x
 
 
 def suite_report(suite: str, config: dict, checks: list) -> dict:

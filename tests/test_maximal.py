@@ -12,6 +12,7 @@ from oscilab import (
     GridFunction,
     cube_mean,
     cubes_containing,
+    enumerate_cubes,
     hl_maximal,
     local_maximal,
     local_maximals,
@@ -21,7 +22,7 @@ from oscilab import (
     sharp_maximal,
     sharp_norm,
 )
-from oscilab.grid import _window_osc, cube_windows, sides_for
+from oscilab.grid import CubeTable, _window_osc, cube_windows, sides_for
 from oscilab.maximal import (_qosc_sorted, _sup_over_cubes, exceedance_count,
                              resolve_cube_mode)
 from oracles import cube_stats_map
@@ -95,12 +96,14 @@ def scatter_sup(f, stats, dyadic):
 @pytest.mark.parametrize("d,n_max", [(1, 40), (2, 17)])
 def test_container_sweep_matches_per_cube_scatter(d, n_max):
     # every side of every N, full and dyadic: few distinct values with
-    # negatives (ties everywhere) on odd sides, normals on even ones, and a
-    # leading axis of two independent rows as local_maximals sweeps them
+    # negatives (ties everywhere) on odd sides, normals on even ones, flat
+    # over the table's cubes, and a (2, cubes) stack of two independent
+    # rows as local_maximals sweeps them
     rng = np.random.default_rng(d)
     for n in range(1, n_max + 1):
         f = GridFunction(d, n, np.zeros(n**d))
         for dyadic in (False, True) if n & (n - 1) == 0 else (False,):
+            table = CubeTable(f, dyadic)
             rows = []
             for _ in range(2):
                 stats = {}
@@ -109,11 +112,12 @@ def test_container_sweep_matches_per_cube_scatter(d, n_max):
                     stats[k] = (rng.integers(-4, 4, size=m) / 2.0 if k % 2
                                 else rng.normal(size=m))
                 rows.append(stats)
-            for stats in rows:
-                got = _sup_over_cubes(f, lambda k, st=stats: st[k], dyadic)
+            flat = [np.concatenate([st[k] for k in sides_for(n, dyadic)]) for st in rows]
+            for stats, stat in zip(rows, flat):
+                got = _sup_over_cubes(table, stat)
                 assert np.array_equal(got, scatter_sup(f, stats, dyadic)), (n, dyadic)
-            got = _sup_over_cubes(
-                f, lambda k: np.stack([st[k] for st in rows]), dyadic, lead=(2,))
+            got = _sup_over_cubes(table, np.stack(flat))
+            assert got.shape == (2, n**d)
             for row, stats in zip(got, rows):
                 assert np.array_equal(row, scatter_sup(f, stats, dyadic)), (n, dyadic)
 
@@ -265,8 +269,9 @@ def kexc_steps(f, dyadic):
 
 @pytest.mark.parametrize("d,n,mode", [
     (1, 1, "full"), (1, 7, "full"), (1, 1, "dyadic"), (1, 8, "dyadic"),
-    (1, 64, "dyadic"), (2, 1, "full"), (2, 4, "full"), (2, 5, "full"),
-    (2, 1, "dyadic"), (2, 4, "dyadic"), (2, 16, "dyadic"),
+    (1, 64, "dyadic"), (1, 1024, "dyadic"), (2, 1, "full"), (2, 4, "full"),
+    (2, 5, "full"), (2, 1, "dyadic"), (2, 4, "dyadic"), (2, 16, "dyadic"),
+    (2, 64, "dyadic"),
 ])
 def test_local_maximals_equal_one_sort_per_s(rng, d, n, mode):
     # the dyadic sides with kexc = 0 for every s skip the sort; steps on
@@ -281,6 +286,29 @@ def test_local_maximals_equal_one_sort_per_s(rng, d, n, mode):
             want = sort_path_local_maximal(f, s, mode == "dyadic")
             assert np.array_equal(g.values, want), s
             assert np.array_equal(local_maximal(f, s, mode).values, want), s
+
+
+@pytest.mark.parametrize("d,n,mode", [
+    (1, 12, "full"), (1, 64, "dyadic"), (2, 8, "full"), (2, 16, "dyadic"),
+])
+def test_cube_table_qosc_equals_quantile_oscillation(rng, d, n, mode):
+    # cube by cube in enumerate_cubes order, at s on both sides of every
+    # kexc step, on values with ties and on the constant-block and spike
+    # grids whose constant dyadic cubes skip the sort; the small s alone
+    # leave kexc = 0 on the dyadic sides up to 8 or 16, which skip it too
+    dyadic = mode == "dyadic"
+    cubes = enumerate_cubes((d, n), dyadic)
+    # the grids of test_dyadic_constant_cubes_skip_the_sort
+    blocks = np.kron(rng.integers(-2, 3, size=(n // 4,) * d), np.ones((4,) * d))
+    spikes = np.where(rng.random(n**d) < 0.05, rng.normal(size=n**d), 0.0)
+    for vals in (np.round(rng.normal(size=n**d), 1), blocks.ravel(), spikes):
+        f = GridFunction(d, n, vals)
+        steps = kexc_steps(f, dyadic)
+        want = {s: [quantile_oscillation(f, q, s) for q in cubes] for s in steps}
+        for svals in (steps, [s for s in steps if s < 0.13]):
+            got = CubeTable(f, dyadic).qosc(svals)
+            assert got.shape == (len(svals), len(cubes))
+            assert np.array_equal(got, [want[s] for s in svals])
 
 
 def window_path_maximal(f, stat, dyadic):

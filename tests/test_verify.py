@@ -1,4 +1,6 @@
 import hashlib
+import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -95,3 +97,26 @@ def test_check_maps_numpy_bools():
     assert check("a", "x", np.float64(1.0) > 2.0)["status"] == "fail"
     assert check("a", "x", "info")["status"] == "info"
     dump_json(check("a", "x", np.bool_(False)))
+
+
+def test_check_names_non_finite_measured_floats():
+    measured = {"a": [math.inf, np.float64(-math.inf)], "b": (math.nan, 1.5), "c": 2}
+    got = check("a", "x", False, measured=measured)["measured_constant"]
+    assert got == {"a": ["inf", "-inf"], "b": ("nan", 1.5), "c": 2}
+    finite = {"a": [0.1, np.float64(2.0)], "b": (3, 1.5)}
+    assert (dump_json(check("a", "x", True, measured=finite))
+            == dump_json({"measured_constant": finite, "name": "a", "paper_anchor": "x",
+                          "status": "pass", "tolerance": None}))
+
+
+@pytest.mark.parametrize("suite", SUITE_IDS)
+def test_every_suite_serializes_at_large_s(suite, capsys):
+    # at s = 0.7 some cube has int_Q M#_s f = 0 < int_Q |f - f_Q|, so the
+    # maximal suite measures an infinite ratio and fails in a JSON report
+    rep = json.loads(dump_json(run_suite(suite, {"s": 0.7})))
+    if suite == "maximal":
+        assert not rep["passed"]
+        (c,) = [c for c in rep["checks"] if c["name"] == "oscillation-vs-local-integral"]
+        assert c["status"] == "fail" and c["measured_constant"] == "inf"
+        assert main(["verify", "maximal", "--s", "0.7"]) == 1
+        assert "suite maximal: FAIL" in capsys.readouterr().out
