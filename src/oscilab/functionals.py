@@ -18,7 +18,7 @@ Each functional reads the statistics it needs from one grid.CubeTable,
 flat by cube position (grid._family order), and passes its weights to the
 one packing solve of its dimension, packing._BEST_PACKING[d], as flat
 arrays; garo_p_lambda's sweep is one call on a stack of weight rows.
-Candidate packings, witnesses and LP rows are positions, made Cube objects
+Candidate packings and witnesses are positions, made Cube objects
 only for returned witnesses, and every packing ratio, sum(num)/sum(den)^q
 over a packing's cubes, is scored by the one left-to-right loop _best_ratio.
 """
@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import ConfigError, SizeGuardError
 from .grid import CubeTable, GridFunction, Packing, _index_to_cube
-from .maximal import DEFAULT_S, local_maximal, resolve_cube_mode
+from .maximal import DEFAULT_S, _past_full_guard, local_maximal
 from .packing import _BEST_PACKING, _best_by_cells, _exact_packing, _greedy_disjoint, _packing
 from .rearrange import rearrange
 from .spaces import RISpaceSpec, norm
@@ -46,16 +46,19 @@ __all__ = [
     "garo_p_lambda",
     "campanato_norm",
     "sobolev_seminorm",
-    "GARO_EXACT_GUARD_1D",
     "GARO_EXACT_GUARD_2D",
 ]
 
-GARO_EXACT_GUARD_1D = 16
+# GaRo_L1 is the best packing where the fractional packing polytope is
+# integral.  This guard must not follow packing.EXACT_GUARD_2D upward: at
+# N = 5 the side-2 squares at (row, col) (0,1), (0,2), (1,3), (2,2), (3,1),
+# (2,0), (1,0) form an induced 7-cycle of the conflict graph, so there the
+# majorant LP can exceed every packing and exactness needs a real LP.
 GARO_EXACT_GUARD_2D = 4
 
 
 def _require_desk_scale(f: GridFunction) -> None:
-    if resolve_cube_mode(f):  # past the full-cube guard of maximal
+    if _past_full_guard(f):
         raise SizeGuardError(
             f"packing functionals enumerate all cubes; N={f.res} is past the "
             f"full-cube guard for d={f.dim}"
@@ -198,13 +201,21 @@ class GaRoEstimate:
     """Two-sided information on the Garsia-Rodemich norm.
 
     upper: 16 * ||local maximal||_X (an admissible majorant route);
-    exact: the infimum over admissible majorants, set wherever it is
-           reachable: for Linf wherever lower is (closed form), for L1 on
-           tiny grids (a linear program); None otherwise;
+    exact: the infimum over admissible majorants, equal to lower wherever
+           it is set: for Linf wherever lower is (closed form), for L1 in 1D
+           wherever lower is and on 2D N <= GARO_EXACT_GUARD_2D (the best
+           packing); None otherwise;
     witness_packing: packing certifying the reported lower bound;
     lower: the certified lower bound itself (L1/Linf only);
     method: the route of the reported value, exact where set, else upper:
-            "exact LP", "exact closed form" or "16*local-maximal upper".
+            "exact packing", "exact closed form" or "16*local-maximal upper".
+
+    L1: the majorant LP (min sum h*gamma, int_Q gamma >= doubleosc(Q),
+    gamma >= 0) is dual to the fractional packing LP (sum of x_Q over the
+    cubes Q holding c <= 1 for every cell c, x >= 0).  Its polytope is
+    integral for intervals (totally unimodular) and for 2D N <= 4 (pairwise
+    Helly squares: the cell rows are the clique rows of a perfect conflict
+    graph), so both optima are the best doubleosc packing.
     """
 
     upper: float
@@ -222,31 +233,6 @@ def _space_kind(space: RISpaceSpec) -> str:
     return "other"
 
 
-def _garo_lp(table: CubeTable) -> float:
-    """min ||gamma||_1 s.t. gamma >= 0, int_Q gamma >= doubleosc(Q) for all
-    cubes Q; gamma >= 0 w.l.o.g. since |gamma| satisfies the constraints.
-    One row per cube with doubleosc > 0, in flat position order: its side's
-    cells at the origin shifted by its first cell."""
-    from scipy.optimize import linprog
-
-    f = table.f
-    n, d, n_cells, h = f.res, f.dim, f.ncells, f.cell_measure
-    do_arr, sides, starts = table.do, table.sides, table.starts
-    pos = np.flatnonzero(do_arr > 0)
-    if not pos.size:
-        return 0.0
-    at_origin = {k: _index_to_cube(k, 0, n, d).flat_cells(n) for k in table.side_list}
-    a_ub = np.zeros((pos.size, n_cells))
-    for r, i in enumerate(pos.tolist()):
-        a_ub[r, at_origin[sides[i]] + starts[i]] = -h
-    b_ub = -do_arr[pos]
-    res = linprog(np.full(n_cells, h), A_ub=a_ub, b_ub=b_ub, bounds=(0, None),
-                  method="highs")
-    if not res.success:
-        raise ConfigError(f"majorant LP failed: {res.message}")
-    return float(res.fun)
-
-
 def garo_norm(
     f: GridFunction,
     space: RISpaceSpec,
@@ -257,28 +243,27 @@ def garo_norm(
 
     The upper route is 16 * ||M#_s f||_X.  For X in {L1, Linf} a certified
     packing lower bound is attached (1D N <= 256, 2D N <= 48), and the exact
-    infimum over admissible majorants wherever it is reachable: for Linf
-    max_Q doubleosc(Q)/|Q|, the lower bound itself, wherever that is
-    computed; for L1 a linear program on tiny grids (1D N <= 16, 2D N <= 4),
-    never below the lower bound.
+    infimum over admissible majorants wherever it is reachable, in both
+    cases the lower bound itself: for Linf max_Q doubleosc(Q)/|Q|, wherever
+    that is computed; for L1 the best doubleosc packing, in 1D and on 2D
+    N <= GARO_EXACT_GUARD_2D, where it equals the majorant LP's optimum
+    (see GaRoEstimate).
     """
     if not 0 < s < 1:
         raise ConfigError(f"s must lie in (0,1), got {s}")
     upper = 16.0 * norm(space, rearrange(local_maximal(f, s, cube_mode)))
     kind = _space_kind(space)
     n, d = f.res, f.dim
-    if kind == "other" or resolve_cube_mode(f):
+    if kind == "other" or _past_full_guard(f):
         return GaRoEstimate(upper)
     table = CubeTable(f)
     if kind == "l1":
         kept, value = _BEST_PACKING[d](table.sides, table.starts, table.do, n)
         lower = float(value)
         witness = _packing(kept, table.sides, table.starts, n, d)
-        # HiGHS solves the LP to a tolerance and can land an ulp or two
-        # below the certified lower bound, so exact never reports less.
-        tiny = n <= (GARO_EXACT_GUARD_1D if d == 1 else GARO_EXACT_GUARD_2D)
-        exact = max(_garo_lp(table), lower) if tiny else None
-        method = "exact LP" if tiny else GaRoEstimate.method
+        integral = d == 1 or n <= GARO_EXACT_GUARD_2D
+        exact = lower if integral else None
+        method = "exact packing" if integral else GaRoEstimate.method
     else:
         # GaRo_Linf is max_Q doubleosc(Q)/|Q|, the lower bound: the constant
         # at that value is admissible, and an admissible gamma has

@@ -533,7 +533,12 @@ class CubeTable:
                 part[...] = (hi - lo) / 2.0
                 continue
             varied = np.flatnonzero(hi != lo)
-            w = cube_windows(f, k, True)[varied]  # a copy, never f's values
+            # gathered from the (m, k)^d view, (m,)^d origins first: one copy
+            # of the varied windows alone, never f's values
+            m = f.res // k
+            view = f.values.reshape((m, k) * d).transpose(*range(0, 2 * d, 2),
+                                                          *range(1, 2 * d, 2))
+            w = view[np.unravel_index(varied, (m,) * d)].reshape(varied.size, k**d)
             w.sort(axis=1)
             part[:, varied] = reduce(w)
         return out

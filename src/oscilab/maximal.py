@@ -54,8 +54,12 @@ def resolve_cube_mode(f: GridFunction, cube_mode: str = "auto") -> bool:
         return True
     if cube_mode != "auto":
         raise ConfigError(f"cube_mode must be full|dyadic|auto, got {cube_mode!r}")
-    guard = FULL_GUARD_1D if f.dim == 1 else FULL_GUARD_2D
-    return f.res > guard
+    return _past_full_guard(f)
+
+
+def _past_full_guard(f: GridFunction) -> bool:
+    """Is N past the full-cube enumeration guard of f's dimension?"""
+    return f.res > (FULL_GUARD_1D if f.dim == 1 else FULL_GUARD_2D)
 
 
 def _sup_over_cubes(table: CubeTable, stat: np.ndarray) -> np.ndarray:

@@ -16,7 +16,6 @@ import numpy as np
 
 from .errors import ConfigError
 from .functionals import (
-    GARO_EXACT_GUARD_1D,
     GARO_EXACT_GUARD_2D,
     campanato_norm,
     gamma_membership,
@@ -381,8 +380,7 @@ def suite_garo(config: dict) -> list:
     checks.append(check(
         "zero-not-admissible", "0 is inadmissible for nonconstant f", ok0))
 
-    guard = {1: GARO_EXACT_GUARD_1D, 2: GARO_EXACT_GUARD_2D}
-    tiny = [f for f in corpus if f.res <= guard[f.dim]]
+    tiny = [f for f in corpus if f.dim == 1 or f.res <= GARO_EXACT_GUARD_2D]
     bracket = 0.0
     factor4 = 0.0
     lower_ok = True

@@ -68,7 +68,7 @@ def test_garo_cli(tmp_path, capsys):
     rep = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert rep["value"] == pytest.approx(0.5, abs=1e-9)
     assert rep["constants"]["upper"] >= rep["value"]
-    assert rep["method"] == "exact LP"
+    assert rep["method"] == "exact packing"
     assert rep["witness"] is not None
 
 

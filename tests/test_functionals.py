@@ -1,4 +1,8 @@
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -18,6 +22,8 @@ from oscilab import (
     GridFunction,
     Packing,
     campanato_norm,
+    double_oscillation,
+    enumerate_cubes,
     gamma_membership,
     garo_norm,
     garo_p_lambda,
@@ -31,7 +37,6 @@ from oscilab import (
     weak_lp,
 )
 from oscilab.functionals import (
-    GARO_EXACT_GUARD_1D,
     GARO_EXACT_GUARD_2D,
     _packing_family_2d,
 )
@@ -181,14 +186,14 @@ def test_garo_l1_exact_never_below_lower(kind, d, n, seed):
 
 
 def test_garo_exact_where_reachable(rng):
-    # L1: the LP runs up to the exact guard; beyond it lower stays, exact goes
-    for d, guard in ((1, GARO_EXACT_GUARD_1D), (2, GARO_EXACT_GUARD_2D)):
-        for n in (guard, guard + 1):
-            est = garo_norm(GridFunction(d, n, rng.normal(size=n**d)), lp(1))
-            assert est.lower is not None and est.witness_packing is not None
-            assert (est.exact is not None) == (n <= guard)
-            if est.exact is not None:
-                assert est.lower <= est.exact
+    # L1: exact in 1D wherever lower is, and in 2D up to the exact guard;
+    # beyond it lower stays, exact goes
+    for d, n in ((1, 17), (1, 256), (2, GARO_EXACT_GUARD_2D), (2, GARO_EXACT_GUARD_2D + 1)):
+        est = garo_norm(GridFunction(d, n, rng.normal(size=n**d)), lp(1))
+        assert est.lower is not None and est.witness_packing is not None
+        assert (est.exact is not None) == (d == 1 or n <= GARO_EXACT_GUARD_2D)
+        if est.exact is not None:
+            assert est.lower <= est.exact
     # Linf: the exact value is the lower bound, so it is set wherever that is
     for g in (GridFunction(1, 256, rng.normal(size=256)),
               GridFunction(2, 48, rng.normal(size=48 * 48))):
@@ -206,9 +211,9 @@ def test_garo_exact_where_reachable(rng):
 def test_garo_method_names_route(rng):
     # the route of the reported value: exact where set, else the upper bound
     for g, space, method in (
-        (GridFunction(2, 4, rng.normal(size=16)), lp(1), "exact LP"),
-        (GridFunction(1, GARO_EXACT_GUARD_1D + 1, rng.normal(size=17)), lp(1),
-         "16*local-maximal upper"),
+        (GridFunction(2, 4, rng.normal(size=16)), lp(1), "exact packing"),
+        (GridFunction(1, 17, rng.normal(size=17)), lp(1), "exact packing"),
+        (GridFunction(2, 5, rng.normal(size=25)), lp(1), "16*local-maximal upper"),
         (GridFunction(2, 5, rng.normal(size=25)), lp(math.inf), "exact closed form"),
         (GridFunction(1, 512, rng.normal(size=512)), lp(math.inf),
          "16*local-maximal upper"),
@@ -223,6 +228,109 @@ def test_garo_upper_route_without_exact(rng):
     f = GridFunction(1, 24, rng.normal(size=24))
     est = garo_norm(f, weak_lp(2), s=0.05)
     assert est.exact is None and est.upper > 0
+
+
+def _overlap_graph(n, squares):
+    """Bitmask adjacency of the conflict graph of 2D squares on an N-grid:
+    two squares are adjacent when they share a cell."""
+    cells = [set(q.flat_cells(n).tolist()) for q in squares]
+    return [sum(1 << j for j, b in enumerate(cells) if j != i and a & b)
+            for i, a in enumerate(cells)]
+
+
+def _has_odd_hole(adj):
+    """Does the graph have an induced cycle of odd length >= 5?  A depth-first
+    search over induced paths whose first vertex v0 is their smallest: a new
+    vertex joins the last one, misses every interior one, and closes a cycle
+    when it also joins v0."""
+
+    def grow(v0, last, blocked, length):
+        cand = adj[last] & ~blocked & (-1 << (v0 + 1))
+        while cand:
+            u = (cand & -cand).bit_length() - 1
+            cand &= cand - 1
+            if adj[u] >> v0 & 1:
+                if length >= 4 and length % 2 == 0:
+                    return True
+            elif grow(v0, u, blocked | adj[last] | 1 << u, length + 1):
+                return True
+        return False
+
+    for v0 in range(len(adj)):
+        later = adj[v0] & (-1 << (v0 + 1))
+        while later:
+            p1 = (later & -later).bit_length() - 1
+            later &= later - 1
+            if grow(v0, p1, 1 << v0 | 1 << p1, 2):
+                return True
+    return False
+
+
+@pytest.mark.parametrize("n", range(1, GARO_EXACT_GUARD_2D + 1))
+def test_square_conflict_graph_is_perfect_within_garo_guard(n):
+    # no odd hole and no odd antihole: the conflict graph is perfect (strong
+    # perfect graph theorem), so the L1 packing polytope is integral and the
+    # exact packing is GaRo_L1
+    squares = enumerate_cubes((2, n))
+    assert len(squares) == n * (n + 1) * (2 * n + 1) // 6  # 1, 5, 14, 30
+    adj = _overlap_graph(n, squares)
+    full = (1 << len(adj)) - 1
+    disjoint = [full & ~a & ~(1 << i) for i, a in enumerate(adj)]
+    assert not _has_odd_hole(adj)
+    assert not _has_odd_hole(disjoint)
+
+
+def test_square_conflict_graph_has_a_7_hole_at_5():
+    # why GARO_EXACT_GUARD_2D stays at 4: seven side-2 squares of the N=5
+    # grid form an induced 7-cycle
+    ring = [Cube((r, c), 2) for r, c in ((0, 1), (0, 2), (1, 3), (2, 2), (3, 1), (2, 0), (1, 0))]
+    adj = _overlap_graph(5, ring)
+    assert adj == [1 << (i - 1) % 7 | 1 << (i + 1) % 7 for i in range(7)]
+    assert _has_odd_hole(adj)
+
+
+@pytest.mark.parametrize("d,n", [(1, 17), (1, 32), (1, 64), (2, 2), (2, 3), (2, 4)])
+def test_garo_l1_exact_is_packing_and_lp_optimum(d, n):
+    from scipy.optimize import linprog
+
+    for kind, seed in (("random_steps", 0), ("cosine_mix", 1), ("logspike", 2)):
+        f = generate(kind, d, n, seed=seed)
+        est = garo_norm(f, lp(1))
+        assert est.exact is not None and repr(est.exact) == repr(est.lower)
+        # the majorant LP: min sum h gamma s.t. int_Q gamma >= doubleosc(Q),
+        # gamma >= 0, one row per cube
+        h = f.cell_measure
+        cubes = enumerate_cubes((d, n))
+        a_ub = np.zeros((len(cubes), f.ncells))
+        for r, q in enumerate(cubes):
+            a_ub[r, q.flat_cells(n)] = -h
+        b_ub = [-double_oscillation(f, q) for q in cubes]
+        res = linprog(np.full(f.ncells, h), A_ub=a_ub, b_ub=b_ub, bounds=(0, None),
+                      method="highs")
+        assert res.success and res.fun > 0
+        assert abs(est.exact - res.fun) <= 1e-12 * res.fun
+
+
+def test_library_runs_without_scipy():
+    # scipy is a test dependency only: no library route imports it
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    code = """
+import math, sys
+import oscilab as o
+f1, f2 = o.generate("random_steps", 1, 16, seed=0), o.generate("cosine_mix", 2, 4, seed=0)
+for f in (f1, f2):
+    for space in (o.lp(1), o.lp(math.inf)):
+        o.garo_norm(f, space)
+    o.hl_maximal(f), o.sharp_maximal(f), o.sharp_norm(f, o.lp(2))
+    o.local_maximal(f), o.local_maximals(f, [0.1, 0.2])
+    for method in ("BS", "JT", "PACK"):
+        o.k_l1_bmo(f, method=method)
+o.run_suite("garo")
+assert "scipy" not in sys.modules, sorted(m for m in sys.modules if m.startswith("scipy"))
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=600, env=dict(os.environ, PYTHONPATH=str(src)))
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_garo_p_lambda_reduces_to_gp(rng):
