@@ -4,6 +4,7 @@ K-profiles, verification suites and plots."""
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -27,6 +28,7 @@ def _add_grid_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0)
 
 
+@functools.cache  # one parser per process: parse_args keeps no state in it
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="oscilab",

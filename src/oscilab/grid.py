@@ -330,8 +330,9 @@ def cube_windows(f: GridFunction, side: int, dyadic: bool = False) -> np.ndarray
     Rows follow origin lexicographic order, matching enumerate_cubes within
     the side.  Shape (n_origins, side**d).  Full-mode windows are read-only
     strided views of f's values (copied by the row reshape in 2D), built with
-    as_strided directly: sliding_window_view builds the same view with
-    about 40 us of Python per call.
+    as_strided on every call, as a caller of one side has nothing to share
+    (sliding_window_view builds the same view with about 40 us of Python);
+    CubeTable, which reads every side, slices its 1D full ones from one view.
     """
     n, k = f.res, side
     if k > n:
@@ -353,38 +354,9 @@ def cube_windows(f: GridFunction, side: int, dyadic: bool = False) -> np.ndarray
 _WINDOW_BLOCK = 1 << 15  # floats per 2D full window block: 256 KB, inside L2
 
 
-def _window_stat(f: GridFunction, side: int, dyadic: bool, reduce,
-                 sort: bool = False) -> np.ndarray:
-    """reduce(w) over the rows of cube_windows(f, side, dyadic), or over
-    those rows each sorted with sort=True, joined along the last axis.
-
-    2D full windows are copied from the strided view a few whole origin
-    rows at a time (at most _WINDOW_BLOCK floats, or one origin row) into
-    one reused buffer that is sorted in place, so a side's windows never
-    sit in memory at once; each row still holds its k^2 values in the order
-    of cube_windows, so every row reduction gives the same bits.  1D and
-    dyadic windows go to reduce as cube_windows gives them, often views of
-    f's values, and are sorted into a copy.  reduce must return a new
-    array, never a view of w.
-    """
-    n, k = f.res, side
-    if f.dim == 1 or dyadic:
-        w = cube_windows(f, k, dyadic)
-        return reduce(np.sort(w, axis=1) if sort else w)
-    v = f.array
-    m = n - k + 1
-    view = as_strided(v, (m, m, k, k), v.strides * 2, writeable=False)
-    rows = min(m, max(1, _WINDOW_BLOCK // (m * k * k)))
-    buf = np.empty((rows, m, k, k))
-    parts = []
-    for i in range(0, m, rows):
-        b = buf[: min(rows, m - i)]
-        b[...] = view[i: i + b.shape[0]]
-        w = b.reshape(-1, k * k)
-        if sort:
-            w.sort(axis=1)
-        parts.append(reduce(w))
-    return np.concatenate(parts, axis=-1)
+def _row_mean(w: np.ndarray) -> np.ndarray:
+    """w.mean(axis=1) without numpy's Python wrapper: the same bits."""
+    return np.add.reduce(w, axis=1) / w.shape[1]
 
 
 def _window_osc(w: np.ndarray, mu: np.ndarray, p: float | None = None) -> np.ndarray:
@@ -394,8 +366,8 @@ def _window_osc(w: np.ndarray, mu: np.ndarray, p: float | None = None) -> np.nda
     dev = w - mu[:, None]
     np.abs(dev, out=dev)
     if p is None:
-        return dev.mean(axis=1)
-    return (dev**p).mean(axis=1) ** (1.0 / p)
+        return _row_mean(dev)
+    return _row_mean(dev**p) ** (1.0 / p)
 
 
 def exceedance_count(s: float, m: int) -> int:
@@ -441,12 +413,13 @@ class CubeTable:
     - qosc(svals): one row per s of the quantile oscillations, as in
       maximal.quantile_oscillation, shape (len(svals), cubes).
     mean, sum and the oscillations reduce each side's windows through
-    _window_stat, in cache-sized blocks for 2D full cubes.  The arrays are
+    _window_stat, in cache-sized blocks for 2D full cubes, and 1D full
+    windows are slices of one view per table (_windows).  The arrays are
     read-only, as every reader of the table shares them.  by_side(stat)
     splits any such array along its last axis into views, {side:
     per-origin array}, in ascending side order.  Each call builds its own
-    table and none is kept on f: f.values is writeable, so a kept
-    statistic could go stale.
+    table and no statistic or view is kept on f: f.values is writeable, so
+    a kept one could go stale.
     """
 
     def __init__(self, f: GridFunction, dyadic: bool = False):
@@ -462,8 +435,51 @@ class CubeTable:
             stat.flags.writeable = False
         return self._stats[name]
 
+    def _windows(self, k: int) -> np.ndarray:
+        """cube_windows(f, k, dyadic), but a 1D full side is view[:N-k+1, :k]
+        of one read-only (N, N) view per table over f's values padded with N
+        zeros, so no row reaches past its buffer; same shape, strides, bits."""
+        f, n = self.f, self.f.res
+        if f.dim == 2 or self.dyadic:
+            return cube_windows(f, k, self.dyadic)
+        if "view" not in self._stats:
+            padded = np.concatenate([f.values, np.zeros(n)])
+            self._stats["view"] = as_strided(padded, (n, n), padded.strides * 2, writeable=False)
+        return self._stats["view"][: n - k + 1, :k]
+
+    def _window_stat(self, k: int, reduce, sort: bool = False) -> np.ndarray:
+        """reduce(w) over the rows of _windows(k), or over those rows each
+        sorted with sort=True, joined along the last axis.
+
+        2D full windows are copied from the strided view a few whole origin
+        rows at a time (at most _WINDOW_BLOCK floats, or one origin row) into
+        one reused buffer that is sorted in place, so a side's windows never
+        sit in memory at once; each row still holds its k^2 values in the order
+        of cube_windows, so every row reduction gives the same bits.  1D and
+        dyadic windows go to reduce as _windows gives them, often views, and
+        are sorted into a copy.  reduce must return a new array, never a
+        view of w.
+        """
+        if self.f.dim == 1 or self.dyadic:
+            w = self._windows(k)
+            return reduce(np.sort(w, axis=1) if sort else w)
+        v = self.f.array
+        m = self.f.res - k + 1
+        view = as_strided(v, (m, m, k, k), v.strides * 2, writeable=False)
+        rows = min(m, max(1, _WINDOW_BLOCK // (m * k * k)))
+        buf = np.empty((rows, m, k, k))
+        parts = []
+        for i in range(0, m, rows):
+            b = buf[: min(rows, m - i)]
+            b[...] = view[i: i + b.shape[0]]
+            w = b.reshape(-1, k * k)
+            if sort:
+                w.sort(axis=1)
+            parts.append(reduce(w))
+        return np.concatenate(parts, axis=-1)
+
     def _reduce(self, reduce, sort: bool = False) -> np.ndarray:
-        return np.concatenate([_window_stat(self.f, k, self.dyadic, reduce, sort)
+        return np.concatenate([self._window_stat(k, reduce, sort)
                                for k in self.side_list], axis=-1)
 
     def by_side(self, stat: np.ndarray) -> dict:
@@ -489,7 +505,7 @@ class CubeTable:
 
     @property
     def mean(self) -> np.ndarray:
-        return self._lazy("mean", lambda: self._reduce(lambda w: w.mean(axis=1)))
+        return self._lazy("mean", lambda: self._reduce(_row_mean))
 
     @property
     def sum(self) -> np.ndarray:
@@ -502,7 +518,7 @@ class CubeTable:
 
     def osc_p(self, p: float | None) -> np.ndarray:
         return self._lazy(("osc", p), lambda: self._reduce(
-            lambda w: _window_osc(w, w.mean(axis=1), p)))
+            lambda w: _window_osc(w, _row_mean(w), p)))
 
     def qosc(self, svals) -> np.ndarray:
         svals = tuple(svals)
@@ -513,6 +529,8 @@ class CubeTable:
         # _qosc_sorted per distinct exceedance count kexc
         def reduce(w):
             kexcs = [exceedance_count(s, w.shape[1]) for s in svals]
+            if len(set(kexcs)) == 1:  # as for a single s: one row, repeated
+                return _qosc_sorted(w, kexcs[0])[None].repeat(len(kexcs), axis=0)
             by_kexc = {e: _qosc_sorted(w, e) for e in set(kexcs)}
             return np.stack([by_kexc[e] for e in kexcs])
 
@@ -554,7 +572,7 @@ class CubeTable:
         h = self.f.cell_measure
         parts = []
         for k in self.side_list:
-            ws = np.sort(cube_windows(self.f, k, self.dyadic), axis=1)
+            ws = np.sort(self._windows(k), axis=1)
             m = ws.shape[1]
             coef = 2.0 * (2.0 * np.arange(1, m + 1) - 1.0 - m)
             parts.append((ws @ coef) * h / m)

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from oscilab import read_grid_csv
+from oscilab import read_grid_csv, write_grid_csv
 from oscilab.cli import main
 from oscilab.generators import generate
 from oscilab.report import SCHEMA_VERSION, dump_json
@@ -183,6 +183,28 @@ def test_console_entrypoint():
     )
     assert proc.returncode == 0
     assert "morrey: PASS" in proc.stdout
+
+
+def test_reused_parser_leaks_no_state(tmp_path):
+    # main parses with one parser per process: after a run with --p and
+    # --points and a rejected argv, a run without them must write what a
+    # fresh process writes
+    grid = tmp_path / "f.csv"
+    write_grid_csv(generate("random_steps", 1, 16, seed=3), grid)
+    argv = ["kprofile", str(grid), "--method", "PACK_P"]
+    first, reused, fresh = (str(tmp_path / f"{name}.csv") for name in ("a", "b", "c"))
+    assert main(argv + ["--p", "0.7", "--points", "8", "--out", first]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--p", "x", "--out", reused])
+    assert exc.value.code == 2
+    assert main(argv + ["--out", reused]) == 0
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    subprocess.run([sys.executable, "-m", "oscilab.cli", *argv, "--out", fresh],
+                   check=True, capture_output=True, timeout=600,
+                   env=dict(os.environ, PYTHONPATH=str(src)))
+    reused_bytes = pathlib.Path(reused).read_bytes()
+    assert reused_bytes == pathlib.Path(fresh).read_bytes()
+    assert reused_bytes != pathlib.Path(first).read_bytes()
 
 
 def test_error_exit_code(tmp_path):

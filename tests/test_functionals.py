@@ -180,7 +180,8 @@ def test_garo_embedding_factor_four(rng):
     ("random_steps", 2, 3, 1),
 ])
 def test_garo_l1_exact_never_below_lower(kind, d, n, seed):
-    # grids on which the LP alone lands 1-2 ulp below the certified bound
+    # L1 exact is the best packing, repr-equal to lower, so never below it;
+    # on these grids a floating-point LP optimum fell 1-2 ulp below lower
     est = garo_norm(generate(kind, d, n, seed=seed), lp(1))
     assert est.lower <= est.exact
 

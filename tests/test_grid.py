@@ -1,3 +1,4 @@
+import argparse
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oscilab.cli as cli
 import oscilab.grid as grid_mod
 from oscilab import (
     ConfigError,
@@ -207,6 +209,90 @@ def test_stat_tables_match_scalar_ops(rng):
         for k, v in views.items():
             assert np.shares_memory(v, table.osc)
             assert np.array_equal(v, table.osc[table.sides == k])
+
+
+def _per_cube_stats(f, dyadic):
+    """The 1D CubeTable statistics, cube by cube in enumerate_cubes order,
+    from np.mean and np.sort on each cube's own cells.  The double
+    oscillation takes one sorted-row matrix per side through `@ coef`, as
+    the table does, since a BLAS product's bits depend on its row count."""
+    n, h = f.res, f.cell_measure
+    out = {"mean": [], "sum": [], "osc": [], "osc_p(0.5)": [], "osc_p(2)": [],
+           "do": [], "qosc": [[], []]}
+    by_side = {}
+    for q in enumerate_cubes((1, n), dyadic_only=dyadic):
+        v = f.values[q.flat_cells(n)]
+        mu = np.mean(v)
+        dev = np.abs(v - mu)
+        out["mean"].append(mu)
+        out["sum"].append(np.sum(v) * h)
+        out["osc"].append(np.mean(dev))
+        out["osc_p(0.5)"].append(np.mean(dev**0.5))
+        out["osc_p(2)"].append(np.mean(dev**2.0))
+        vs = np.sort(v)
+        by_side.setdefault(q.side, []).append(vs)
+        for row, s in zip(out["qosc"], (0.05, 0.3)):
+            e = grid_mod.exceedance_count(s, v.size)
+            row.append(np.min(vs[v.size - e - 1:] - vs[: e + 1]) / 2.0)
+    for k, rows in by_side.items():
+        coef = 2.0 * (2.0 * np.arange(1, k + 1) - 1.0 - k)
+        out["do"].extend((np.array(rows) @ coef) * h / k)
+    out = {name: np.array(vals) for name, vals in out.items()}
+    # the 1/p root on the array of means, as the table takes it: numpy's
+    # array power by 0.5 is a sqrt, which a float64 scalar power is not
+    out["osc_p(0.5)"] **= 1 / 0.5
+    out["osc_p(2)"] **= 1 / 2.0
+    return out
+
+
+@pytest.mark.parametrize("n,dyadic", [(n, False) for n in (1, 2, 7, 8, 9, 31, 128, 256)]
+                         + [(8, True), (64, True)])
+def test_1d_table_is_bit_identical_to_per_cube_reference(n, dyadic):
+    # the table's 1D windows are slices of one strided view per table; each
+    # statistic must keep the bits of a reduction over the cube's own cells
+    rng = np.random.default_rng(n)
+    spikes = np.zeros(n)
+    spikes[rng.choice(n, size=max(1, n // 16), replace=False)] = 1e3
+    data = {
+        "rounded normal": np.round(rng.normal(size=n), 1),
+        "constant blocks": np.repeat(rng.integers(-3, 4, size=n // 4 + 1), 4)[:n] * 0.5,
+        "spikes": spikes,
+    }
+    for name, vals in data.items():
+        f = GridFunction(1, n, vals)
+        t = CubeTable(f, dyadic)
+        got = {"mean": t.mean, "sum": t.sum, "osc": t.osc, "osc_p(0.5)": t.osc_p(0.5),
+               "osc_p(2)": t.osc_p(2.0), "do": t.do, "qosc": t.qosc((0.05, 0.3))}
+        for stat, want in _per_cube_stats(f, dyadic).items():
+            assert np.array_equal(got[stat], want), (name, stat)
+
+
+def test_one_strided_view_per_1d_table_and_one_cli_parser(monkeypatch, tmp_path):
+    # count-based guards, no timing: a 1D full table reads every side from
+    # one strided view, and a process builds its CLI parser once
+    views = []
+    strided = grid_mod.as_strided
+    monkeypatch.setattr(grid_mod, "as_strided",
+                        lambda *a, **kw: views.append(1) or strided(*a, **kw))
+    table = CubeTable(generate("random_steps", 1, 64, seed=2))
+    table.osc, table.do, table.qosc((0.05,))
+    assert len(views) <= 1
+
+    parsers = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *a, **kw):
+        parsers.append(1)
+        init(self, *a, **kw)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    cli.build_parser.cache_clear()
+    argv = ["gen", "constant", "--N", "4", "--out", str(tmp_path / "c.csv")]
+    assert cli.main(argv) == 0
+    built = len(parsers)
+    assert built > 0
+    assert cli.main(argv) == 0 and cli.main(argv) == 0
+    assert len(parsers) == built
 
 
 @pytest.mark.parametrize("d,n,dyadic", [(1, 7, False), (1, 64, True), (2, 5, False),
