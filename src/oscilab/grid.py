@@ -442,10 +442,12 @@ class CubeTable:
         f, n = self.f, self.f.res
         if f.dim == 2 or self.dyadic:
             return cube_windows(f, k, self.dyadic)
-        if "view" not in self._stats:
+
+        def view():
             padded = np.concatenate([f.values, np.zeros(n)])
-            self._stats["view"] = as_strided(padded, (n, n), padded.strides * 2, writeable=False)
-        return self._stats["view"][: n - k + 1, :k]
+            return as_strided(padded, (n, n), padded.strides * 2, writeable=False)
+
+        return self._lazy("view", view)[: n - k + 1, :k]
 
     def _window_stat(self, k: int, reduce, sort: bool = False) -> np.ndarray:
         """reduce(w) over the rows of _windows(k), or over those rows each
@@ -529,8 +531,6 @@ class CubeTable:
         # _qosc_sorted per distinct exceedance count kexc
         def reduce(w):
             kexcs = [exceedance_count(s, w.shape[1]) for s in svals]
-            if len(set(kexcs)) == 1:  # as for a single s: one row, repeated
-                return _qosc_sorted(w, kexcs[0])[None].repeat(len(kexcs), axis=0)
             by_kexc = {e: _qosc_sorted(w, e) for e in set(kexcs)}
             return np.stack([by_kexc[e] for e in kexcs])
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import pathlib
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from oscilab import read_grid_csv, write_grid_csv
+import oscilab.cli as cli
 from oscilab.cli import main
 from oscilab.generators import generate
 from oscilab.report import SCHEMA_VERSION, dump_json
@@ -183,6 +185,25 @@ def test_console_entrypoint():
     )
     assert proc.returncode == 0
     assert "morrey: PASS" in proc.stdout
+
+
+def test_one_parser_per_process(monkeypatch, tmp_path):
+    # a count-based guard, no timing: repeated main calls build no new parser
+    parsers = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *a, **kw):
+        parsers.append(1)
+        init(self, *a, **kw)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    cli.build_parser.cache_clear()
+    argv = ["gen", "constant", "--N", "4", "--out", str(tmp_path / "c.csv")]
+    assert main(argv) == 0
+    built = len(parsers)
+    assert built > 0
+    assert main(argv) == 0 and main(argv) == 0
+    assert len(parsers) == built
 
 
 def test_reused_parser_leaks_no_state(tmp_path):
