@@ -12,6 +12,8 @@ each position its side and first cell (the flat index of its origin cell),
 and CubeTable gives each position its statistics, every one computed by a
 single reducer here: means, integrals, mean and L_p oscillations, double
 oscillations and the quantile oscillations of the local maximal function.
+Every reader of a side's cube windows reads one layout, _side_view: a
+read-only view, origins first, of the cells of every cube of that side.
 
 It also holds the one reader of input files, _read_csv_rows with
 _csv_numbers; read_grid_csv, spaces.phi_from_csv and the CLI's profile
@@ -324,31 +326,39 @@ def cubes_containing(grid, x: Sequence[int], dyadic_only: bool = False) -> list:
 # ---------------------------------------------------------------------------
 # vectorized cube statistics (shared by maximal operators and functionals)
 
+def _side_view(values: np.ndarray, n: int, d: int, k: int, dyadic: bool) -> np.ndarray:
+    """Read-only view of shape (m,)*d + (k,)*d of every side-k cube's cells,
+    origins in lex order first, over the flat row-major values of an n^d
+    grid: full cubes (m = n-k+1) by one as_strided, dyadic cubes (m = n/k)
+    by a reshape and transpose of the values.  A new cube family adds its
+    origin rule here."""
+    if dyadic:
+        m = n // k
+        view = values.reshape((m, k) * d).transpose(*range(0, 2 * d, 2),
+                                                   *range(1, 2 * d, 2))
+        view.flags.writeable = False
+        return view
+    (st,) = values.strides
+    axes = (n * st, st)[2 - d:]
+    return as_strided(values, (n - k + 1,) * d + (k,) * d, axes * 2, writeable=False)
+
+
 def cube_windows(f: GridFunction, side: int, dyadic: bool = False) -> np.ndarray:
     """Cell values of every cube of the given side, one row per origin.
 
     Rows follow origin lexicographic order, matching enumerate_cubes within
-    the side.  Shape (n_origins, side**d).  Full-mode windows are read-only
-    strided views of f's values (copied by the row reshape in 2D), built with
-    as_strided on every call, as a caller of one side has nothing to share
-    (sliding_window_view builds the same view with about 40 us of Python);
-    CubeTable, which reads every side, slices its 1D full ones from one view.
+    the side.  Shape (n_origins, side**d): the rows of _side_view, built on
+    every call, as a caller of one side has nothing to share
+    (sliding_window_view builds the same view with about 40 us of Python).
+    The result is a read-only view of f's values or a copy of them; CubeTable,
+    which reads every side, slices its 1D full ones from one view.
     """
     n, k = f.res, side
-    if k > n:
-        raise GeometryError(f"side {k} exceeds grid {n}")
-    if f.dim == 1:
-        if dyadic:
-            return f.values.reshape(n // k, k)
-        (st,) = f.values.strides
-        return as_strided(f.values, (n - k + 1, k), (st, st), writeable=False)
-    v = f.array
-    if dyadic:
-        m = n // k
-        return v.reshape(m, k, m, k).transpose(0, 2, 1, 3).reshape(m * m, k * k)
-    m = n - k + 1
-    w = as_strided(v, (m, m, k, k), v.strides * 2, writeable=False)
-    return w.reshape(m * m, k * k)
+    if not 1 <= k <= n:
+        raise GeometryError(f"side {k} must lie in [1, {n}]")
+    if dyadic and k not in sides_for(n, True):
+        raise GeometryError(f"dyadic side {k} is not a power of two")
+    return _side_view(f.values, n, f.dim, k, dyadic).reshape(-1, k**f.dim)
 
 
 _WINDOW_BLOCK = 1 << 15  # floats per 2D full window block: 256 KB, inside L2
@@ -437,17 +447,13 @@ class CubeTable:
 
     def _windows(self, k: int) -> np.ndarray:
         """cube_windows(f, k, dyadic), but a 1D full side is view[:N-k+1, :k]
-        of one read-only (N, N) view per table over f's values padded with N
-        zeros, so no row reaches past its buffer; same shape, strides, bits."""
+        of one side-N view per table over f's values padded with N zeros, so
+        no row reaches past its buffer; same shape, strides, bits."""
         f, n = self.f, self.f.res
         if f.dim == 2 or self.dyadic:
             return cube_windows(f, k, self.dyadic)
-
-        def view():
-            padded = np.concatenate([f.values, np.zeros(n)])
-            return as_strided(padded, (n, n), padded.strides * 2, writeable=False)
-
-        return self._lazy("view", view)[: n - k + 1, :k]
+        return self._lazy("view", lambda: _side_view(
+            np.concatenate([f.values, np.zeros(n)]), 2 * n, 1, n, False))[: n - k + 1, :k]
 
     def _window_stat(self, k: int, reduce, sort: bool = False) -> np.ndarray:
         """reduce(w) over the rows of _windows(k), or over those rows each
@@ -465,9 +471,8 @@ class CubeTable:
         if self.f.dim == 1 or self.dyadic:
             w = self._windows(k)
             return reduce(np.sort(w, axis=1) if sort else w)
-        v = self.f.array
         m = self.f.res - k + 1
-        view = as_strided(v, (m, m, k, k), v.strides * 2, writeable=False)
+        view = _side_view(self.f.values, self.f.res, 2, k, False)
         rows = min(m, max(1, _WINDOW_BLOCK // (m * k * k)))
         buf = np.empty((rows, m, k, k))
         parts = []
@@ -551,12 +556,10 @@ class CubeTable:
                 part[...] = (hi - lo) / 2.0
                 continue
             varied = np.flatnonzero(hi != lo)
-            # gathered from the (m, k)^d view, (m,)^d origins first: one copy
-            # of the varied windows alone, never f's values
-            m = f.res // k
-            view = f.values.reshape((m, k) * d).transpose(*range(0, 2 * d, 2),
-                                                          *range(1, 2 * d, 2))
-            w = view[np.unravel_index(varied, (m,) * d)].reshape(varied.size, k**d)
+            # gathered from the side view, origins first: one copy of the
+            # varied windows alone, never f's values
+            view = _side_view(f.values, f.res, d, k, True)
+            w = view[np.unravel_index(varied, view.shape[:d])].reshape(varied.size, k**d)
             w.sort(axis=1)
             part[:, varied] = reduce(w)
         return out

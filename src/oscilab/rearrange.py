@@ -17,8 +17,7 @@ from .grid import Cube, GridFunction
 
 __all__ = [
     "StepProfile",
-    "RunningAverage",
-    "LogTailIntegral",
+    "ProfileCurve",
     "rearrange",
     "distribution",
     "double_star",
@@ -134,98 +133,74 @@ def rearrange(f: GridFunction) -> StepProfile:
 
 def distribution(f: GridFunction, t: float) -> float:
     """Measure of {|f| > t}."""
-    if t < 0:
+    if not t >= 0:  # NaN too
         raise ConfigError("distribution function is defined for t >= 0")
     return float(np.count_nonzero(np.abs(f.values) > t)) / f.res**f.dim
 
 
-class RunningAverage:
-    """Exact evaluation of t -> (1/t) int_0^t g, for a step profile g.
+class ProfileCurve:
+    """An exact curve t -> evaluate(ts) derived from a step profile base:
+    g**, Q g and g** - g are all evaluated on demand from the breakpoint
+    data of base, never resampled; evaluate also checks the domain."""
 
-    Piecewise smooth, non-increasing when g is non-increasing, >= g pointwise.
-    Never resampled: evaluated on demand from breakpoint data.
-    """
-
-    def __init__(self, base: StepProfile):
-        self.base = base
+    def __init__(self, base: StepProfile, evaluate):
+        self.base, self._evaluate = base, evaluate
 
     @property
     def breakpoints(self) -> np.ndarray:
         return self.base.breakpoints
 
     def sample(self, ts) -> np.ndarray:
-        ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        if np.any(ts <= 0):
-            raise ConfigError("running average undefined at t=0")
-        return self.base.integral_to(ts) / ts
+        return self._evaluate(np.atleast_1d(np.asarray(ts, dtype=float)))
 
     def at(self, t: float) -> float:
         return float(self.sample([t])[0])
 
 
-def double_star(g: StepProfile) -> RunningAverage:
-    """The maximal average g**(t) = (1/t) int_0^t g(s) ds."""
-    return RunningAverage(g)
+def double_star(g: StepProfile) -> ProfileCurve:
+    """The maximal average g**(t) = (1/t) int_0^t g(s) ds.
+
+    Piecewise smooth, non-increasing when g is non-increasing, >= g pointwise.
+    """
+    def evaluate(ts):
+        if np.any(ts <= 0):
+            raise ConfigError("running average undefined at t=0")
+        return g.integral_to(ts) / ts
+
+    return ProfileCurve(g, evaluate)
 
 
 hardy_P = double_star
 """Hardy operator P g(t) = (1/t) int_0^t g: identical to the maximal average."""
 
 
-class LogTailIntegral:
-    """Exact evaluation of Q g(t) = int_t^1 g(s) ds/s for a step profile g."""
+def hardy_Q(g: StepProfile) -> ProfileCurve:
+    """Hardy operator Q g(t) = int_t^1 g(s) ds/s (exact logarithmic form)."""
+    bp, vals = g.breakpoints, g.values
+    lo = np.maximum(bp[:-1], np.finfo(float).tiny)
+    piece_logs = vals * np.log(bp[1:] / lo)
+    # suffix[k] = contribution of pieces k+1..m-1
+    suffix = np.concatenate((np.cumsum(piece_logs[::-1])[::-1], [0.0]))[1:]
 
-    def __init__(self, base: StepProfile):
-        self.base = base
-        bp, vals = base.breakpoints, base.values
-        lo = np.maximum(bp[:-1], np.finfo(float).tiny)
-        piece_logs = vals * np.log(bp[1:] / lo)
-        # suffix[k] = contribution of pieces k+1..m-1
-        self._suffix = np.concatenate(
-            (np.cumsum(piece_logs[::-1])[::-1], [0.0])
-        )[1:]
-
-    def sample(self, ts) -> np.ndarray:
-        ts = np.atleast_1d(np.asarray(ts, dtype=float))
+    def evaluate(ts):
         if np.any(ts <= 0) or np.any(ts > 1):
             raise ConfigError("domain of Q g is (0, 1]")
-        bp, vals = self.base.breakpoints, self.base.values
-        idx = self.base._piece_right(ts)
-        return vals[idx] * np.log(bp[idx + 1] / ts) + self._suffix[idx]
+        idx = g._piece_right(ts)
+        return vals[idx] * np.log(bp[idx + 1] / ts) + suffix[idx]
 
-    def at(self, t: float) -> float:
-        return float(self.sample([t])[0])
-
-
-def hardy_Q(g: StepProfile) -> LogTailIntegral:
-    """Hardy operator Q g(t) = int_t^1 g(s) ds/s (exact logarithmic form)."""
-    return LogTailIntegral(g)
-
-
-class GapCurve:
-    """t -> g**(t) - g(t) for a profile g; non-negative, piecewise A/t."""
-
-    def __init__(self, base: StepProfile):
-        self.base = base
-        self.avg = RunningAverage(base)
-
-    def sample(self, ts) -> np.ndarray:
-        ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        return self.avg.sample(ts) - self.base.sample(ts)
-
-    def at(self, t: float) -> float:
-        return float(self.sample([t])[0])
+    return ProfileCurve(g, evaluate)
 
 
 def oscillation_gap(f: GridFunction) -> tuple:
-    """Profile of f** - f* together with its exact supremum over (0,1].
+    """The curve f** - f* together with its exact supremum over (0,1].
 
     On each piece the gap is A/t with A >= 0, so the supremum is attained at
     a breakpoint approached from the right; sup_t (f**-f*)(t) is the
     Bennett-DeVore-Sharpley functional of f.
     """
     g = rearrange(f)
-    curve = GapCurve(g)
+    avg = double_star(g)
+    curve = ProfileCurve(g, lambda ts: avg.sample(ts) - g.sample(ts))
     interior = g.breakpoints[1:-1]
     if interior.size == 0:
         return curve, 0.0

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .grid import _csv_numbers, _read_csv_rows
-from .rearrange import StepProfile, rearrange
+from .rearrange import StepProfile, dilate, rearrange
 
 __all__ = [
     "RISpaceSpec",
@@ -297,8 +297,6 @@ def dilation_norm_estimate(
 ) -> float:
     """Certified lower bound on the dilation operator norm: the best ratio
     ||sigma_s g|| / ||g|| over the battery.  Never exceeds max(1, s)."""
-    from .rearrange import dilate
-
     if not battery:
         raise ConfigError("dilation estimate needs a nonempty battery")
     best = 0.0

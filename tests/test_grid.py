@@ -169,14 +169,24 @@ def test_packing_rejects_overlap():
 
 
 def test_cube_windows_match_flat_cells(rng):
-    for d, n in ((1, 9), (2, 5)):
+    # a window array never lets a caller write f: it is a read-only view of
+    # f's values or shares no memory with them
+    for d, n, dyadic in ((1, 9, False), (2, 5, False), (1, 8, True), (2, 4, True)):
         f = GridFunction(d, n, rng.normal(size=n**d))
         for k in (1, 2, n):
-            w = cube_windows(f, k)
-            cubes = [q for q in enumerate_cubes((d, n)) if q.side == k]
+            w = cube_windows(f, k, dyadic)
+            assert not w.flags.writeable or not np.shares_memory(w, f.values)
+            cubes = [q for q in enumerate_cubes((d, n), dyadic) if q.side == k]
             assert w.shape[0] == len(cubes)
             for row, q in zip(w, cubes):
                 assert np.array_equal(np.sort(row), np.sort(f.values[q.flat_cells(n)]))
+
+
+@pytest.mark.parametrize("side,dyadic", [(0, False), (-1, False), (9, False),
+                                         (0, True), (3, True), (16, True)])
+def test_cube_windows_reject_bad_side(side, dyadic):
+    with pytest.raises(GeometryError):
+        cube_windows(GridFunction(1, 8, np.arange(8.0)), side, dyadic)
 
 
 def test_stat_tables_match_scalar_ops(rng):

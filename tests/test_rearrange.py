@@ -50,6 +50,12 @@ def test_distribution_examples():
     assert distribution(f, 2.0) == 0.0
 
 
+@pytest.mark.parametrize("t", [-0.5, math.nan])
+def test_distribution_rejects_bad_level(t):
+    with pytest.raises(ConfigError):
+        distribution(gf([1, 0]), t)
+
+
 def test_equimeasurability(rng):
     for _ in range(20):
         n = int(rng.integers(2, 40))
