@@ -395,7 +395,7 @@ def suite_garo(config: dict) -> list:
                 factor4 = max(factor4, est.exact / fnorm)
     checks.append(check(
         "exact-below-upper",
-        "certified lower bound <= LP optimum <= 16 ||M#_s f||_X",
+        "certified lower bound <= best packing <= 16 ||M#_s f||_X",
         bool(lower_ok and bracket <= 1 + 1e-9), measured=bracket,
     ))
     checks.append(check(

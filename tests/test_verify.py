@@ -50,9 +50,9 @@ _DIGESTS = {
     "rearr": ("e4b8af0db092319892833c5084092dd921c31f12123ccf51a00183fbe3092722",
               "35e3e5ae45af13a23b301c31a1ff8472d714e37713d71aba20a1982d8124b9d2",
               "2fe3554c1613acbeb627cf7f8d6623e3cba61e42763e787e8620f169cdfe8348"),
-    "garo": ("abe0f2ef88b70eff95e4dc67ea30fb0ccc8bb27fe0342fc2e5d28337cbcdde1d",
-             "d6bb26244708489745fd1104d803af5d86db9dfe49c65c52804332fad018525f",
-             "0f3452e44af06a0dc33df0e84081f9ec33dc08a1ce8a515b580a9f81f176164c"),
+    "garo": ("93120687e8c8af547aa4da80a6aac9f5d07eafeb7d486e804e1de827eb387ba7",
+             "5984aa8e45a7121029ebf258759d1866fc555b34c68e6fa03755ea1fb20d4f8e",
+             "3936e65f793647031f8d0488fdaa9fd460601ee50103d0d2c742ef46c1d6f9cb"),
     "kfun": ("b81cb376250ae9a3eaf00509c7975d148a3d93c24182de70f73dfb93476fcadd",
              "f32d6789cee93b980228f5a15a7021ce990e34db477dc5ce5845b3a78681a255",
              "db56811fe92bf7b912d480fac7cf175ec90fefb361c50068bdd1c316d1331214"),
