@@ -41,7 +41,6 @@ from .kfunctional import (
     default_t_grid,
     f_sharp_curve,
     f_sharp_profile,
-    f_sharp_profile_p,
     k_l1_bmo,
     k_l1_linf,
     vitali_threshold_estimate,
@@ -56,8 +55,7 @@ from .maximal import (
     sharp_norm,
 )
 from .packing import (
-    additive_pareto_1d,
-    additive_pareto_2d,
+    additive_pareto,
     max_additive_packing,
     max_measure_packing,
     union_measure,

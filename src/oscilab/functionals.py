@@ -164,7 +164,7 @@ def gp_norm(f: GridFunction, p: float) -> float:
         return float(np.max(do_arr / meas_arr, initial=0.0))
     n, d = f.res, f.dim
     if _exact_packing(n, d):
-        vals = _best_by_cells(table.sides, table.starts, do_arr, n, d, np.add)[1:]
+        vals = _best_by_cells(table.sides, table.starts, do_arr, n, d, np.add)[0][1:]
         ms = np.arange(1, n**d + 1)
         # Packing.total_measure of every 2D packing of m cells: at N <= 4 the
         # fsum of the cube measures depends on m alone, whatever the sides

@@ -41,7 +41,6 @@ __all__ = [
     "k_l1_bmo",
     "f_sharp_profile",
     "f_sharp_curve",
-    "f_sharp_profile_p",
     "vitali_threshold_estimate",
     "default_t_grid",
     "running_max",
@@ -225,7 +224,7 @@ def _f_values(table: CubeTable, stat: np.ndarray, ts: np.ndarray) -> np.ndarray:
     if table.dyadic:
         best = np.concatenate(([np.inf], np.sort(_sup_of(table, stat).values)[::-1]))
     elif _exact_packing(n, d):
-        best = _best_by_cells(table.sides, table.starts, stat, n, d, np.minimum)
+        best = _best_by_cells(table.sides, table.starts, stat, n, d, np.minimum)[0]
         best = np.maximum.accumulate(best[::-1])[::-1]
     else:
         levels, cells = _greedy_counts_2d(table, stat)
@@ -303,17 +302,13 @@ def f_sharp_curve(
     return _f_values(table, table.osc_p(p), ts)
 
 
-def f_sharp_profile(f: GridFunction, t: float, cube_mode: str = "auto") -> float:
-    """The packing profile F(t) = sup over packings of (S_pi)*(t)."""
-    return float(f_sharp_curve(f, [t], cube_mode=cube_mode)[0])
-
-
-def f_sharp_profile_p(
-    f: GridFunction, t: float, p: float, cube_mode: str = "auto"
+def f_sharp_profile(
+    f: GridFunction, t: float, p: float | None = None, cube_mode: str = "auto"
 ) -> float:
-    """L_p variant of the packing profile, 0 < p < 1: the cube statistic is
+    """The packing profile F(t) = sup over packings of (S_pi)*(t); for
+    0 < p < 1 its L_p variant, with cube statistic
     ((1/|Q|) int_Q |f-f_Q|^p)^(1/p)."""
-    return float(f_sharp_curve(f, [t], p=p, cube_mode=cube_mode)[0])
+    return float(f_sharp_curve(f, [t], p, cube_mode)[0])
 
 
 def vitali_threshold_estimate(

@@ -6,18 +6,17 @@ on flat (sides, starts, w) arrays, w one weight row or a (rows, cubes)
 stack: _best_packing_1d is one exact DP over the cubes grouped by end
 cell, O(N) numpy steps over all rows with work in proportion to the cubes
 passed; _best_packing_2d takes the positive weights, weight descending,
-one row after another.  The cell-count DP _dp_budgeted_1d tracks cells
-left uncovered (O(N^3) work, O(N^2) memory).  2D maximum-weight square
-packing is combinatorially hard: up to N = EXACT_GUARD_2D every exact
-answer comes from _skyline_dp, a row-major scan of the cells over skyline
-states; larger grids fall back to greedy selection, a certified lower
-bound.  _best_by_cells, the best value
-(sum or max-min) per covered cell count, is the one entry to both exact
-cell-count DPs for F, G_p and the Pareto profiles.  Every greedy
-selection, here and in functionals and kfunctional, is one pass of
-_greedy_disjoint: one bigint test per walked cube, and after every
-_SEGMENT walked cubes one numpy sieve, O(N^d + cubes left), that drops the
-cubes meeting the cells covered so far.
+one row after another.  The best value (sum or max-min) and its packing
+per covered cell count have one interface, _best_by_cells: the 1D DP
+_dp_budgeted_1d over cells left uncovered (O(N^3) work, O(N^2) memory),
+or _skyline_dp, a row-major scan of the 2D cells over skyline states.
+2D maximum-weight square packing is combinatorially hard: every exact 2D
+answer is guarded at N = EXACT_GUARD_2D; beyond, the greedy selection
+gives a certified lower bound.  Every greedy selection, here and in
+functionals and kfunctional, is one pass of _greedy_disjoint: one bigint
+test per walked cube, and after every _SEGMENT walked cubes one numpy
+sieve, O(N^d + cubes left), that drops the cubes meeting the cells
+covered so far.
 
 The solvers take and return flat positions of grid._family; only the public
 functions convert to and from Cube objects, through grid's helpers.
@@ -36,8 +35,7 @@ from .grid import Cube, Packing, _check_grid, _cube_index, _family, _index_to_cu
 __all__ = [
     "max_measure_packing",
     "max_additive_packing",
-    "additive_pareto_1d",
-    "additive_pareto_2d",
+    "additive_pareto",
     "vitali_select",
     "union_measure",
     "EXACT_GUARD_2D",
@@ -52,6 +50,12 @@ def _exact_packing(n: int, d: int) -> bool:
     """Whether packings of the N^d grid are solved exactly, 1D always and 2D
     up to N = EXACT_GUARD_2D; beyond that every 2D route is greedy."""
     return d == 1 or n <= EXACT_GUARD_2D
+
+
+def _require_exact(n: int, d: int) -> None:
+    if not _exact_packing(n, d):
+        raise SizeGuardError(f"the exact 2D packing DP is guarded at "
+                             f"N <= {EXACT_GUARD_2D}, got N={n}")
 
 
 def _blocks(sides, n: int, d: int) -> dict:
@@ -180,15 +184,13 @@ def _skyline_dp(sides, starts, w, n: int, op) -> tuple:
     return best, packing_of
 
 
-def _best_by_cells(sides, starts, w, n: int, d: int, op) -> np.ndarray:
-    """value[c] = the best value over packings of the cubes (side, first
-    cell) with flat weights w covering exactly c cells, c = 0..N^d: the
-    largest sum for op=np.add, the largest minimum for op=np.minimum (+inf
-    for c = 0); -inf where no packing covers c cells.  1D reads
-    _dp_budgeted_1d, 2D _skyline_dp."""
-    if d == 1:
-        return _dp_budgeted_1d(sides, starts, w, n, op)[n, ::-1].copy()
-    return _skyline_dp(sides, starts, w, n, op)[0]
+def _best_by_cells(sides, starts, w, n: int, d: int, op) -> tuple:
+    """(best, packing_of) for the cubes (side, first cell) with flat weights
+    w: best[c] the best value over packings of exactly c cells, c = 0..N^d,
+    the largest sum for op=np.add, the largest minimum for op=np.minimum
+    (+inf for c = 0), -inf where none covers c; packing_of(c) the ascending
+    positions of one.  1D reads _dp_budgeted_1d, 2D _skyline_dp."""
+    return (_dp_budgeted_1d if d == 1 else _skyline_dp)(sides, starts, w, n, op)
 
 
 # ---------------------------------------------------------------------------
@@ -201,25 +203,29 @@ def _flat_weights(weights, n: int, d: int) -> tuple:
     side k with one entry per origin, (N-k+1)^d: in 1D side after side in
     the dict's order (the 1D DPs break ties by it), in 2D in (side, origin
     lex) order.  From a Cube -> weight callable, called once per cube in
-    (side, origin lex) order.
+    (side, origin lex) order.  A weight is finite, or -inf to drop its cube.
     """
     if callable(weights):
         sides, starts = _family(n, d, range(1, n + 1))
-        return sides, starts, np.array([
-            float(weights(_index_to_cube(k, s, n, d)))
-            for k, s in zip(sides.tolist(), starts.tolist())])
-    if not isinstance(weights, dict):
+        w = np.array([float(weights(_index_to_cube(k, s, n, d)))
+                      for k, s in zip(sides.tolist(), starts.tolist())])
+    elif isinstance(weights, dict):
+        rows = {k: np.asarray(v, dtype=float).ravel() for k, v in weights.items()}
+        if set(rows) != set(range(1, n + 1)) or any(
+            r.size != (n - k + 1) ** d for k, r in rows.items()
+        ):
+            raise ConfigError(
+                f"weights need every side k = 1..{n}, each with one entry "
+                f"per origin, (N-k+1)^{d}"
+            )
+        order = list(rows) if d == 1 else range(1, n + 1)
+        sides, starts = _family(n, d, order)
+        w = np.concatenate([rows[k] for k in order])
+    else:
         raise ConfigError("weights must be a callable or {side: array} dict")
-    rows = {k: np.asarray(v, dtype=float).ravel() for k, v in weights.items()}
-    if set(rows) != set(range(1, n + 1)) or any(
-        r.size != (n - k + 1) ** d for k, r in rows.items()
-    ):
-        raise ConfigError(
-            f"weights need every side k = 1..{n}, each with one entry "
-            f"per origin, (N-k+1)^{d}"
-        )
-    order = list(rows) if d == 1 else range(1, n + 1)
-    return (*_family(n, d, order), np.concatenate([rows[k] for k in order]))
+    if not np.all(w < np.inf):  # NaN too
+        raise ConfigError("packing weights must be finite or -inf")
+    return sides, starts, w
 
 
 def max_measure_packing(cubes: Iterable[Cube], grid) -> tuple:
@@ -289,33 +295,17 @@ def _best_packing_1d(sides, starts, w, n: int):
     return out if np.ndim(w) == 2 else out[0]
 
 
-def additive_pareto_1d(weights, grid) -> np.ndarray:
-    """value[m] = max sum of weights over packings covering exactly m cells.
-
-    Exact DP over (cell position, cells used); -inf marks unreachable m for
-    restricted candidate sets.  Non-decreasing in m when all weights >= 0.
+def additive_pareto(weights, grid) -> np.ndarray:
+    """value[m] = max sum of weights over packings covering exactly m
+    cells, m = 0..N^d; -inf marks unreachable m for restricted candidate
+    sets.  Non-decreasing in m when all weights >= 0.  Exact in 1D, and in
+    2D for N <= EXACT_GUARD_2D (SizeGuardError beyond), where value[m] is
+    the largest sum of a packing's weights added in row-major order of the
+    cubes' first cells, bit for bit.
     """
     d, n = _check_grid(grid)
-    if d != 1:
-        raise ConfigError("the exact budgeted DP is 1D only")
-    return _best_by_cells(*_flat_weights(weights, n, 1), n, 1, np.add)
-
-
-def additive_pareto_2d(weights, grid) -> np.ndarray:
-    """value[m] = max sum of weights over 2D packings covering exactly m
-    cells, for N <= EXACT_GUARD_2D; -inf marks unreachable m.
-
-    _skyline_dp with np.add, which adds a packing's weights left to right
-    in row-major order of the cubes' first cells, so value[m] equals the
-    largest such sum bit for bit.
-    """
-    d, n = _check_grid(grid)
-    if d != 2:
-        raise ConfigError("additive_pareto_2d is 2D only")
-    if not _exact_packing(n, d):
-        raise SizeGuardError(f"the exact 2D packing DP is guarded at "
-                             f"N <= {EXACT_GUARD_2D}, got N={n}")
-    return _best_by_cells(*_flat_weights(weights, n, 2), n, 2, np.add)
+    _require_exact(n, d)
+    return _best_by_cells(*_flat_weights(weights, n, d), n, d, np.add)[0]
 
 
 def max_additive_packing(weights, grid, measure_budget: int | None = None) -> tuple:
@@ -325,29 +315,28 @@ def max_additive_packing(weights, grid, measure_budget: int | None = None) -> tu
     every side, flattened by _flat_weights for the one solve of the grid's
     dimension.  1D is the exact DP over cubes grouped by end cell, O(N)
     numpy steps and O(N^2) work, ties to a skipped cell, then to the first
-    side in the weight dict's order; the budgeted variant is O(N^3) work
-    with O(N^2) memory.  2D takes the cubes with weight > 0, weight
-    descending, ties by (side, origin): for N <= 4 the exact packing comes
-    from _skyline_dp over them, beyond from one _greedy_disjoint pass; the
-    value is the kept weights summed in that order.  With measure_budget = m
-    the packing must cover exactly m cells.  Returns (Packing, value); the
-    empty packing (value 0) wins when every weight is <= 0.
+    side in the weight dict's order.  2D takes the cubes with weight > 0,
+    weight descending, ties by (side, origin): for N <= 4 the exact packing
+    comes from _skyline_dp over them, beyond from one _greedy_disjoint pass;
+    the value is the kept weights summed in that order.  With measure_budget
+    = m the packing covers exactly m cells and its value is
+    additive_pareto(weights, grid)[m], in 2D its weights summed in row-major
+    order of the cubes' first cells.  Returns (Packing, value); the empty
+    packing (value 0) wins when every weight is <= 0.
     """
     d, n = _check_grid(grid)
     sides, starts, w = _flat_weights(weights, n, d)
     if measure_budget is None:
         kept, val = _BEST_PACKING[d](sides, starts, w, n)
         return _packing(kept, sides, starts, n, d), val
-    if d == 2:
-        raise ConfigError("measure budgets are supported in 1D only")
     m = int(measure_budget)
-    if not 0 <= m <= n:
-        raise ConfigError(f"measure budget {m} outside 0..{n}")
-    g = _dp_budgeted_1d(sides, starts, w, n, np.add)
-    if not math.isfinite(g[n, n - m]):
+    if not 0 <= m <= n**d:
+        raise ConfigError(f"measure budget {m} outside 0..{n**d}")
+    _require_exact(n, d)
+    best, packing_of = _best_by_cells(sides, starts, w, n, d, np.add)
+    if not math.isfinite(best[m]):
         raise ConfigError(f"no packing covers exactly {m} cells")
-    return (_packing(_budgeted_kept_1d(g, sides, w, n, m), sides, starts, n, 1),
-            float(g[n, n - m]))
+    return _packing(packing_of(m), sides, starts, n, d), float(best[m])
 
 
 def _best_packing_2d(sides, starts, w, n: int):
@@ -376,7 +365,7 @@ def _best_packing_2d(sides, starts, w, n: int):
 _BEST_PACKING = {1: _best_packing_1d, 2: _best_packing_2d}
 
 
-def _dp_budgeted_1d(sides, starts, w, n: int, op) -> np.ndarray:
+def _dp_budgeted_1d(sides, starts, w, n: int, op) -> tuple:
     """g[j, u] is the best value over packings inside [0, j) leaving exactly
     u of its cells uncovered, -inf where unreachable, over the 1D cubes
     (side, first cell) with flat weights w: the largest weight sum for
@@ -388,7 +377,10 @@ def _dp_budgeted_1d(sides, starts, w, n: int, op) -> np.ndarray:
     g[j-1, u-1].  The weights sit in one end x start table, -inf where no
     cube is a candidate, so step j is one numpy op over g[:j, :j]: O(N^3)
     work and O(N^2) memory.  x -> op(x, w) is monotone, so g[j, u] is the
-    optimum bit for bit.
+    optimum bit for bit.  Returns (best, packing_of) as _skyline_dp does,
+    best[c] = g[N, N-c]; packing_of walks g back by value over a family
+    grouped by side with every origin, skipping cell j-1 on a tie, then
+    taking the first side in family order.
     """
     w_end = np.full((n + 1, n), -np.inf)
     w_end[starts + sides, starts] = w
@@ -398,26 +390,23 @@ def _dp_budgeted_1d(sides, starts, w, n: int, op) -> np.ndarray:
         g[j, 1:j + 1] = g[j - 1, :j]  # cell j-1 left uncovered
         np.maximum(g[j, :j], op(g[:j, :j], w_end[j, :j, None]).max(axis=0),
                    out=g[j, :j])
-    return g
 
+    def packing_of(c: int) -> np.ndarray:
+        head = np.flatnonzero(np.r_[True, sides[1:] != sides[:-1]])
+        ks, first = sides[head], head - sides[head]  # first + j: cube ending at j
+        kept, j, u = [], n, n - c
+        while j > u:
+            if u and g[j - 1, u - 1] == g[j, u]:
+                j, u = j - 1, u - 1
+                continue
+            fit = ks <= j
+            pos = first[fit] + j
+            i = int(np.argmax(op(g[j - ks[fit], u], w[pos]) == g[j, u]))
+            kept.append(pos[i])
+            j -= int(ks[fit][i])
+        return np.sort(np.array(kept, dtype=int))
 
-def _budgeted_kept_1d(g, sides, w, n: int, m: int) -> np.ndarray:
-    """Positions of a packing of value g[n, n - m] (g from _dp_budgeted_1d
-    with np.add over every side, grouped by side), walked back by value:
-    skipping cell j-1 wins a tie, then the first side in family order."""
-    head = np.flatnonzero(np.r_[True, sides[1:] != sides[:-1]])
-    ks, first = sides[head], head - sides[head]  # first + j: cube ending at j
-    kept, j, u = [], n, n - m
-    while j > u:
-        if u and g[j - 1, u - 1] == g[j, u]:
-            j, u = j - 1, u - 1
-            continue
-        fit = ks <= j
-        pos = first[fit] + j
-        i = int(np.argmax(g[j - ks[fit], u] + w[pos] == g[j, u]))
-        kept.append(pos[i])
-        j -= int(ks[fit][i])
-    return np.array(kept, dtype=int)
+    return g[n, ::-1].copy(), packing_of
 
 
 def _union_cells(sides, starts, n: int, d: int) -> int:

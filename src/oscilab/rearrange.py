@@ -76,7 +76,7 @@ class StepProfile:
 
     def sample(self, ts) -> np.ndarray:
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        if np.any(ts <= 0) or np.any(ts > 1):
+        if not np.all((ts > 0) & (ts <= 1)):  # NaN too
             raise ConfigError("profile domain is (0, 1]")
         return self.values[self._piece_right(ts)]
 
@@ -86,7 +86,7 @@ class StepProfile:
     def sample_left(self, ts) -> np.ndarray:
         """Left-continuous evaluation: the value on the piece (t_k, t_{k+1}]."""
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        if np.any(ts <= 0) or np.any(ts > 1):
+        if not np.all((ts > 0) & (ts <= 1)):
             raise ConfigError("profile domain is (0, 1]")
         return self.values[self._piece_left(ts)]
 
@@ -96,7 +96,7 @@ class StepProfile:
     def integral_to(self, ts) -> np.ndarray:
         """Exact int_0^t of the step function, vectorized."""
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        if np.any(ts < 0) or np.any(ts > 1 + 1e-12):
+        if not np.all((ts >= 0) & (ts <= 1 + 1e-12)):
             raise ConfigError("integration endpoint must lie in [0, 1]")
         ts = np.minimum(ts, 1.0)
         idx = self._piece_left(ts)
@@ -163,7 +163,7 @@ def double_star(g: StepProfile) -> ProfileCurve:
     Piecewise smooth, non-increasing when g is non-increasing, >= g pointwise.
     """
     def evaluate(ts):
-        if np.any(ts <= 0):
+        if not np.all(ts > 0):
             raise ConfigError("running average undefined at t=0")
         return g.integral_to(ts) / ts
 
@@ -183,7 +183,7 @@ def hardy_Q(g: StepProfile) -> ProfileCurve:
     suffix = np.concatenate((np.cumsum(piece_logs[::-1])[::-1], [0.0]))[1:]
 
     def evaluate(ts):
-        if np.any(ts <= 0) or np.any(ts > 1):
+        if not np.all((ts > 0) & (ts <= 1)):
             raise ConfigError("domain of Q g is (0, 1]")
         idx = g._piece_right(ts)
         return vals[idx] * np.log(bp[idx + 1] / ts) + suffix[idx]
@@ -213,8 +213,8 @@ def dilate(g: StepProfile, s: float) -> StepProfile:
     Operator norm on every r.i. space is at most max(1, s).  Requires a
     nonnegative profile (rearrangements are).
     """
-    if s <= 0:
-        raise ConfigError("dilation parameter must be positive")
+    if not 0 < s < np.inf:
+        raise ConfigError(f"dilation parameter s must be finite and > 0, got {s}")
     if s == 1.0:
         return g
     bp, vals = g.breakpoints, g.values

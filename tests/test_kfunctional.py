@@ -11,7 +11,6 @@ from oscilab import (
     default_t_grid,
     f_sharp_curve,
     f_sharp_profile,
-    f_sharp_profile_p,
     generate,
     k_l1_bmo,
     k_l1_linf,
@@ -196,9 +195,9 @@ def test_level_search_on_hand_made_counts():
 def test_f_sharp_p_example():
     f = gf([1, 0])
     # statistic on the full cube at p=1/2: ((2*(1/2)^(1/2))/2)^2 = 1/2
-    assert f_sharp_profile_p(f, 0.3, 0.5) == pytest.approx(0.5, rel=1e-12)
+    assert f_sharp_profile(f, 0.3, 0.5) == pytest.approx(0.5, rel=1e-12)
     with pytest.raises(ConfigError):
-        f_sharp_profile_p(f, 0.3, 1.5)
+        f_sharp_profile(f, 0.3, 1.5)
     for p in (0, -1, 1, math.nan, math.inf):
         with pytest.raises(ConfigError):
             f_sharp_curve(f, [0.3], p=p)
@@ -209,7 +208,7 @@ def test_f_sharp_p_matches_bruteforce(rng):
         n = int(rng.integers(2, 8))
         f = gf(rng.normal(size=n))
         ts = np.array([0.15, 0.45, 0.85])
-        got = np.array([f_sharp_profile_p(f, t, 0.5) for t in ts])
+        got = np.array([f_sharp_profile(f, t, 0.5) for t in ts])
         want = brute_f_sharp(f, ts, 0.5)
         assert np.allclose(got, want, atol=1e-12)
 
@@ -220,7 +219,7 @@ def test_f_sharp_p_limit_recovers_mean_oscillation(rng):
         f = gf(rng.normal(size=n))
         ts = np.array([0.2, 0.6])
         base = f_sharp_curve(f, ts)
-        near = np.array([f_sharp_profile_p(f, t, 1 - 1e-7) for t in ts])
+        near = np.array([f_sharp_profile(f, t, 1 - 1e-7) for t in ts])
         assert np.allclose(near, base, atol=1e-6 * max(1, np.abs(f.values).max()))
 
 

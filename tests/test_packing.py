@@ -12,8 +12,7 @@ from oscilab import (
     GeometryError,
     Packing,
     SizeGuardError,
-    additive_pareto_1d,
-    additive_pareto_2d,
+    additive_pareto,
     enumerate_cubes,
     max_additive_packing,
     max_measure_packing,
@@ -216,14 +215,66 @@ def test_additive_pareto_2d_matches_enumeration(rng):
             # summed in row-major order of first cells, as the DP adds them
             row_major = sorted(p, key=lambda q: q.origin)
             expect[m] = max(expect[m], sum(weights[q] for q in row_major))
-        assert additive_pareto_2d(lambda q: weights[q], (2, 3)).tolist() == expect
+        assert additive_pareto(lambda q: weights[q], (2, 3)).tolist() == expect
 
 
 def test_additive_pareto_2d_guards():
     with pytest.raises(SizeGuardError):
-        additive_pareto_2d(lambda q: 1.0, (2, 5))
-    with pytest.raises(ConfigError):
-        additive_pareto_2d(lambda q: 1.0, (1, 4))
+        additive_pareto(lambda q: 1.0, (2, 5))
+    # one entry for both dimensions: 1D is always exact
+    assert additive_pareto(lambda q: 1.0, (1, 4)).tolist() == [0.0, 1.0, 2.0, 3.0, 4.0]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["normal", "halves", "restricted"])
+def test_max_additive_2d_budget_matches_enumeration(n, kind):
+    rng = np.random.default_rng(1000 + n)
+    cubes = enumerate_cubes((2, n))
+    for trial in range(3):
+        weights = dict(zip(cubes, _skyline_weights(rng, kind, len(cubes)).tolist()))
+        expect = [0.0] + [-math.inf] * (n * n)
+        for p in enumerate_packings((2, n)):
+            row_major = sorted(p, key=lambda q: q.origin)
+            expect[p.total_cells()] = max(expect[p.total_cells()],
+                                          sum(weights[q] for q in row_major))
+        pareto = additive_pareto(lambda q: weights[q], (2, n))
+        assert pareto.tolist() == expect
+        for m in range(n * n + 1):
+            if pareto[m] == -math.inf:
+                with pytest.raises(ConfigError):
+                    max_additive_packing(lambda q: weights[q], (2, n), measure_budget=m)
+                continue
+            pk, val = max_additive_packing(lambda q: weights[q], (2, n), measure_budget=m)
+            pk.validate(n)
+            assert pk.total_cells() == m and val == pareto[m]
+            total = 0.0  # the packing's weights in row-major order of origins
+            for q in sorted(pk, key=lambda q: q.origin):
+                total += weights[q]
+            assert total == val
+
+
+def test_2d_budget_is_guarded():
+    with pytest.raises(SizeGuardError):
+        max_additive_packing(lambda q: 1.0, (2, 5), measure_budget=3)
+
+
+@pytest.mark.parametrize("d,n", [(1, 1), (1, 5), (1, 9), (2, 2), (2, 4)])
+def test_best_by_cells_packing_of_both_ops(d, n):
+    # packing_of(c) covers c cells and attains best[c], for sums and max-min
+    rng = np.random.default_rng(1100 + 10 * d + n)
+    sides, starts = _family(n, d, range(1, n + 1))
+    for kind in ("normal", "halves", "restricted"):
+        w = _skyline_weights(rng, kind, sides.size)
+        for op in (np.add, np.minimum):
+            best, packing_of = _best_by_cells(sides, starts, w, n, d, op)
+            for c in np.flatnonzero(best > -math.inf).tolist():
+                kept = packing_of(c)
+                assert kept.tolist() == sorted(set(kept.tolist()))
+                assert int((sides[kept] ** d).sum()) == c
+                value = 0.0 if op is np.add else math.inf
+                for i in kept[np.argsort(starts[kept], kind="stable")]:
+                    value = float(op(value, w[i]))
+                assert value == best[c]
 
 
 @functools.cache
@@ -268,7 +319,7 @@ def test_skyline_dp_matches_enumeration(n, kind):
         np.maximum.at(expect_sum, cells, total)
         np.maximum.at(expect_min, cells, low)
         for op, expect in ((np.add, expect_sum), (np.minimum, expect_min)):
-            assert _best_by_cells(sides, starts, w, n, 2, op).tolist() == expect.tolist()
+            assert _best_by_cells(sides, starts, w, n, 2, op)[0].tolist() == expect.tolist()
         # the witness: positive cubes only, the best row-major sum bit for
         # bit, ties to the fewest covered cells
         kept, val = _best_packing_2d(sides, starts, w, n)
@@ -346,7 +397,7 @@ def test_budgeted_dp_and_pareto(rng):
         (halves, by_side(halves, rng.permutation(np.arange(1, n + 1)))),  # shuffled
     ]
     for w, arg in cases:
-        pareto = additive_pareto_1d(arg, (1, n))
+        pareto = additive_pareto(arg, (1, n))
         assert pareto.size == n + 1 and pareto[0] == 0.0
         # exact-m brute force; a -inf weight keeps its packings out
         expect = [0.0] + [-math.inf] * n
@@ -364,7 +415,7 @@ def test_budgeted_dp_and_pareto(rng):
             assert pk.total_cells() == m and val == pareto[m]
             assert math.fsum(w[q] for q in pk) == pytest.approx(val, abs=1e-12)
     # nonnegative weights on every cube: the exact-m profile is non-decreasing
-    assert np.all(np.diff(additive_pareto_1d(cases[0][1], (1, n))) >= -1e-12)
+    assert np.all(np.diff(additive_pareto(cases[0][1], (1, n))) >= -1e-12)
 
 
 def test_vitali_select_basics():
@@ -394,8 +445,8 @@ def test_vitali_coverage_factor(rng):
 def test_budget_validation():
     with pytest.raises(ConfigError):
         max_additive_packing(lambda q: 1.0, (1, 4), measure_budget=7)
-    with pytest.raises(ConfigError):
-        max_additive_packing(lambda q: 1.0, (2, 3), measure_budget=2)
+    with pytest.raises(ConfigError):  # 2D budgets run 0..N^2
+        max_additive_packing(lambda q: 1.0, (2, 3), measure_budget=10)
 
 
 @pytest.mark.parametrize("d,weights", [
@@ -410,9 +461,31 @@ def test_budget_validation():
 def test_packing_weights_validated(d, weights):
     with pytest.raises(ConfigError):
         max_additive_packing(weights, (d, 4))
-    solver = additive_pareto_1d if d == 1 else additive_pareto_2d
     with pytest.raises(ConfigError):
-        solver(weights, (d, 4))
+        additive_pareto(weights, (d, 4))
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_packing_weights_finite_or_minus_inf(d, bad):
+    n = 3
+    unit = Cube((1,) * d, 1)
+
+    def weights(q):
+        return bad if q == unit else 1.0
+
+    per_side = {k: np.ones((n - k + 1) ** d) for k in range(1, n + 1)}
+    per_side[1][(n ** d) // 2] = bad  # the cell at the grid's centre
+    for w in (weights, per_side):
+        with pytest.raises(ConfigError, match="finite or -inf"):
+            max_additive_packing(w, (d, n))
+        with pytest.raises(ConfigError, match="finite or -inf"):
+            max_additive_packing(w, (d, n), measure_budget=1)
+        with pytest.raises(ConfigError, match="finite or -inf"):
+            additive_pareto(w, (d, n))
+    # -inf stays the way to drop a candidate: no unit cube, no 1-cell packing
+    dropped = additive_pareto(lambda q: -math.inf if q.side == 1 else 1.0, (d, n))
+    assert dropped[1] == -math.inf and dropped[n ** d] == 1.0
 
 
 @pytest.mark.parametrize("grid", [(3, 4), (0, 4), (2, 0)])

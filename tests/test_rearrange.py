@@ -12,6 +12,7 @@ from oscilab import (
     GridFunction,
     StepProfile,
     dilate,
+    dilation_norm_estimate,
     distribution,
     double_star,
     hardy_P,
@@ -129,6 +130,15 @@ def test_dilate_norm_bound(rng):
                 if base > 0:
                     ratio = norm(space, dilate(prof, s)) / base
                     assert ratio <= max(1.0, s) * (1 + 1e-9)
+
+
+@pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_dilate_rejects_bad_parameter(s):
+    g = StepProfile(np.array([0.0, 0.5, 1.0]), np.array([1.0, 0.0]))
+    with pytest.raises(ConfigError, match="dilation parameter s"):
+        dilate(g, s)
+    with pytest.raises(ConfigError, match="dilation parameter s"):
+        dilation_norm_estimate(lp(2), s, [g])
 
 
 def test_hardy_p_examples():
@@ -274,6 +284,27 @@ def test_hlpc_implies_norm_monotone(rng):
 def test_step_profile_rejects_non_finite(bp, vals):
     with pytest.raises(ConfigError):
         StepProfile(np.array(bp, dtype=float), np.array(vals, dtype=float))
+
+
+@pytest.mark.parametrize("t", [math.nan, 0.0, 1.5, -0.5])
+@pytest.mark.parametrize("call", [
+    lambda g, ts: g.sample(ts),
+    lambda g, ts: g.sample_left(ts),
+    lambda g, ts: double_star(g).sample(ts),
+    lambda g, ts: hardy_Q(g).sample(ts),
+], ids=["sample", "sample_left", "double_star", "hardy_Q"])
+def test_profile_domain_rejects_nan_and_outside(call, t):
+    g = StepProfile(np.array([0.0, 0.5, 1.0]), np.array([2.0, 1.0]))
+    with pytest.raises(ConfigError):
+        call(g, [0.5, t])
+
+
+@pytest.mark.parametrize("t", [math.nan, -0.5, 1.5])
+def test_integral_to_rejects_nan_and_outside(t):
+    g = StepProfile(np.array([0.0, 0.5, 1.0]), np.array([2.0, 1.0]))
+    with pytest.raises(ConfigError):
+        g.integral_to([0.5, t])
+    assert g.integral_to([0.0, 1.0 + 1e-13]).tolist() == [0.0, 1.5]
 
 
 def test_logspike_rearrangement_matches_closed_form():
