@@ -51,13 +51,18 @@ def generate(kind: str, d: int, n: int, seed: int = 0, **params) -> GridFunction
         a = float(params.get("a", 0.25))
         if not 0 < a <= 1:
             raise ConfigError(f"logspike needs a in (0,1], got {a}")
+        # the log only on the support: the c cell centres x <= a^(1/d), a
+        # prefix of x in 1D and the c x c corner square max(x, y) <= sqrt(a)
+        # in 2D; every other cell is 0
         x = cell_centers(n)
+        vals = np.zeros((n,) * d)
         if d == 1:
-            vals = np.where(x <= a, np.log(a / np.maximum(x, 1e-300)), 0.0)
+            c = np.searchsorted(x, a, side="right")
+            vals[:c] = np.log(a / x[:c])
         else:
-            r = np.maximum(x[:, None], x[None, :])
             edge = np.sqrt(a)
-            vals = np.where(r <= edge, 2.0 * np.log(edge / r), 0.0)
+            c = np.searchsorted(x, edge, side="right")
+            vals[:c, :c] = 2.0 * np.log(edge / np.maximum(x[:c, None], x[None, :c]))
         return GridFunction(d, n, vals.ravel())
     if kind == "random_steps":
         rng = np.random.default_rng(seed)

@@ -371,13 +371,15 @@ def _row_mean(w: np.ndarray) -> np.ndarray:
 
 def _window_osc(w: np.ndarray, mu: np.ndarray, p: float | None = None) -> np.ndarray:
     """Per row of cube windows, the mean oscillation about the row mean mu,
-    or with p the L_p oscillation (mean |w - mu|^p)^(1/p).  The deviations
-    are a fresh array, so w (often a view of f's values) is never written."""
-    dev = w - mu[:, None]
+    or with p the L_p oscillation (mean |w - mu|^p)^(1/p).  A writeable w is
+    a private copy (CubeTable._window_stat's block buffer or a gathered copy)
+    and takes the deviations in place; a read-only w, a view of f's values,
+    is never written and the deviations go to a fresh array."""
+    dev = np.subtract(w, mu[:, None], out=w if w.flags.writeable else None)
     np.abs(dev, out=dev)
     if p is None:
         return _row_mean(dev)
-    return _row_mean(dev**p) ** (1.0 / p)
+    return _row_mean(np.power(dev, p, out=dev)) ** (1.0 / p)
 
 
 def exceedance_count(s: float, m: int) -> int:
@@ -397,16 +399,19 @@ def _qosc_sorted(w_sorted: np.ndarray, kexc: int) -> np.ndarray:
     return (upper - lower).min(axis=1) / 2.0
 
 
-def _halve(a: np.ndarray, p: int, d: int, op) -> np.ndarray:
-    """Combine with op the 2^d children of each dyadic cube: a holds one
-    value per cube of a side, p cubes per axis in lex order; the result
-    holds one per cube of twice that side."""
-    a = a.reshape((p,) * d)
+def _up_one_side(a: np.ndarray, d: int, op, dyadic: bool) -> np.ndarray:
+    """Combine with op, for each cube of the next side up, the values of the
+    2^d cubes of side k that cover it.  a holds one value per side-k cube,
+    shaped (..., m, ..., m) by origin over its last d axes.  Dyadic: the
+    children of each side-2k cube, at even and odd origins.  Full: the
+    side-(k+1) cube at origin o is covered by the side-k cubes at o + e,
+    e in {0,1}^d, as k >= (k+1)/2; one axis at a time, d calls of op."""
+    lo, hi = ((slice(0, None, 2), slice(1, None, 2)) if dyadic
+              else (slice(0, -1), slice(1, None)))
     for axis in range(d):
-        even = (slice(None),) * axis + (slice(0, None, 2),)
-        odd = (slice(None),) * axis + (slice(1, None, 2),)
-        a = op(a[even], a[odd])
-    return a.ravel()
+        post = (slice(None),) * (d - 1 - axis)
+        a = op(a[(Ellipsis, lo, *post)], a[(Ellipsis, hi, *post)])
+    return a
 
 
 class CubeTable:
@@ -420,8 +425,10 @@ class CubeTable:
     - osc, osc_p(p): the mean oscillation as in mean_oscillation, and the
       L_p oscillation (mean |f - f_Q|^p)^(1/p);
     - do: the normalized double oscillation as in double_oscillation;
+    - half_range: (max - min)/2 of f over each cube;
     - qosc(svals): one row per s of the quantile oscillations, as in
-      maximal.quantile_oscillation, shape (len(svals), cubes).
+      maximal.quantile_oscillation, shape (len(svals), cubes); side_qosc
+      gives them for some cubes of one side.
     mean, sum and the oscillations reduce each side's windows through
     _window_stat, in cache-sized blocks for 2D full cubes, and 1D full
     windows are slices of one view per table (_windows).  The arrays are
@@ -437,6 +444,9 @@ class CubeTable:
         self.side_list = sides_for(f.res, dyadic)
         self.counts = [((f.res - k) // (k if dyadic else 1) + 1) ** f.dim
                        for k in self.side_list]
+        ends = np.cumsum(self.counts).tolist()
+        self._slices = {k: slice(e - c, e)
+                        for k, c, e in zip(self.side_list, self.counts, ends)}
         self._stats: dict = {}
 
     def _lazy(self, name, build) -> np.ndarray:
@@ -455,9 +465,11 @@ class CubeTable:
         return self._lazy("view", lambda: _side_view(
             np.concatenate([f.values, np.zeros(n)]), 2 * n, 1, n, False))[: n - k + 1, :k]
 
-    def _window_stat(self, k: int, reduce, sort: bool = False) -> np.ndarray:
+    def _window_stat(self, k: int, reduce, sort: bool = False,
+                     origins=None) -> np.ndarray:
         """reduce(w) over the rows of _windows(k), or over those rows each
-        sorted with sort=True, joined along the last axis.
+        sorted with sort=True, joined along the last axis; with origins, a
+        flat index array of side-k origins, over those cubes' rows alone.
 
         2D full windows are copied from the strided view a few whole origin
         rows at a time (at most _WINDOW_BLOCK floats, or one origin row) into
@@ -465,10 +477,23 @@ class CubeTable:
         sit in memory at once; each row still holds its k^2 values in the order
         of cube_windows, so every row reduction gives the same bits.  1D and
         dyadic windows go to reduce as _windows gives them, often views, and
-        are sorted into a copy.  reduce must return a new array, never a
-        view of w.
+        are sorted into a copy.  The windows of given origins are gathered
+        into a copy, sorted in place: from _windows in 1D, and from
+        _side_view in 2D, where _windows copies the whole side.  reduce may
+        write a writeable w, always a private copy, and must return a new
+        array, never a view of w.
         """
-        if self.f.dim == 1 or self.dyadic:
+        d = self.f.dim
+        if origins is not None:
+            if d == 1:
+                w = self._windows(k)[origins]
+            else:
+                view = _side_view(self.f.values, self.f.res, 2, k, self.dyadic)
+                w = view[np.unravel_index(origins, view.shape[:2])].reshape(-1, k * k)
+            if sort:
+                w.sort(axis=1)
+            return reduce(w)
+        if d == 1 or self.dyadic:
             w = self._windows(k)
             return reduce(np.sort(w, axis=1) if sort else w)
         m = self.f.res - k + 1
@@ -492,8 +517,7 @@ class CubeTable:
     def by_side(self, stat: np.ndarray) -> dict:
         """{side: view of stat over that side's origins}, sliced along the
         last axis."""
-        ends = np.cumsum(self.counts).tolist()
-        return {k: stat[..., e - c: e] for k, c, e in zip(self.side_list, self.counts, ends)}
+        return {k: stat[..., sl] for k, sl in self._slices.items()}
 
     @property
     def sides(self) -> np.ndarray:
@@ -527,42 +551,51 @@ class CubeTable:
         return self._lazy(("osc", p), lambda: self._reduce(
             lambda w: _window_osc(w, _row_mean(w), p)))
 
+    @property
+    def half_range(self) -> np.ndarray:
+        return self._lazy("half_range", self._half_ranges)
+
+    def _half_ranges(self) -> np.ndarray:
+        # each cube's max and min from those of the 2^d cubes of the next
+        # side down that cover it, O(#cubes): a max or min of the same
+        # floats is exact in any order.  Written into one array, so only
+        # two sides' max and min live beside it
+        f, d = self.f, self.f.dim
+        out = np.empty(sum(self.counts))
+        hi = lo = f.values.reshape((f.res,) * d)
+        for k in self.side_list:
+            if k > 1:
+                hi = _up_one_side(hi, d, np.maximum, self.dyadic)
+                lo = _up_one_side(lo, d, np.minimum, self.dyadic)
+            np.subtract(hi, lo, out=out[self._slices[k]].reshape(hi.shape))
+        out /= 2.0
+        return out
+
     def qosc(self, svals) -> np.ndarray:
         svals = tuple(svals)
-        return self._lazy(("qosc", svals), lambda: self._quantile_oscillations(svals))
+        return self._lazy(("qosc", svals), lambda: np.concatenate(
+            [self.side_qosc(k, svals) for k in self.side_list], axis=-1))
 
-    def _quantile_oscillations(self, svals: tuple) -> np.ndarray:
-        # each sorted window row gives every s its statistic, one
-        # _qosc_sorted per distinct exceedance count kexc
+    def side_qosc(self, k: int, svals, origins=None) -> np.ndarray:
+        """Quantile oscillations of side k's cubes, one row per s of svals,
+        at the flat origin positions origins (every cube with None).
+
+        A side with kexc = 0 at every s reads (max - min)/2 from half_range,
+        the same floats as the sort path; the others sort each window once,
+        _qosc_sorted per distinct exceedance count kexc.  A side asked for
+        every cube reduces _windows as _window_stat does; given origins are
+        gathered from the side view."""
+        kexcs = [exceedance_count(s, k**self.f.dim) for s in svals]
+        if max(kexcs) == 0:
+            hr = self.half_range[self._slices[k]]
+            hr = hr if origins is None else hr[origins]
+            return np.repeat(hr[None], len(kexcs), axis=0)
+
         def reduce(w):
-            kexcs = [exceedance_count(s, w.shape[1]) for s in svals]
             by_kexc = {e: _qosc_sorted(w, e) for e in set(kexcs)}
-            return np.stack([by_kexc[e] for e in kexcs])
+            return np.array([by_kexc[e] for e in kexcs])
 
-        if not self.dyadic:
-            return self._reduce(reduce, sort=True)
-        # dyadic sides, smallest first, carry each cube's max and min by
-        # pairwise halving: a side with kexc = 0 at every s reads
-        # (max - min)/2 from them, and on the others a constant cube has
-        # quantile oscillation 0 at every s, so only the varied ones sort
-        f, d = self.f, self.f.dim
-        out = np.zeros((len(svals), sum(self.counts)))
-        hi = lo = f.values
-        for k, part in self.by_side(out).items():
-            if k > 1:
-                p = f.res // (k // 2)
-                hi, lo = _halve(hi, p, d, np.maximum), _halve(lo, p, d, np.minimum)
-            if max(exceedance_count(s, k**d) for s in svals) == 0:
-                part[...] = (hi - lo) / 2.0
-                continue
-            varied = np.flatnonzero(hi != lo)
-            # gathered from the side view, origins first: one copy of the
-            # varied windows alone, never f's values
-            view = _side_view(f.values, f.res, d, k, True)
-            w = view[np.unravel_index(varied, view.shape[:d])].reshape(varied.size, k**d)
-            w.sort(axis=1)
-            part[:, varied] = reduce(w)
-        return out
+        return self._window_stat(k, reduce, sort=True, origins=origins)
 
     @property
     def do(self) -> np.ndarray:

@@ -117,13 +117,17 @@ class StepProfile:
 
 
 def profile_from_cells(values: np.ndarray) -> StepProfile:
-    """Profile of |values| sorted descending, each cell on one 1/m interval."""
-    vals = np.sort(np.abs(np.asarray(values, dtype=float)))[::-1]
+    """Profile of |values| sorted descending, each cell on one 1/m interval.
+
+    Equal-valued runs merge into one piece.  |values| is sorted ascending
+    in place; the run starting at ascending position j holds the descending
+    cells up to m - j, so its piece ends at (m - j)/m, the float
+    np.arange(m + 1)[m - j] / m, computed at run starts only."""
+    vals = np.abs(np.asarray(values, dtype=float))
+    vals.sort()
     m = vals.size
-    bp = np.arange(m + 1) / m
-    # merge equal-valued runs to keep profiles compact
-    keep = np.nonzero(np.concatenate((np.diff(vals) != 0, [True])))[0]
-    return StepProfile(np.concatenate(([0.0], bp[keep + 1])), vals[keep])
+    first = np.flatnonzero(np.concatenate(([True], vals[1:] != vals[:-1])))
+    return StepProfile(np.concatenate(([0.0], ((m - first) / m)[::-1])), vals[first[::-1]])
 
 
 def rearrange(f: GridFunction) -> StepProfile:
@@ -234,9 +238,11 @@ def dilate(g: StepProfile, s: float) -> StepProfile:
 def median(f: GridFunction, q: Cube | None = None) -> float:
     """Smallest median value of f on the cube (whole domain by default).
 
-    A median m has |{f > m} ∩ Q| <= |Q|/2 and |{f < m} ∩ Q| <= |Q|/2; ties
-    are broken toward the smallest valid cell value, which is also the
-    smallest valid real number.
+    A median c has |{f > c} ∩ Q| <= |Q|/2 and |{f < c} ∩ Q| <= |Q|/2.  With
+    the m cell values sorted, v = srt[(m-1)//2] is one: at most (m-1)//2
+    cells lie below v and at most m-1-(m-1)//2 = ceil((m-1)/2) above it,
+    both <= m/2.  No smaller real number is one: every c < v has the
+    m - (m-1)//2 > m/2 cells from position (m-1)//2 on above it.
     """
     if q is None:
         vals = f.values
@@ -244,12 +250,7 @@ def median(f: GridFunction, q: Cube | None = None) -> float:
         q.check(f)
         vals = f.values[q.flat_cells(f.res)]
     srt = np.sort(vals)
-    m = srt.size
-    uniq = np.unique(srt)
-    n_less = np.searchsorted(srt, uniq, side="left")
-    n_greater = m - np.searchsorted(srt, uniq, side="right")
-    ok = (n_less <= m / 2) & (n_greater <= m / 2)
-    return float(uniq[np.argmax(ok)])
+    return float(srt[(srt.size - 1) // 2])
 
 
 def _sorted_abs(g: StepProfile) -> StepProfile:

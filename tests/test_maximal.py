@@ -70,7 +70,7 @@ def test_maximal_ops_match_enumeration_oracle(rng):
             want = enumeration_maximal(
                 f, lambda ff, q, s=s: quantile_oscillation(ff, q, s)
             )
-            assert np.allclose(got, want, atol=1e-12)
+            assert np.array_equal(got, want)
 
 
 def scatter_cover_max(stat, k, n, d, dyadic):
@@ -366,6 +366,52 @@ def test_dyadic_constant_cubes_skip_the_sort(rng, d, n):
         steps = kexc_steps(f, True)
         for s, g in zip(steps, local_maximals(f, steps, "dyadic")):
             assert np.array_equal(g.values, sort_path_local_maximal(f, s, True)), s
+
+
+def prune_boundary_grids(rng, d, n):
+    """Grids that put the prune rule on its boundary: two-valued
+    checkerboards, whose cubes have qosc = half-range = what their
+    containers carry; constant blocks of side 2; one spike; and zeros of
+    both signs with a spike."""
+    parity = np.indices((n,) * d).sum(axis=0).ravel() % 2
+    blocks = np.kron(rng.integers(-2, 3, size=((n + 1) // 2,) * d), np.ones((2,) * d))
+    spike = np.zeros(n**d)
+    spike[rng.integers(n**d)] = 1.5
+    zeros = np.where(rng.random(n**d) < 0.5, -0.0, 0.0)
+    zeros[rng.integers(n**d)] = -2.0
+    return {"two_valued": parity - 0.5, "blocks": blocks[(slice(n),) * d].ravel(),
+            "spike": spike, "signed_zeros": zeros}
+
+
+@pytest.mark.parametrize("d,n,mode", [
+    (1, 13, "full"), (1, 16, "full"), (1, 64, "dyadic"), (2, 7, "full"),
+    (2, 8, "full"), (2, 16, "dyadic"),
+])
+def test_pruned_sweep_equals_sort_path_on_boundary_grids(monkeypatch, rng, d, n, mode):
+    # duplicate s and s on both sides of kexc steps: every pruned result
+    # equals the sort path.  At small s the checkerboard's largest cube
+    # carries 0.5, every cube's half-range, so every other cube is skipped
+    dyadic = mode == "dyadic"
+    asked = []
+    kernel = CubeTable.side_qosc
+
+    def counting(table, k, svals, origins=None):
+        asked.append(table.counts[table.side_list.index(k)] if origins is None
+                     else origins.size)
+        return kernel(table, k, svals, origins)
+
+    monkeypatch.setattr(CubeTable, "side_qosc", counting)
+    for name, vals in prune_boundary_grids(rng, d, n).items():
+        f = GridFunction(d, n, vals)
+        steps = kexc_steps(f, dyadic)
+        svals = steps[::2] + steps[1::4] + [0.05, 0.05]
+        for s, g in zip(svals, local_maximals(f, svals, mode)):
+            assert np.array_equal(g.values, sort_path_local_maximal(f, s, dyadic)), (name, s)
+    f = GridFunction(d, n, prune_boundary_grids(rng, d, n)["two_valued"])
+    asked.clear()
+    for s, g in zip((0.05, 0.2, 0.05), local_maximals(f, [0.05, 0.2, 0.05], mode)):
+        assert np.array_equal(g.values, np.full(n**d, 0.5)), s
+    assert asked == [1]
 
 
 @pytest.mark.parametrize("bad", [[0.1, 1.0], [0.0], [0.3, -0.1, 0.5], [0.2, math.nan]])

@@ -25,6 +25,7 @@ from oscilab import (
     rearrange,
     weak_lp,
 )
+from oscilab.rearrange import profile_from_cells
 
 
 def gf(vals):
@@ -211,6 +212,31 @@ def test_median_on_subcube():
     assert median(f, Cube((0,), 2)) == 0.0  # smallest valid of {0, 9}
 
 
+def smallest_valid_median(vals):
+    """Reference: the smallest distinct value with at most half the cells
+    on either side, over np.unique of the sorted values."""
+    srt = np.sort(vals)
+    m = srt.size
+    uniq = np.unique(srt)
+    n_less = np.searchsorted(srt, uniq, side="left")
+    n_greater = m - np.searchsorted(srt, uniq, side="right")
+    return float(uniq[np.argmax((n_less <= m / 2) & (n_greater <= m / 2))])
+
+
+def test_median_is_lower_middle_of_one_sort(rng):
+    # odd and even sizes, heavy ties, and sub-cubes of 1D and 2D grids
+    for n in range(1, 40):
+        for vals in (rng.normal(size=n), rng.integers(-2, 3, size=n).astype(float)):
+            f = gf(vals)
+            assert median(f) == smallest_valid_median(f.values)
+            for q in (Cube((0,), n), Cube((n // 3,), max(1, n - n // 2 - n // 3))):
+                assert median(f, q) == smallest_valid_median(f.values[q.flat_cells(n)])
+    f = GridFunction(2, 6, rng.integers(0, 3, size=36).astype(float))
+    for side in range(1, 7):
+        q = Cube((6 - side, 0), side)
+        assert median(f, q) == smallest_valid_median(f.values[q.flat_cells(6)])
+
+
 def test_median_rearrangement_factor_two(rng):
     for _ in range(25):
         n = int(rng.integers(2, 30))
@@ -322,3 +348,43 @@ def test_logspike_rearrangement_matches_closed_form():
     assert np.all(err <= np.log(1 + 1.0 / (2 * j)) + 1e-12)
     mid = ts >= a / 8
     assert float(err[mid].max()) < 5e-3
+
+
+def descending_profile(values):
+    """Reference for profile_from_cells: |values| sorted descending, the
+    last cell of each equal run kept, breakpoints read from arange(m+1)/m."""
+    vals = np.sort(np.abs(np.asarray(values, dtype=float)))[::-1]
+    bp = np.arange(vals.size + 1) / vals.size
+    keep = np.nonzero(np.concatenate((np.diff(vals) != 0, [True])))[0]
+    return StepProfile(np.concatenate(([0.0], bp[keep + 1])), vals[keep])
+
+
+def test_profile_from_cells_matches_descending_construction(rng):
+    from oscilab import generate, local_maximal
+
+    signed_zeros = np.array([0.0, -0.0, 1.5, -1.5, -0.0, 2.0, 0.0, -2.0, 0.25])
+    dyadic_max = local_maximal(generate("random_steps", 2, 256, seed=3), 0.05, "dyadic")
+    for vals in ([7.0], [-3.0] * 9, rng.integers(-3, 4, size=257).astype(float),
+                 signed_zeros, rng.normal(size=1000), dyadic_max.values):
+        got, want = profile_from_cells(vals), descending_profile(vals)
+        assert got.breakpoints.tobytes() == want.breakpoints.tobytes()
+        assert got.values.tobytes() == want.values.tobytes()
+    assert dyadic_max.values.size == 2**16
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_logspike_log_on_support_matches_where_form(d):
+    from oscilab import generate
+    from oscilab.generators import cell_centers
+
+    for n in (1, 2, 7, 64, 333):
+        for a in (1e-6, 0.01, 0.25, 0.3, 0.5, 1.0):
+            x = cell_centers(n)
+            if d == 1:
+                want = np.where(x <= a, np.log(a / np.maximum(x, 1e-300)), 0.0)
+            else:
+                r = np.maximum(x[:, None], x[None, :])
+                edge = np.sqrt(a)
+                want = np.where(r <= edge, 2.0 * np.log(edge / r), 0.0)
+            got = generate("logspike", d, n, a=a).values
+            assert got.tobytes() == want.ravel().tobytes(), (n, a)
