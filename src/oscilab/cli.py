@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 
 import numpy as np
@@ -81,7 +80,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("suite", choices=SUITE_IDS)
     v.add_argument("--seed", type=int, default=None)
     v.add_argument("--s", type=float, default=None)
-    v.add_argument("--config", default=None, help="JSON config overrides")
     v.add_argument("--out", default=None, help="write the JSON report here")
 
     pl = sub.add_parser("plot", help="render profile CSVs to a step plot SVG")
@@ -178,19 +176,8 @@ def _cmd_kprofile(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    config = {}
-    if args.config:
-        try:
-            overrides = json.loads(args.config)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"--config is not valid JSON: {exc}") from exc
-        if not isinstance(overrides, dict):
-            raise ConfigError("--config must be a JSON object")
-        config.update(overrides)
-    if args.seed is not None:
-        config["seed"] = args.seed
-    if args.s is not None:
-        config["s"] = args.s
+    config = {key: value for key, value in (("seed", args.seed), ("s", args.s))
+              if value is not None}
     report = run_suite(args.suite, config)
     text = dump_json(report)
     _write_out(args.out, text)

@@ -425,11 +425,11 @@ class CubeTable:
     - osc, osc_p(p): the mean oscillation as in mean_oscillation, and the
       L_p oscillation (mean |f - f_Q|^p)^(1/p);
     - do: the normalized double oscillation as in double_oscillation;
-    - half_range: (max - min)/2 of f over each cube;
-    - qosc(svals): one row per s of the quantile oscillations, as in
-      maximal.quantile_oscillation, shape (len(svals), cubes); side_qosc
-      gives them for some cubes of one side.
-    mean, sum and the oscillations reduce each side's windows through
+    - half_range: (max - min)/2 of f over each cube.
+    side_qosc(k, svals, origins) gives the quantile oscillations of some
+    cubes of side k, one row per s, as in maximal.quantile_oscillation, and
+    keeps none: local_maximals reads each side once through its bounded
+    sweep.  mean, sum and the oscillations reduce each side's windows through
     _window_stat, in cache-sized blocks for 2D full cubes, and 1D full
     windows are slices of one view per table (_windows).  The arrays are
     read-only, as every reader of the table shares them.  by_side(stat)
@@ -570,11 +570,6 @@ class CubeTable:
             np.subtract(hi, lo, out=out[self._slices[k]].reshape(hi.shape))
         out /= 2.0
         return out
-
-    def qosc(self, svals) -> np.ndarray:
-        svals = tuple(svals)
-        return self._lazy(("qosc", svals), lambda: np.concatenate(
-            [self.side_qosc(k, svals) for k in self.side_list], axis=-1))
 
     def side_qosc(self, k: int, svals, origins=None) -> np.ndarray:
         """Quantile oscillations of side k's cubes, one row per s of svals,

@@ -5,7 +5,7 @@ grid cube containing the cell.  Each operator builds one grid.CubeTable,
 full cubes within the full-enumeration guards (N <= 256 in 1D, N <= 48 in
 2D) and dyadic cubes beyond them, which requires N to be a power of two,
 and reads one of its statistics: the cube means of |f|, the mean
-oscillations, or the quantile oscillations CubeTable.qosc.
+oscillations, or the quantile oscillations CubeTable.side_qosc.
 
 The statistic reaches the cells through one top-down container-max sweep
 (_sup_over_cubes): from the largest side down, each cube takes the max of
@@ -24,10 +24,10 @@ least s-row of what its containers already carry therefore cannot change
 any cell at any s: the sweep skips it, and its h stands in for its
 statistic in a max that discards it.  Statistics are >= 0, so this skips
 every constant cube (h = 0) below the largest side; a side with kexc = 0
-at every s reads h itself, which is its statistic.  Only the cubes left are gathered and
-sorted (CubeTable.side_qosc), and a side that prunes nothing reads its
-windows as CubeTable.qosc does.  hl_maximal and sharp_maximal sweep with
-no bound.
+at every s reads h itself, which is its statistic.  Only the cubes left
+are gathered and sorted (CubeTable.side_qosc), and a side that prunes
+nothing sorts its windows through _window_stat, as the other statistics
+reduce theirs.  hl_maximal and sharp_maximal sweep with no bound.
 """
 
 from __future__ import annotations
@@ -35,8 +35,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError
-from .grid import (Cube, CubeTable, GridFunction, _qosc_sorted, _up_one_side,
-                   exceedance_count)
+from .grid import (Cube, CubeTable, GridFunction, _cube_values, _qosc_sorted,
+                   _up_one_side, exceedance_count)
 from .rearrange import rearrange
 from .spaces import RISpaceSpec, norm
 
@@ -168,8 +168,7 @@ def quantile_oscillation(f: GridFunction, q: Cube, s: float) -> float:
     window, minimized over j; this is the exact discrete infimum over the
     constant and the level.
     """
-    q.check(f)
-    vals = np.sort(f.values[q.flat_cells(f.res)])
+    vals = np.sort(_cube_values(f, q))
     return float(_qosc_sorted(vals[None, :], exceedance_count(s, vals.size))[0])
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .grid import Cube, GridFunction
+from .grid import Cube, GridFunction, _cube_values
 
 __all__ = [
     "StepProfile",
@@ -244,12 +244,7 @@ def median(f: GridFunction, q: Cube | None = None) -> float:
     both <= m/2.  No smaller real number is one: every c < v has the
     m - (m-1)//2 > m/2 cells from position (m-1)//2 on above it.
     """
-    if q is None:
-        vals = f.values
-    else:
-        q.check(f)
-        vals = f.values[q.flat_cells(f.res)]
-    srt = np.sort(vals)
+    srt = np.sort(f.values if q is None else _cube_values(f, q))
     return float(srt[(srt.size - 1) // 2])
 
 

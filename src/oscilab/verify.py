@@ -55,7 +55,6 @@ from .rearrange import (
 from .report import check, suite_report
 from .spaces import grid_norm, lp, marcinkiewicz, norm, phi_preset, weak_lp
 
-SUITE_IDS = ("rearr", "maximal", "garo", "kfun", "morrey", "blowup")
 _CORPUS_PER_GRID = 3  # functions of each grid size in _corpus
 
 __all__ = ["SUITE_IDS", "run_suite"]
@@ -106,9 +105,9 @@ def _abs_diff_parts(x: np.ndarray, y: np.ndarray) -> tuple:
     return s * sign, e * sign
 
 
-def suite_rearr(config: dict) -> list:
-    seed = config.get("seed", 0)
+def suite_rearr(seed: int, s: float) -> list:
     corpus = _corpus(seed, n_1d=(8, 16, 32), n_2d=(6, 8, 12))
+    profiles = [rearrange(f) for f in corpus]  # read by four checks
     checks = []
 
     worst = 0.0
@@ -121,8 +120,7 @@ def suite_rearr(config: dict) -> list:
     ))
 
     ok = True
-    for f in corpus:
-        prof = rearrange(f)
+    for f, prof in zip(corpus, profiles):
         for t in np.unique(np.abs(f.values)):
             lhs = distribution(f, float(t))
             rhs = float(np.count_nonzero(prof.sample(
@@ -148,8 +146,7 @@ def suite_rearr(config: dict) -> list:
     ))
 
     worst = 0.0
-    for f in corpus[:12]:
-        prof = rearrange(f)
+    for prof in profiles[:12]:
         ts = np.union1d(prof.breakpoints[1:], np.geomspace(1e-3, 1, 37))
         lhs = double_star(prof).sample(ts)
         rhs = hardy_P(prof).sample(ts)
@@ -161,10 +158,8 @@ def suite_rearr(config: dict) -> list:
 
     battery = _spaces_battery()
     viol = 0.0
-    rng = np.random.default_rng(seed + 1)
-    profiles = [rearrange(f) for f in corpus[:10]]
-    for g1 in profiles:
-        for g2 in profiles:
+    for g1 in profiles[:10]:
+        for g2 in profiles[:10]:
             if hlpc_dominates(g1, g2):
                 for x in battery:
                     viol = max(viol, norm(x, g1) - norm(x, g2))
@@ -175,15 +170,14 @@ def suite_rearr(config: dict) -> list:
     ))
 
     worst_ratio = 0.0
-    for f in corpus[:12]:
-        prof = rearrange(f)
-        for s in (1 / 3, 0.5, 1.0, 2.0, 3.0):
-            bound = max(1.0, s)
+    for prof in profiles[:12]:
+        for r in (1 / 3, 0.5, 1.0, 2.0, 3.0):
+            bound = max(1.0, r)
             for x in battery:
                 denom = norm(x, prof)
                 if denom > 0:
                     worst_ratio = max(
-                        worst_ratio, norm(x, dilate(prof, s)) / denom / bound
+                        worst_ratio, norm(x, dilate(prof, r)) / denom / bound
                     )
     checks.append(check(
         "dilation-bound", "||sigma_s||_{X->X} <= max(1, s)",
@@ -251,9 +245,7 @@ def _herz_bounds(f: GridFunction) -> tuple:
     return float(ratios.min()), float(ratios.max())
 
 
-def suite_maximal(config: dict) -> list:
-    seed = config.get("seed", 0)
-    s = config.get("s", DEFAULT_S)
+def suite_maximal(seed: int, s: float) -> list:
     corpus = _corpus(seed, n_1d=(16, 32, 64), n_2d=(8, 12, 16))
     checks = []
 
@@ -357,9 +349,7 @@ def suite_maximal(config: dict) -> list:
 # ---------------------------------------------------------------------------
 # garo suite
 
-def suite_garo(config: dict) -> list:
-    seed = config.get("seed", 0)
-    s = config.get("s", DEFAULT_S)
+def suite_garo(seed: int, s: float) -> list:
     checks = []
     corpus = _corpus(seed, n_1d=(8, 12, 16), n_2d=(4, 6, 8))
 
@@ -422,9 +412,7 @@ def suite_garo(config: dict) -> list:
 # ---------------------------------------------------------------------------
 # kfun suite
 
-def suite_kfun(config: dict) -> list:
-    seed = config.get("seed", 0)
-    s = config.get("s", DEFAULT_S)
+def suite_kfun(seed: int, s: float) -> list:
     checks = []
     corpus = _corpus(seed, n_1d=(8, 16, 32), n_2d=(6, 8))
     ts = np.geomspace(1e-3, 1.0, 25)
@@ -485,10 +473,11 @@ def suite_kfun(config: dict) -> list:
         if f.dim == 2 and f.res > 6:
             continue
         d = f.dim
+        sharp_star = rearrange(sharp_maximal(f))
         for _ in range(3):
             t = float(rng.uniform(0.2, 1.0)) * 5.0**-d
             est = vitali_threshold_estimate(f, t)
-            target = rearrange(sharp_maximal(f)).value_at(min(5.0**d * t, 1.0))
+            target = sharp_star.value_at(min(5.0**d * t, 1.0))
             worst = max(worst, target - est)
     checks.append(check(
         "vitali-witness", "(f#)*(5^d t) <= witness estimate for t <= 5^-d",
@@ -534,16 +523,14 @@ def suite_kfun(config: dict) -> list:
 # ---------------------------------------------------------------------------
 # morrey suite
 
-def suite_morrey(config: dict) -> list:
-    seed = config.get("seed", 0)
+def suite_morrey(seed: int, s: float) -> list:
     checks = []
     alpha, p = 0.75, 4.0
     lam = 1.0 / p - alpha
     rng = np.random.default_rng(seed)
     worst = 0.0
     violations = 0
-    count = config.get("count", 50)
-    for i in range(count):
+    for i in range(50):
         n = int(rng.choice([16, 24, 32]))
         kind = ["cosine_mix", "random_steps", "logspike", "indicator"][i % 4]
         f = generate(kind, 1, n, seed=seed + i)
@@ -594,23 +581,19 @@ def suite_morrey(config: dict) -> list:
 # ---------------------------------------------------------------------------
 # blowup suite
 
-def suite_blowup(config: dict) -> list:
+def suite_blowup(seed: int, s: float) -> list:
     checks = []
-    s = config.get("s", DEFAULT_S)
-    # resolution scales with the spike: fixed cells per spike width; a fixed
-    # grid would leave the slowly-varying norm floor-dominated and flatten
-    # the ratio growth
-    res_j = config.get("res_j", _BLOWUP_DEFAULTS["res_j"])
-    ks = list(range(2, config.get("kmax", _BLOWUP_DEFAULTS["kmax"]) + 1))
     xlog = marcinkiewicz(phi_preset("log-slow"))
 
-    # each spike, its median, M#_s f and the two rearrangements once per k,
-    # read by both spaces; the centred profile is dropped before M#_s f, so
-    # at most two full grids live
+    # resolution scales with the spike: 2^11 cells per spike width 2^-k; a
+    # fixed grid would leave the slowly-varying norm floor-dominated and
+    # flatten the ratio growth.  Each spike, its median, M#_s f and the two
+    # rearrangements once per k, read by both spaces; the centred profile is
+    # dropped before M#_s f, so at most two full grids live
     l2 = lp(2)
     ratios, ratios2 = [], []
-    for k in ks:
-        f = generate("logspike", 1, 2 ** (k + res_j), a=2.0**-k)
+    for k in range(2, 11):
+        f = generate("logspike", 1, 2 ** (k + 11), a=2.0**-k)
         centred = rearrange(f.with_values(f.values - median(f)))
         num, num2 = norm(xlog, centred), norm(l2, centred)
         del centred
@@ -636,11 +619,10 @@ def suite_blowup(config: dict) -> list:
         band < 2.0, measured={"band": band}, tolerance=2.0,
     ))
 
-    n_fs = config.get("n_fs", _BLOWUP_DEFAULTS["n_fs"])
     l1 = lp(1)
     growth_seq = []
     for k in range(2, 9):
-        f = generate("logspike", 1, n_fs, a=2.0**-k)
+        f = generate("logspike", 1, 2**14, a=2.0**-k)
         fsharp = sharp_maximal(f, cube_mode="dyadic")
         growth_seq.append(
             grid_norm(l1, fsharp) / grid_norm(l1, f)
@@ -663,51 +645,29 @@ _SUITES = {
     "morrey": suite_morrey,
     "blowup": suite_blowup,
 }
-# config keys each suite reads besides seed and s, which every suite accepts
-_SUITE_KEYS = {"morrey": ("count",), "blowup": ("res_j", "kmax", "n_fs")}
-# least value of each integer key: the blowup ratios need two spikes to
-# compare, and its smallest spike (a = 2^-8) needs a cell center inside it
-_INT_MIN = {"seed": 0, "count": 1, "res_j": 1, "kmax": 2, "n_fs": 2**8}
-_BLOWUP_DEFAULTS = {"res_j": 11, "kmax": 10, "n_fs": 2**14}
-# the blowup suite's grids, spikes of 2^(k + res_j) cells for k <= kmax and
-# the f# family of n_fs cells, have at most 2^_LOG2_GRID_CAP cells (the
-# default spikes reach it)
-_LOG2_GRID_CAP = 21
+SUITE_IDS = tuple(_SUITES)
 
 
 def _check_config(config: dict) -> None:
-    for key, value in config.items():
-        if key == "s":
-            if (not isinstance(value, numbers.Real) or isinstance(value, bool)
-                    or not 0 < value < 1):
-                raise ConfigError(f"config key 's' must be a number in (0,1), "
-                                  f"got {value!r}")
-        elif (not isinstance(value, numbers.Integral) or isinstance(value, bool)
-                or value < _INT_MIN[key]):
-            raise ConfigError(f"config key {key!r} must be an integer >= "
-                              f"{_INT_MIN[key]}, got {value!r}")
-    size = {key: config.get(key, v) for key, v in _BLOWUP_DEFAULTS.items()}
-    if size["kmax"] + size["res_j"] > _LOG2_GRID_CAP:
-        raise ConfigError(f"config keys 'kmax' + 'res_j' must be <= "
-                          f"{_LOG2_GRID_CAP}: the largest spike grid has "
-                          f"2^(kmax + res_j) cells, got {size['kmax']} + "
-                          f"{size['res_j']}")
-    n_fs = size["n_fs"]
-    if n_fs & (n_fs - 1) or n_fs > 2**_LOG2_GRID_CAP:
-        raise ConfigError(f"config key 'n_fs' must be a power of two <= "
-                          f"2^{_LOG2_GRID_CAP}, got {n_fs!r}")
+    unknown = ", ".join(sorted(map(repr, set(config) - {"seed", "s"})))
+    if unknown:
+        raise ConfigError(f"the suites read only the config keys 'seed' and "
+                          f"'s', got {unknown}")
+    s = config.get("s", DEFAULT_S)
+    if isinstance(s, bool) or not isinstance(s, numbers.Real) or not 0 < s < 1:
+        raise ConfigError(f"config key 's' must be a number in (0,1), got {s!r}")
+    seed = config.get("seed", 0)
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ConfigError(f"config key 'seed' must be an integer >= 0, got {seed!r}")
 
 
 def run_suite(suite_id: str, config: dict | None = None) -> dict:
-    """Run one verification suite and return its JSON-ready report."""
+    """Run one verification suite and return its JSON-ready report.  config
+    holds at most seed (default 0) and s (default DEFAULT_S)."""
     if suite_id not in _SUITES:
         raise ConfigError(f"unknown suite {suite_id!r}; choose from {SUITE_IDS}")
     config = dict(config or {})
-    known = ("seed", "s") + _SUITE_KEYS.get(suite_id, ())
-    if set(config) - set(known):
-        raise ConfigError(f"suite {suite_id!r} reads only the config keys {known}, "
-                          f"got {sorted(config)}")
     _check_config(config)
     config.setdefault("seed", 0)
-    checks = _SUITES[suite_id](config)
+    checks = _SUITES[suite_id](config["seed"], config.get("s", DEFAULT_S))
     return suite_report(suite_id, config, checks)

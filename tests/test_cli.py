@@ -292,26 +292,22 @@ def test_norm_bad_space_is_config_error(tmp_path, capsys, space):
     assert capsys.readouterr().err.startswith("error: ")
 
 
-@pytest.mark.parametrize("config", ["{bad", "[1]", "3"])
-def test_verify_bad_config_is_config_error(capsys, config):
-    assert main(["verify", "rearr", "--config", config]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
-
-
 def test_verify_unknown_config_key_is_config_error(capsys):
     from oscilab import ConfigError
     from oscilab.verify import SUITE_IDS
 
-    assert main(["verify", "rearr", "--config", '{"n_1d": "x"}']) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "n_1d" in err
+    # the suites read seed and s only: any other key, a grid size included,
+    # is rejected
     for sid in SUITE_IDS:  # checked before any work, so every suite is cheap
-        with pytest.raises(ConfigError):
-            run_suite(sid, {"seed": 0, "s": 0.3, "count": 1, "n_fs": 256,
-                            "res_j": 1, "kmax": 2, "typo": 1})
-    # seed and s pass everywhere, a suite's own keys pass for that suite
-    assert main(["verify", "morrey", "--seed", "1", "--s", "0.3",
-                 "--config", '{"count": 2}']) == 0
+        for key in ("count", "res_j", "kmax", "n_fs", "typo"):
+            with pytest.raises(ConfigError, match=f"'{key}'"):
+                run_suite(sid, {"seed": 0, "s": 0.3, key: 1})
+    with pytest.raises(ConfigError, match="'typo', 1"):  # keys of mixed types
+        run_suite("rearr", {1: 0, "typo": 0})
+    with pytest.raises(SystemExit) as exc:  # no JSON config flag: a usage error
+        main(["verify", "morrey", "--config", '{"seed": 1}'])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --config" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("suite,config", [
@@ -329,16 +325,33 @@ def test_verify_unknown_config_key_is_config_error(capsys):
     ("rearr", '{"seed": "x"}'),
     ("rearr", '{"seed": -1}'),
 ])
-def test_verify_bad_config_value_is_config_error(capsys, suite, config):
-    assert main(["verify", suite, "--config", config]) == 2
+def test_verify_bad_config_value_is_config_error(suite, config):
+    # a bad seed or s, or any grid-size key whatever its value, is a
+    # ConfigError that names the key
+    from oscilab import ConfigError
+
+    config = json.loads(config)
+    with pytest.raises(ConfigError, match=f"'{next(iter(config))}'"):
+        run_suite(suite, config)
+
+
+@pytest.mark.parametrize("argv,key", [
+    (["verify", "kfun", "--s", "1.0"], "s"),
+    (["verify", "maximal", "--s", "0"], "s"),
+    (["verify", "rearr", "--seed", "-1"], "seed"),
+])
+def test_verify_bad_seed_or_s_flag_is_usage_error(capsys, argv, key):
+    assert main(argv) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and next(iter(json.loads(config))) in err
+    assert err.startswith("error: ") and f"'{key}'" in err
 
 
 @pytest.mark.parametrize("config", [{"res_j": 100}, {"kmax": 60},
                                     {"kmax": 11}, {"n_fs": 300},
                                     {"n_fs": 2**22}])
-def test_blowup_grid_size_capped_before_allocation(capsys, monkeypatch, config):
+def test_blowup_grid_size_capped_before_allocation(monkeypatch, config):
+    # the blowup grid sizes are fixed in the suite: a size key is an
+    # unknown key, rejected before any grid is built
     from oscilab import ConfigError
     import oscilab.verify as V
 
@@ -346,20 +359,17 @@ def test_blowup_grid_size_capped_before_allocation(capsys, monkeypatch, config):
         raise AssertionError("a grid was built before validation")
 
     monkeypatch.setattr(V, "generate", no_grid)
-    with pytest.raises(ConfigError, match=next(iter(config))):
+    with pytest.raises(ConfigError, match=f"'{next(iter(config))}'"):
         V.run_suite("blowup", config)
-    assert main(["verify", "blowup", "--config", json.dumps(config)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and next(iter(config)) in err
 
 
 def test_verify_config_seed_reaches_suite(tmp_path):
-    # --seed is an override: without it the seed of --config is the one run
-    a, b = tmp_path / "a.json", tmp_path / "b.json"
-    main(["verify", "morrey", "--config", '{"seed": 1, "count": 2}', "--out", str(a)])
-    main(["verify", "morrey", "--seed", "1", "--config", '{"count": 2}', "--out", str(b)])
-    assert json.loads(a.read_text())["config"]["seed"] == 1
-    assert a.read_bytes() == b.read_bytes()
+    # --seed and --s give run_suite the same config dict, so the same bytes
+    out = tmp_path / "r.json"
+    assert main(["verify", "morrey", "--seed", "1", "--s", "0.3", "--out", str(out)]) == 0
+    want = dump_json(run_suite("morrey", {"seed": 1, "s": 0.3})) + "\n"
+    assert out.read_bytes() == want.encode()
+    assert json.loads(want)["config"] == {"seed": 1, "s": 0.3}
 
 
 @pytest.mark.parametrize("argv", [

@@ -270,7 +270,9 @@ def test_1d_table_is_bit_identical_to_per_cube_reference(n, dyadic):
         f = GridFunction(1, n, vals)
         t = CubeTable(f, dyadic)
         got = {"mean": t.mean, "sum": t.sum, "osc": t.osc, "osc_p(0.5)": t.osc_p(0.5),
-               "osc_p(2)": t.osc_p(2.0), "do": t.do, "qosc": t.qosc((0.05, 0.3))}
+               "osc_p(2)": t.osc_p(2.0), "do": t.do,
+               "qosc": np.concatenate([t.side_qosc(k, (0.05, 0.3)) for k in t.side_list],
+                                      axis=-1)}
         for stat, want in _per_cube_stats(f, dyadic).items():
             assert np.array_equal(got[stat], want), (name, stat)
 
@@ -283,7 +285,7 @@ def test_one_strided_view_per_1d_table(monkeypatch):
     monkeypatch.setattr(grid_mod, "as_strided",
                         lambda *a, **kw: views.append(1) or strided(*a, **kw))
     table = CubeTable(generate("random_steps", 1, 64, seed=2))
-    table.osc, table.do, table.qosc((0.05,))
+    table.osc, table.do, [table.side_qosc(k, (0.05,)) for k in table.side_list]
     assert len(views) == 1
 
 
