@@ -13,7 +13,8 @@ and CubeTable gives each position its statistics, every one computed by a
 single reducer here: means, integrals, mean and L_p oscillations, double
 oscillations and the quantile oscillations of the local maximal function.
 Every reader of a side's cube windows reads one layout, _side_view: a
-read-only view, origins first, of the cells of every cube of that side.
+read-only view, origins first, of the cells of every cube of that side;
+CubeTable reads it through one method, CubeTable._view.
 
 It also holds the one reader of input files, _read_csv_rows with
 _csv_numbers; read_grid_csv, spaces.phi_from_csv and the CLI's profile
@@ -350,8 +351,8 @@ def cube_windows(f: GridFunction, side: int, dyadic: bool = False) -> np.ndarray
     the side.  Shape (n_origins, side**d): the rows of _side_view, built on
     every call, as a caller of one side has nothing to share
     (sliding_window_view builds the same view with about 40 us of Python).
-    The result is a read-only view of f's values or a copy of them; CubeTable,
-    which reads every side, slices its 1D full ones from one view.
+    The result is a read-only view of f's values or a copy of them.
+    CubeTable, which reads every side, reads them through its own _view.
     """
     n, k = f.res, side
     if not 1 <= k <= n:
@@ -372,8 +373,8 @@ def _row_mean(w: np.ndarray) -> np.ndarray:
 def _window_osc(w: np.ndarray, mu: np.ndarray, p: float | None = None) -> np.ndarray:
     """Per row of cube windows, the mean oscillation about the row mean mu,
     or with p the L_p oscillation (mean |w - mu|^p)^(1/p).  A writeable w is
-    a private copy (CubeTable._window_stat's block buffer or a gathered copy)
-    and takes the deviations in place; a read-only w, a view of f's values,
+    a private copy (CubeTable._window_stat's block buffer or a reshaped 2D
+    dyadic view) and takes the deviations in place; a read-only w, a view of f's values,
     is never written and the deviations go to a fresh array."""
     dev = np.subtract(w, mu[:, None], out=w if w.flags.writeable else None)
     np.abs(dev, out=dev)
@@ -429,9 +430,12 @@ class CubeTable:
     side_qosc(k, svals, origins) gives the quantile oscillations of some
     cubes of side k, one row per s, as in maximal.quantile_oscillation, and
     keeps none: local_maximals reads each side once through its bounded
-    sweep.  mean, sum and the oscillations reduce each side's windows through
-    _window_stat, in cache-sized blocks for 2D full cubes, and 1D full
-    windows are slices of one view per table (_windows).  The arrays are
+    sweep.  Every statistic but half_range reads its windows through one
+    reader, _view(k):
+    full sides are slices of one strided view per table, dyadic sides a
+    reshape of f's values.  mean, sum and the oscillations reduce each
+    side's windows through _window_stat, in cache-sized blocks for 2D full
+    cubes; side_qosc gathers the cubes it is asked for.  The arrays are
     read-only, as every reader of the table shares them.  by_side(stat)
     splits any such array along its last axis into views, {side:
     per-origin array}, in ascending side order.  Each call builds its own
@@ -455,63 +459,54 @@ class CubeTable:
             stat.flags.writeable = False
         return self._stats[name]
 
+    def _view(self, k: int) -> np.ndarray:
+        """The table's one window reader: _side_view(f.values, N, d, k,
+        dyadic), a read-only (m,)*d + (k,)*d view of every side-k cube's
+        cells.  A full side is the [:m]*d + [:k]*d slice, m = N-k+1, of one
+        side-N view per table over f's values zero-padded to (2N)^d, so no
+        window reaches past its buffer and every slice reads f's cells."""
+        f, n, d = self.f, self.f.res, self.f.dim
+        if self.dyadic:
+            return _side_view(f.values, n, d, k, True)
+
+        def padded_view():
+            buf = np.zeros((2 * n,) * d)
+            buf[(slice(n),) * d] = f.array
+            return _side_view(buf.ravel(), 2 * n, d, n, False)
+
+        return self._lazy("view", padded_view)[(slice(n - k + 1),) * d + (slice(k),) * d]
+
     def _windows(self, k: int) -> np.ndarray:
-        """cube_windows(f, k, dyadic), but a 1D full side is view[:N-k+1, :k]
-        of one side-N view per table over f's values padded with N zeros, so
-        no row reaches past its buffer; same shape, strides, bits."""
-        f, n = self.f, self.f.res
-        if f.dim == 2 or self.dyadic:
-            return cube_windows(f, k, self.dyadic)
-        return self._lazy("view", lambda: _side_view(
-            np.concatenate([f.values, np.zeros(n)]), 2 * n, 1, n, False))[: n - k + 1, :k]
+        """_view(k), one row per cube: the shape and bits of cube_windows."""
+        return self._view(k).reshape(-1, k**self.f.dim)
 
-    def _window_stat(self, k: int, reduce, sort: bool = False,
-                     origins=None) -> np.ndarray:
-        """reduce(w) over the rows of _windows(k), or over those rows each
-        sorted with sort=True, joined along the last axis; with origins, a
-        flat index array of side-k origins, over those cubes' rows alone.
+    def _window_stat(self, k: int, reduce) -> np.ndarray:
+        """reduce(w) over the rows of _windows(k), joined along the last axis.
 
-        2D full windows are copied from the strided view a few whole origin
-        rows at a time (at most _WINDOW_BLOCK floats, or one origin row) into
-        one reused buffer that is sorted in place, so a side's windows never
-        sit in memory at once; each row still holds its k^2 values in the order
-        of cube_windows, so every row reduction gives the same bits.  1D and
-        dyadic windows go to reduce as _windows gives them, often views, and
-        are sorted into a copy.  The windows of given origins are gathered
-        into a copy, sorted in place: from _windows in 1D, and from
-        _side_view in 2D, where _windows copies the whole side.  reduce may
+        1D and dyadic windows go to reduce as _windows gives them, often
+        read-only views.  2D full windows are copied from _view(k) a few
+        whole origin rows at a time (at most _WINDOW_BLOCK floats, or one
+        origin row) into one reused buffer, so a side's windows never sit in
+        memory at once; each row still holds its k^2 values in the order of
+        cube_windows, so every row reduction gives the same bits.  reduce may
         write a writeable w, always a private copy, and must return a new
         array, never a view of w.
         """
-        d = self.f.dim
-        if origins is not None:
-            if d == 1:
-                w = self._windows(k)[origins]
-            else:
-                view = _side_view(self.f.values, self.f.res, 2, k, self.dyadic)
-                w = view[np.unravel_index(origins, view.shape[:2])].reshape(-1, k * k)
-            if sort:
-                w.sort(axis=1)
-            return reduce(w)
-        if d == 1 or self.dyadic:
-            w = self._windows(k)
-            return reduce(np.sort(w, axis=1) if sort else w)
-        m = self.f.res - k + 1
-        view = _side_view(self.f.values, self.f.res, 2, k, False)
+        if self.f.dim == 1 or self.dyadic:
+            return reduce(self._windows(k))
+        view = self._view(k)
+        m = view.shape[0]
         rows = min(m, max(1, _WINDOW_BLOCK // (m * k * k)))
         buf = np.empty((rows, m, k, k))
         parts = []
         for i in range(0, m, rows):
             b = buf[: min(rows, m - i)]
             b[...] = view[i: i + b.shape[0]]
-            w = b.reshape(-1, k * k)
-            if sort:
-                w.sort(axis=1)
-            parts.append(reduce(w))
+            parts.append(reduce(b.reshape(-1, k * k)))
         return np.concatenate(parts, axis=-1)
 
-    def _reduce(self, reduce, sort: bool = False) -> np.ndarray:
-        return np.concatenate([self._window_stat(k, reduce, sort)
+    def _reduce(self, reduce) -> np.ndarray:
+        return np.concatenate([self._window_stat(k, reduce)
                                for k in self.side_list], axis=-1)
 
     def by_side(self, stat: np.ndarray) -> dict:
@@ -576,21 +571,20 @@ class CubeTable:
         at the flat origin positions origins (every cube with None).
 
         A side with kexc = 0 at every s reads (max - min)/2 from half_range,
-        the same floats as the sort path; the others sort each window once,
-        _qosc_sorted per distinct exceedance count kexc.  A side asked for
-        every cube reduces _windows as _window_stat does; given origins are
-        gathered from the side view."""
-        kexcs = [exceedance_count(s, k**self.f.dim) for s in svals]
+        the same floats as the sort; the others gather the cubes' windows
+        from _view(k) into one copy, sort each row in place, and take
+        _qosc_sorted once per distinct exceedance count kexc."""
+        d, sl = self.f.dim, self._slices[k]
+        if origins is None:
+            origins = np.arange(sl.stop - sl.start)
+        kexcs = [exceedance_count(s, k**d) for s in svals]
         if max(kexcs) == 0:
-            hr = self.half_range[self._slices[k]]
-            hr = hr if origins is None else hr[origins]
-            return np.repeat(hr[None], len(kexcs), axis=0)
-
-        def reduce(w):
-            by_kexc = {e: _qosc_sorted(w, e) for e in set(kexcs)}
-            return np.array([by_kexc[e] for e in kexcs])
-
-        return self._window_stat(k, reduce, sort=True, origins=origins)
+            return np.repeat(self.half_range[sl][origins][None], len(kexcs), axis=0)
+        view = self._view(k)
+        w = view[np.unravel_index(origins, view.shape[:d])].reshape(-1, k**d)
+        w.sort(axis=1)
+        by_kexc = {e: _qosc_sorted(w, e) for e in set(kexcs)}
+        return np.array([by_kexc[e] for e in kexcs])
 
     @property
     def do(self) -> np.ndarray:

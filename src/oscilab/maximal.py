@@ -25,9 +25,8 @@ any cell at any s: the sweep skips it, and its h stands in for its
 statistic in a max that discards it.  Statistics are >= 0, so this skips
 every constant cube (h = 0) below the largest side; a side with kexc = 0
 at every s reads h itself, which is its statistic.  Only the cubes left
-are gathered and sorted (CubeTable.side_qosc), and a side that prunes
-nothing sorts its windows through _window_stat, as the other statistics
-reduce theirs.  hl_maximal and sharp_maximal sweep with no bound.
+are gathered and sorted (CubeTable.side_qosc), every cube of a side that
+prunes nothing.  hl_maximal and sharp_maximal sweep with no bound.
 """
 
 from __future__ import annotations
@@ -83,10 +82,9 @@ def _sup_over_cubes(table: CubeTable, stat, bound=None) -> np.ndarray:
     stat is an array (..., cubes) flat over the table's cubes.  With bound,
     an array flat over the cubes with stat <= bound at each cube, stat
     is instead a function stat(k, origins) giving the statistic, shape
-    (rows, origins.size), of side k's cubes at those flat origins (all of
-    them with None), and is called only for the cubes that can still raise
-    a cell: those whose bound exceeds the least row of what their containers
-    carry.  Every other cube takes its bound in place of its statistic.
+    (rows, origins.size), of side k's cubes at those flat origins, and is
+    called only for the cubes that can still raise a cell: those whose
+    bound exceeds the least row of what their containers carry.  Every other cube takes its bound in place of its statistic.
 
     Sides are taken in descending order.  acc holds, per origin of the
     current side, the largest statistic over the cubes containing that cube;
@@ -131,7 +129,7 @@ def _bounded_part(stat, k: int, bound: np.ndarray, shape: tuple, carried) -> np.
     floor = carried.min(axis=0)
     need = np.flatnonzero(bound.reshape(shape) > floor)
     if need.size == bound.size:
-        return stat(k, None)
+        return stat(k, need)
     if need.size == 0:
         return np.broadcast_to(bound, (carried.shape[0], bound.size))
     part = np.repeat(bound[None], carried.shape[0], axis=0)

@@ -40,7 +40,7 @@ def _nice_ticks(lo: float, hi: float, n: int = 5) -> list:
     return ticks
 
 
-def plot_profiles(curves, path, title: str = "", ylabel: str = "value") -> None:
+def plot_profiles(curves, path, title: str = "") -> None:
     """Log-x step plot.  curves: list of (label, t array, value array)."""
     if not curves:
         raise ConfigError("nothing to plot: need at least one profile")
@@ -109,7 +109,7 @@ def plot_profiles(curves, path, title: str = "", ylabel: str = "value") -> None:
     parts.append(
         f'<text x="16" y="{_MT + ph // 2}" text-anchor="middle" '
         f'font-family="monospace" font-size="12" '
-        f'transform="rotate(-90 16 {_MT + ph // 2})">{ylabel}</text>'
+        f'transform="rotate(-90 16 {_MT + ph // 2})">value</text>'
     )
     for ci, (label, ts, vs) in enumerate(curves):
         color = _PALETTE[ci % len(_PALETTE)]

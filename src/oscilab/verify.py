@@ -44,7 +44,6 @@ from .maximal import (
 )
 from .packing import union_measure, vitali_select
 from .rearrange import (
-    dilate,
     distribution,
     double_star,
     hardy_P,
@@ -53,7 +52,8 @@ from .rearrange import (
     rearrange,
 )
 from .report import check, suite_report
-from .spaces import grid_norm, lp, marcinkiewicz, norm, phi_preset, weak_lp
+from .spaces import (dilation_norm_estimate, grid_norm, lp, marcinkiewicz, norm,
+                     phi_preset, weak_lp)
 
 _CORPUS_PER_GRID = 3  # functions of each grid size in _corpus
 
@@ -169,16 +169,8 @@ def suite_rearr(seed: int, s: float) -> list:
         viol <= 1e-9, measured=viol, tolerance=1e-9,
     ))
 
-    worst_ratio = 0.0
-    for prof in profiles[:12]:
-        for r in (1 / 3, 0.5, 1.0, 2.0, 3.0):
-            bound = max(1.0, r)
-            for x in battery:
-                denom = norm(x, prof)
-                if denom > 0:
-                    worst_ratio = max(
-                        worst_ratio, norm(x, dilate(prof, r)) / denom / bound
-                    )
+    worst_ratio = max(dilation_norm_estimate(x, r, profiles[:12]) / max(1.0, r)
+                      for r in (1 / 3, 0.5, 1.0, 2.0, 3.0) for x in battery)
     checks.append(check(
         "dilation-bound", "||sigma_s||_{X->X} <= max(1, s)",
         worst_ratio <= 1 + 1e-9, measured=worst_ratio, tolerance=1e-9,
@@ -504,8 +496,7 @@ def suite_kfun(seed: int, s: float) -> list:
     for f in corpus:
         if f.dim != 2:
             continue
-        fstar = GridFunction(1, f.ncells, rearrange(f).sample(
-            (np.arange(f.ncells) + 0.5) / f.ncells))
+        fstar = GridFunction(1, f.ncells, np.sort(np.abs(f.values))[::-1])
         lhs = double_star(rearrange(local_maximal(fstar, s)))
         rhs = double_star(rearrange(local_maximal(f, s)))
         tg = np.geomspace(1e-2, 1.0, 17)

@@ -277,16 +277,31 @@ def test_1d_table_is_bit_identical_to_per_cube_reference(n, dyadic):
             assert np.array_equal(got[stat], want), (name, stat)
 
 
-def test_one_strided_view_per_1d_table(monkeypatch):
-    # a count-based guard, no timing: a 1D full table reads every side from
+@pytest.mark.parametrize("d,n", [(1, 64), (2, 16)])
+def test_one_strided_view_per_full_table(monkeypatch, d, n):
+    # a count-based guard, no timing: a full table reads every side from
     # one strided view
     views = []
     strided = grid_mod.as_strided
     monkeypatch.setattr(grid_mod, "as_strided",
                         lambda *a, **kw: views.append(1) or strided(*a, **kw))
-    table = CubeTable(generate("random_steps", 1, 64, seed=2))
+    table = CubeTable(generate("random_steps", d, n, seed=2))
     table.osc, table.do, [table.side_qosc(k, (0.05,)) for k in table.side_list]
     assert len(views) == 1
+
+
+@pytest.mark.parametrize("d,n,dyadic", [(1, n, False) for n in (1, 7, 64)]
+                         + [(2, n, False) for n in (1, 2, 7, 33)]
+                         + [(1, 64, True), (2, 16, True)])
+def test_table_windows_equal_cube_windows(d, n, dyadic):
+    # the table's one reader and the public cube_windows share no code
+    # above _side_view: every side's windows agree byte for byte
+    f = generate("random_steps", d, n, seed=n)
+    table = CubeTable(f, dyadic)
+    for k in table.side_list:
+        got, want = table._windows(k), cube_windows(f, k, dyadic)
+        assert got.shape == want.shape and got.dtype == want.dtype, k
+        assert got.tobytes() == want.tobytes(), k
 
 
 @pytest.mark.parametrize("d,n,dyadic", [(1, 7, False), (1, 64, True), (2, 5, False),
