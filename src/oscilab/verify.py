@@ -46,7 +46,6 @@ from .packing import union_measure, vitali_select
 from .rearrange import (
     distribution,
     double_star,
-    hardy_P,
     hlpc_dominates,
     median,
     rearrange,
@@ -145,12 +144,19 @@ def suite_rearr(seed: int, s: float) -> list:
         contraction_excess <= 0.0, measured=contraction_excess, tolerance=0.0,
     ))
 
+    # reference from the cells alone: with v the |f| cells sorted
+    # descending, t*f**(t) = sum of the first j = floor(t*m) cells, each of
+    # measure 1/m, plus (t - j/m) of the next one
     worst = 0.0
-    for prof in profiles[:12]:
+    for f, prof in zip(corpus[:12], profiles[:12]):
         ts = np.union1d(prof.breakpoints[1:], np.geomspace(1e-3, 1, 37))
-        lhs = double_star(prof).sample(ts)
-        rhs = hardy_P(prof).sample(ts)
-        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+        v, m = np.sort(np.abs(f.values))[::-1], f.ncells
+        ref = []
+        for t in ts.tolist():
+            j = min(int(t * m), m)
+            head = math.fsum(v[:j].tolist()) / m
+            ref.append((head if j == m else head + (t - j / m) * v[j]) / t)
+        worst = max(worst, float(np.max(np.abs(double_star(prof).sample(ts) - ref))))
     checks.append(check(
         "double-star-is-hardy-P", "f** = P f* at all evaluation points",
         worst <= 1e-12, measured=worst, tolerance=1e-12,

@@ -47,9 +47,9 @@ _DIGESTS = {
     "blowup": ("6b1a82891845d5ff5b1c4dbcdb0d72a3bdc28f7b80a493763cc8009bd82c79ba",
                "32a856a5c79b8214aac8c46ca3b676d63d00bd35889b2a73f7d0875c2943ccb9",
                "a7c51badbec1c0a7be072f4b58e3a7f149a349bcdb45502cd06763c3fd6e28c7"),
-    "rearr": ("e4b8af0db092319892833c5084092dd921c31f12123ccf51a00183fbe3092722",
-              "35e3e5ae45af13a23b301c31a1ff8472d714e37713d71aba20a1982d8124b9d2",
-              "2fe3554c1613acbeb627cf7f8d6623e3cba61e42763e787e8620f169cdfe8348"),
+    "rearr": ("8b850a7d9b24ce8c2f42e6dd552a64c952630938f2231f6e1cb669d0acf4d31b",
+              "82a1f46a8cbe0ed34a3d1fc334234efb0770a7d9021b6e2fba8f3b23caf2447f",
+              "5a7c96f3c7ba1ab35da3bf7da00150e23e7f9b66def81a144b2fb3ca5886f071"),
     "garo": ("93120687e8c8af547aa4da80a6aac9f5d07eafeb7d486e804e1de827eb387ba7",
              "5984aa8e45a7121029ebf258759d1866fc555b34c68e6fa03755ea1fb20d4f8e",
              "3936e65f793647031f8d0488fdaa9fd460601ee50103d0d2c742ef46c1d6f9cb"),
