@@ -374,8 +374,9 @@ def _window_osc(w: np.ndarray, mu: np.ndarray, p: float | None = None) -> np.nda
     """Per row of cube windows, the mean oscillation about the row mean mu,
     or with p the L_p oscillation (mean |w - mu|^p)^(1/p).  A writeable w is
     a private copy (CubeTable._window_stat's block buffer or a reshaped 2D
-    dyadic view) and takes the deviations in place; a read-only w, a view of f's values,
-    is never written and the deviations go to a fresh array."""
+    dyadic view) and takes the deviations in place; a read-only w, a view
+    of f's values, is never written and the deviations go to a fresh
+    array."""
     dev = np.subtract(w, mu[:, None], out=w if w.flags.writeable else None)
     np.abs(dev, out=dev)
     if p is None:
@@ -431,9 +432,8 @@ class CubeTable:
     cubes of side k, one row per s, as in maximal.quantile_oscillation, and
     keeps none: local_maximals reads each side once through its bounded
     sweep.  Every statistic but half_range reads its windows through one
-    reader, _view(k):
-    full sides are slices of one strided view per table, dyadic sides a
-    reshape of f's values.  mean, sum and the oscillations reduce each
+    reader, _view(k): full sides are slices of one strided view per table,
+    dyadic sides a reshape of f's values.  mean, sum and the oscillations reduce each
     side's windows through _window_stat, in cache-sized blocks for 2D full
     cubes; side_qosc gathers the cubes it is asked for.  The arrays are
     read-only, as every reader of the table shares them.  by_side(stat)

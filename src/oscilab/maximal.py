@@ -84,7 +84,8 @@ def _sup_over_cubes(table: CubeTable, stat, bound=None) -> np.ndarray:
     is instead a function stat(k, origins) giving the statistic, shape
     (rows, origins.size), of side k's cubes at those flat origins, and is
     called only for the cubes that can still raise a cell: those whose
-    bound exceeds the least row of what their containers carry.  Every other cube takes its bound in place of its statistic.
+    bound exceeds the least row of what their containers carry.  Every
+    other cube takes its bound in place of its statistic.
 
     Sides are taken in descending order.  acc holds, per origin of the
     current side, the largest statistic over the cubes containing that cube;
