@@ -5,16 +5,19 @@ on Q0 = [0,1]^d with d in {1,2} and total measure normalized to 1.  Cubes are
 axis-aligned, grid-aligned subcubes addressed by an origin cell index vector
 and a side length in cells.
 
-This is the one module that maps cubes to integers, and the one that
-computes per-cube statistics.  Other modules address a cube by its flat
-position in the (side, origin lex) order of enumerate_cubes; _family gives
-each position its side and first cell (the flat index of its origin cell),
-and CubeTable gives each position its statistics, every one computed by a
-single reducer here: means, integrals, mean and L_p oscillations, double
-oscillations and the quantile oscillations of the local maximal function.
+This is the one module that maps cubes to integers, the one that computes
+per-cube statistics, and the one that carries them to the cells.  Other
+modules address a cube by its flat position in the (side, origin lex) order
+of enumerate_cubes; _family gives each position its side and first cell
+(the flat index of its origin cell), and CubeTable gives each position its
+statistics, every one computed by a single reducer here: means, integrals,
+mean and L_p oscillations, double oscillations and the quantile
+oscillations of the local maximal function.
 Every reader of a side's cube windows reads one layout, _side_view: a
 read-only view, origins first, of the cells of every cube of that side;
-CubeTable reads it through one method, CubeTable._view.
+CubeTable reads it through one method, CubeTable._view.  CubeTable.sup is
+the one container sweep: per cell, the max of a per-cube statistic over
+the family's cubes holding the cell, as the maximal operators and F take it.
 
 It also holds the one reader of input files, _read_csv_rows with
 _csv_numbers; read_grid_csv, spaces.phi_from_csv and the CLI's profile
@@ -43,7 +46,6 @@ __all__ = [
     "enumerate_cubes",
     "cubes_containing",
     "sides_for",
-    "cube_windows",
     "read_grid_csv",
     "write_grid_csv",
 ]
@@ -55,7 +57,9 @@ CSV_HEADER_PREFIX = "# oscilab"
 class GridFunction:
     """Cell-constant real function on the uniform N^d grid over [0,1]^d.
 
-    ``values`` is flat, row-major (for d=2 cell (i,j) sits at index i*N+j).
+    ``values`` is flat, row-major (for d=2 cell (i,j) sits at index i*N+j),
+    and read-only, but not a copy where numpy can view the caller's array:
+    writes through that array still reach it.
     """
 
     dim: int
@@ -74,6 +78,7 @@ class GridFunction:
             )
         if not np.all(np.isfinite(vals)):
             raise ConfigError("grid values must be finite")
+        vals.flags.writeable = False  # a new array object: the caller's stays writeable
         object.__setattr__(self, "values", vals)
 
     @property
@@ -344,24 +349,6 @@ def _side_view(values: np.ndarray, n: int, d: int, k: int, dyadic: bool) -> np.n
     return as_strided(values, (n - k + 1,) * d + (k,) * d, axes * 2, writeable=False)
 
 
-def cube_windows(f: GridFunction, side: int, dyadic: bool = False) -> np.ndarray:
-    """Cell values of every cube of the given side, one row per origin.
-
-    Rows follow origin lexicographic order, matching enumerate_cubes within
-    the side.  Shape (n_origins, side**d): the rows of _side_view, built on
-    every call, as a caller of one side has nothing to share
-    (sliding_window_view builds the same view with about 40 us of Python).
-    The result is a read-only view of f's values or a copy of them.
-    CubeTable, which reads every side, reads them through its own _view.
-    """
-    n, k = f.res, side
-    if not 1 <= k <= n:
-        raise GeometryError(f"side {k} must lie in [1, {n}]")
-    if dyadic and k not in sides_for(n, True):
-        raise GeometryError(f"dyadic side {k} is not a power of two")
-    return _side_view(f.values, n, f.dim, k, dyadic).reshape(-1, k**f.dim)
-
-
 _WINDOW_BLOCK = 1 << 15  # floats per 2D full window block: 256 KB, inside L2
 
 
@@ -428,19 +415,21 @@ class CubeTable:
       L_p oscillation (mean |f - f_Q|^p)^(1/p);
     - do: the normalized double oscillation as in double_oscillation;
     - half_range: (max - min)/2 of f over each cube.
-    side_qosc(k, svals, origins) gives the quantile oscillations of some
-    cubes of side k, one row per s, as in maximal.quantile_oscillation, and
-    keeps none: local_maximals reads each side once through its bounded
-    sweep.  Every statistic but half_range reads its windows through one
-    reader, _view(k): full sides are slices of one strided view per table,
-    dyadic sides a reshape of f's values.  mean, sum and the oscillations reduce each
-    side's windows through _window_stat, in cache-sized blocks for 2D full
-    cubes; side_qosc gathers the cubes it is asked for.  The arrays are
-    read-only, as every reader of the table shares them.  by_side(stat)
-    splits any such array along its last axis into views, {side:
-    per-origin array}, in ascending side order.  Each call builds its own
-    table and no statistic or view is kept on f: f.values is writeable, so
-    a kept one could go stale.
+    side_qosc(k, svals, origins) gives the quantile oscillations of side
+    k's cubes at the flat origin positions origins, one row per s, as in
+    maximal.quantile_oscillation, and keeps none: local_maximals reads each
+    side once through its bounded sweep.  sup(stat, bound) is the one
+    container sweep: per cell, the max of a statistic over the cubes
+    holding the cell.  Every statistic but half_range reads its windows
+    through one reader, _view(k): full sides are slices of one strided view
+    per table, dyadic sides a reshape of f's values.  mean, sum and the
+    oscillations reduce each side's windows through _window_stat, in
+    cache-sized blocks for 2D full cubes; side_qosc gathers the cubes it is
+    asked for.  The arrays are read-only, as every reader of the table
+    shares them.  by_side(stat) splits any such array along its last axis
+    into views, {side: per-origin array}, in ascending side order.  Each
+    call builds its own table and no statistic or view is kept on f:
+    f.values may alias the caller's array, so a kept one could go stale.
     """
 
     def __init__(self, f: GridFunction, dyadic: bool = False):
@@ -477,7 +466,7 @@ class CubeTable:
         return self._lazy("view", padded_view)[(slice(n - k + 1),) * d + (slice(k),) * d]
 
     def _windows(self, k: int) -> np.ndarray:
-        """_view(k), one row per cube: the shape and bits of cube_windows."""
+        """_view(k), one row per cube, its cells in Cube.flat_cells order."""
         return self._view(k).reshape(-1, k**self.f.dim)
 
     def _window_stat(self, k: int, reduce) -> np.ndarray:
@@ -488,7 +477,7 @@ class CubeTable:
         whole origin rows at a time (at most _WINDOW_BLOCK floats, or one
         origin row) into one reused buffer, so a side's windows never sit in
         memory at once; each row still holds its k^2 values in the order of
-        cube_windows, so every row reduction gives the same bits.  reduce may
+        _windows, so every row reduction gives the same bits.  reduce may
         write a writeable w, always a private copy, and must return a new
         array, never a view of w.
         """
@@ -513,6 +502,62 @@ class CubeTable:
         """{side: view of stat over that side's origins}, sliced along the
         last axis."""
         return {k: stat[..., sl] for k, sl in self._slices.items()}
+
+    def sup(self, stat, bound=None) -> np.ndarray:
+        """best[..., cell] = max of a per-cube statistic over every cube of
+        the table holding the cell.
+
+        stat is an array (..., cubes) flat over the table's cubes.  With bound,
+        an array flat over the cubes with stat <= bound at each cube, stat
+        is instead a function stat(k, origins) giving the statistic, shape
+        (rows, origins.size), of side k's cubes at those flat origins, and is
+        called only for the cubes that can still raise a cell: those whose
+        bound exceeds the least row of what their containers carry (-inf at
+        the largest side).  Every other cube takes its bound in place of its
+        statistic.
+
+        Sides are taken in descending order.  acc holds, per origin of the
+        current side, the largest statistic over the cubes containing that
+        cube; at side 1 these are the cells.  carried holds the same max over
+        the cubes strictly containing it.  A full cube strictly inside another
+        lies in a cube of the next side up inside it too, so its carried is
+        the max of the previous acc over the 2^d cubes of side k+1 around it:
+        acc keeps a -inf border so that max is _up_one_side of it, d maxima.
+        A dyadic cube's carried is its parent's acc, broadcast against a
+        (m/2, 2)^d view of the side.  O(#cubes) work and no N^d temporary per
+        side; a max of the same floats is exact, whichever order it is taken
+        in.
+        """
+        n, d, dyadic = self.f.res, self.f.dim, self.dyadic
+        parts = self.by_side(stat if bound is None else bound)
+        inner = (Ellipsis,) + (slice(1, -1),) * d
+        acc, carried = None, np.full(1, -np.inf)
+        for k in reversed(self.side_list):
+            m = n // k if dyadic else n - k + 1
+            if acc is None:
+                shape = (1,) * d
+            elif dyadic:
+                shape, carried = (m // 2, 2) * d, acc.reshape(lead + (m // 2, 1) * d)
+            else:
+                shape, carried = (m,) * d, _up_one_side(acc, d, np.maximum, False)
+            part = parts[k]
+            if bound is not None:
+                need = np.flatnonzero(part.reshape(shape) > carried.min(axis=0))
+                if need.size == part.size:
+                    part = stat(k, need)
+                elif need.size == 0:
+                    part = np.broadcast_to(part, (carried.shape[0], part.size))
+                else:
+                    part = np.repeat(part[None], carried.shape[0], axis=0)
+                    part[:, need] = stat(k, need)
+            lead = part.shape[:-1]
+            part = part.reshape(lead + shape)
+            if dyadic:
+                acc = np.maximum(part, carried)
+            else:
+                acc = np.full(lead + (m + 2,) * d, -np.inf)
+                np.maximum(part, carried, out=acc[inner])
+        return (acc if dyadic else acc[inner]).reshape(lead + (n**d,))
 
     @property
     def sides(self) -> np.ndarray:
@@ -566,17 +611,15 @@ class CubeTable:
         out /= 2.0
         return out
 
-    def side_qosc(self, k: int, svals, origins=None) -> np.ndarray:
+    def side_qosc(self, k: int, svals, origins: np.ndarray) -> np.ndarray:
         """Quantile oscillations of side k's cubes, one row per s of svals,
-        at the flat origin positions origins (every cube with None).
+        at the flat origin positions origins.
 
         A side with kexc = 0 at every s reads (max - min)/2 from half_range,
         the same floats as the sort; the others gather the cubes' windows
         from _view(k) into one copy, sort each row in place, and take
         _qosc_sorted once per distinct exceedance count kexc."""
         d, sl = self.f.dim, self._slices[k]
-        if origins is None:
-            origins = np.arange(sl.stop - sl.start)
         kexcs = [exceedance_count(s, k**d) for s in svals]
         if max(kexcs) == 0:
             return np.repeat(self.half_range[sl][origins][None], len(kexcs), axis=0)
@@ -593,11 +636,16 @@ class CubeTable:
     def _double_oscillations(self) -> np.ndarray:
         # one sort and one @ coef product over all of a side's windows, not
         # blocks of them: the BLAS matrix-vector product gives bits that
-        # depend on the row count, so blocks would change the values
+        # depend on the row count, so blocks would change the values.  A
+        # writeable window array is a private copy and is sorted in place
         h = self.f.cell_measure
         parts = []
         for k in self.side_list:
-            ws = np.sort(self._windows(k), axis=1)
+            ws = self._windows(k)
+            if ws.flags.writeable:
+                ws.sort(axis=1)
+            else:
+                ws = np.sort(ws, axis=1)
             m = ws.shape[1]
             coef = 2.0 * (2.0 * np.arange(1, m + 1) - 1.0 - m)
             parts.append((ws @ coef) * h / m)

@@ -30,10 +30,9 @@ import numpy as np
 
 from .errors import ConfigError, InvariantViolation
 from .grid import CubeTable, GridFunction
-from .maximal import (DEFAULT_S, _sup_of, local_maximal, resolve_cube_mode,
-                      sharp_maximal)
+from .maximal import DEFAULT_S, local_maximal, resolve_cube_mode, sharp_maximal
 from .packing import _best_by_cells, _exact_packing, _greedy_disjoint, _vitali
-from .rearrange import StepProfile, rearrange
+from .rearrange import StepProfile, profile_from_cells, rearrange
 
 __all__ = [
     "KProfile",
@@ -173,7 +172,7 @@ def k_l1_bmo(
     # (f#)* for BS and the default t-grid, and the packing profile F, read
     # one table's mean oscillations
     table = CubeTable(f0, resolve_cube_mode(f0, cube_mode))
-    sharp = (rearrange(_sup_of(table, table.osc))
+    sharp = (profile_from_cells(table.sup(table.osc))
              if method == "BS" or t_grid is None else None)
     if t_grid is None:
         t_grid = default_t_grid(f0, cube_mode, sharp)
@@ -222,7 +221,7 @@ def _f_values(table: CubeTable, stat: np.ndarray, ts: np.ndarray) -> np.ndarray:
         raise ConfigError("F is defined on (0, 1]")
     n, d = table.f.res, table.f.dim
     if table.dyadic:
-        best = np.concatenate(([np.inf], np.sort(_sup_of(table, stat).values)[::-1]))
+        best = np.concatenate(([np.inf], np.sort(table.sup(stat))[::-1]))
     elif _exact_packing(n, d):
         best = _best_by_cells(table.sides, table.starts, stat, n, d, np.minimum)[0]
         best = np.maximum.accumulate(best[::-1])[::-1]
@@ -325,7 +324,7 @@ def vitali_threshold_estimate(
         raise ConfigError("t must lie in (0, 1]")
     n, d = f.res, f.dim
     table = CubeTable(f, resolve_cube_mode(f, cube_mode))  # f# and the cubes
-    prof = rearrange(_sup_of(table, table.osc))
+    prof = profile_from_cells(table.sup(table.osc))
     u = min(5.0**d * t, 1.0)
     tau = prof.value_at(u)
     if tau <= 0:

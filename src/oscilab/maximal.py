@@ -7,12 +7,12 @@ full cubes within the full-enumeration guards (N <= 256 in 1D, N <= 48 in
 and reads one of its statistics: the cube means of |f|, the mean
 oscillations, or the quantile oscillations CubeTable.side_qosc.
 
-The statistic reaches the cells through one top-down container-max sweep
-(_sup_over_cubes): from the largest side down, each cube takes the max of
-its own statistic and those of the cubes containing it, O(#cubes) work in
-a few numpy calls per side, with no per-side N^d temporary.  Leading axes
-of the statistic are swept at once, so local_maximals carries every
-quantile level s to the cells in one sweep.
+The statistic reaches the cells through the table's one top-down
+container-max sweep, CubeTable.sup: from the largest side down, each cube
+takes the max of its own statistic and those of the cubes containing it,
+O(#cubes) work in a few numpy calls per side, with no per-side N^d
+temporary.  Leading axes of the statistic are swept at once, so
+local_maximals carries every quantile level s to the cells in one sweep.
 
 local_maximals sorts a cube's cells only when the cube can still raise a
 cell.  Each cube's half-range h = fl(fl(max - min)/2) comes from the 2^d
@@ -21,8 +21,8 @@ computed statistic is min_j fl(fl(w_(m-kexc-1+j) - w_(j))/2) over its
 sorted cells w; as w_(m-kexc-1+j) <= max, w_(j) >= min and rounding is
 monotone, every term, so the statistic, is <= h.  A cube whose h is <= the
 least s-row of what its containers already carry therefore cannot change
-any cell at any s: the sweep skips it, and its h stands in for its
-statistic in a max that discards it.  Statistics are >= 0, so this skips
+any cell at any s: the sweep, CubeTable.sup bounded by half_range, skips
+it, and its h stands in for its statistic in a max that discards it.  Statistics are >= 0, so this skips
 every constant cube (h = 0) below the largest side; a side with kexc = 0
 at every s reads h itself, which is its statistic.  Only the cubes left
 are gathered and sorted (CubeTable.side_qosc), every cube of a side that
@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .grid import (Cube, CubeTable, GridFunction, _cube_values, _qosc_sorted,
-                   _up_one_side, exceedance_count)
+                   exceedance_count)
 from .rearrange import rearrange
 from .spaces import RISpaceSpec, norm
 
@@ -75,87 +75,18 @@ def _past_full_guard(f: GridFunction) -> bool:
     return f.res > (FULL_GUARD_1D if f.dim == 1 else FULL_GUARD_2D)
 
 
-def _sup_over_cubes(table: CubeTable, stat, bound=None) -> np.ndarray:
-    """best[..., cell] = max of a per-cube statistic over every cube holding
-    the cell.
-
-    stat is an array (..., cubes) flat over the table's cubes.  With bound,
-    an array flat over the cubes with stat <= bound at each cube, stat
-    is instead a function stat(k, origins) giving the statistic, shape
-    (rows, origins.size), of side k's cubes at those flat origins, and is
-    called only for the cubes that can still raise a cell: those whose
-    bound exceeds the least row of what their containers carry.  Every
-    other cube takes its bound in place of its statistic.
-
-    Sides are taken in descending order.  acc holds, per origin of the
-    current side, the largest statistic over the cubes containing that cube;
-    at side 1 these are the cells.  carried holds the same max over the
-    cubes strictly containing it.  A full cube strictly inside another lies
-    in a cube of the next side up inside it too, so its carried is the max
-    of the previous acc over the 2^d cubes of side k+1 around it: acc keeps
-    a -inf border so that max is grid._up_one_side of it, d maxima.  A
-    dyadic cube's carried is its parent's acc, broadcast against a
-    (m/2, 2)^d view of the side.  O(#cubes) work and no N^d temporary per
-    side; a max of the same floats is exact, whichever order it is taken in.
-    """
-    n, d, dyadic = table.f.res, table.f.dim, table.dyadic
-    parts = table.by_side(stat if bound is None else bound)
-    inner = (Ellipsis,) + (slice(1, -1),) * d
-    acc, carried = None, np.full(1, -np.inf)
-    for k in reversed(table.side_list):
-        m = n // k if dyadic else n - k + 1
-        if acc is None:
-            shape = (1,) * d
-        elif dyadic:
-            shape, carried = (m // 2, 2) * d, acc.reshape(lead + (m // 2, 1) * d)
-        else:
-            shape, carried = (m,) * d, _up_one_side(acc, d, np.maximum, False)
-        part = parts[k]
-        if bound is not None:
-            part = _bounded_part(stat, k, part, shape, carried)
-        lead = part.shape[:-1]
-        part = part.reshape(lead + shape)
-        if dyadic:
-            acc = np.maximum(part, carried)
-        else:
-            acc = np.full(lead + (m + 2,) * d, -np.inf)
-            np.maximum(part, carried, out=acc[inner])
-    return (acc if dyadic else acc[inner]).reshape(lead + (n**d,))
-
-
-def _bounded_part(stat, k: int, bound: np.ndarray, shape: tuple, carried) -> np.ndarray:
-    """Side k's rows of stat, (rows, cubes of the side): stat(k, origins)
-    at the cubes whose bound exceeds the least row of their carried max
-    (-inf at the largest side), and the bound itself at the others."""
-    floor = carried.min(axis=0)
-    need = np.flatnonzero(bound.reshape(shape) > floor)
-    if need.size == bound.size:
-        return stat(k, need)
-    if need.size == 0:
-        return np.broadcast_to(bound, (carried.shape[0], bound.size))
-    part = np.repeat(bound[None], carried.shape[0], axis=0)
-    part[:, need] = stat(k, need)
-    return part
-
-
-def _sup_of(table: CubeTable, stat: np.ndarray) -> GridFunction:
-    """Per cell, the sup of stat, flat over the table's cubes, over the
-    cubes holding the cell."""
-    return table.f.with_values(_sup_over_cubes(table, stat))
-
-
 def hl_maximal(f: GridFunction, cube_mode: str = "auto") -> GridFunction:
     """Hardy-Littlewood maximal function: sup of cube averages of |f| over
     cubes containing the cell.  Dominates |f| pointwise."""
     table = CubeTable(f.with_values(np.abs(f.values)), resolve_cube_mode(f, cube_mode))
-    return _sup_of(table, table.mean)
+    return f.with_values(table.sup(table.mean))
 
 
 def sharp_maximal(f: GridFunction, cube_mode: str = "auto") -> GridFunction:
     """Sharp maximal function: sup of mean oscillations over containing
     cubes.  Its sup norm is the BMO norm of f."""
     table = CubeTable(f, resolve_cube_mode(f, cube_mode))
-    return _sup_of(table, table.osc)
+    return f.with_values(table.sup(table.osc))
 
 
 def quantile_oscillation(f: GridFunction, q: Cube, s: float) -> float:
@@ -185,8 +116,8 @@ def local_maximals(f: GridFunction, svals, cube_mode: str = "auto") -> list:
     if not svals:
         return []
     table = CubeTable(f, resolve_cube_mode(f, cube_mode))
-    best = _sup_over_cubes(table, lambda k, origins: table.side_qosc(k, svals, origins),
-                           bound=table.half_range)
+    best = table.sup(lambda k, origins: table.side_qosc(k, svals, origins),
+                     bound=table.half_range)
     return [f.with_values(row) for row in best]
 
 

@@ -70,6 +70,23 @@ def cube_stats_map(f: GridFunction) -> dict:
     return out
 
 
+@functools.cache
+def _cubes_by_side(d: int, n: int, dyadic: bool) -> dict:
+    """{side: that side's cubes of enumerate_cubes, in its order}."""
+    out: dict = {}
+    for q in enumerate_cubes((d, n), dyadic):
+        out.setdefault(q.side, []).append(q)
+    return out
+
+
+def window_rows(f: GridFunction, k: int, dyadic: bool = False) -> np.ndarray:
+    """Cell values of every side-k cube, one row per cube in enumerate_cubes
+    order, each row in Cube.flat_cells order: a new array gathered cube by
+    cube, sharing no code with the package's window views."""
+    cubes = _cubes_by_side(f.dim, f.res, dyadic)[k]
+    return np.array([f.values[q.flat_cells(f.res)] for q in cubes])
+
+
 def brute_jn(f: GridFunction, p: float) -> float:
     stats = cube_stats_map(f)
     n = f.res

@@ -29,9 +29,9 @@ from oscilab.grid import (
     _cube_index,
     _family,
     _index_to_cube,
-    cube_windows,
     sides_for,
 )
+from oracles import window_rows
 
 
 def gf(vals, d=1):
@@ -161,6 +161,18 @@ def test_cube_geometry_errors():
         Cube((0,), 0)
 
 
+def test_grid_values_are_a_read_only_view():
+    # no copy at construction: g.values is a read-only view of the caller's
+    # array, which stays writeable, so writes through it reach g.values
+    for d, n, a in ((1, 4, np.arange(4.0)), (2, 2, np.arange(4.0).reshape(2, 2))):
+        g = GridFunction(d, n, a)
+        with pytest.raises(ValueError):
+            g.values[0] = 1
+        assert a.flags.writeable and np.shares_memory(a, g.values)
+        a.flat[0] = 9
+        assert g.values[0] == 9
+
+
 def test_packing_rejects_overlap():
     with pytest.raises(GeometryError):
         Packing([Cube((0,), 2), Cube((1,), 2)], res=4)
@@ -169,24 +181,18 @@ def test_packing_rejects_overlap():
 
 
 def test_cube_windows_match_flat_cells(rng):
-    # a window array never lets a caller write f: it is a read-only view of
-    # f's values or shares no memory with them
+    # a table's window array never lets a caller write f: it is a read-only
+    # view of f's values or shares no memory with them
     for d, n, dyadic in ((1, 9, False), (2, 5, False), (1, 8, True), (2, 4, True)):
         f = GridFunction(d, n, rng.normal(size=n**d))
-        for k in (1, 2, n):
-            w = cube_windows(f, k, dyadic)
+        table = CubeTable(f, dyadic)
+        for k in table.side_list:
+            w = table._windows(k)
             assert not w.flags.writeable or not np.shares_memory(w, f.values)
             cubes = [q for q in enumerate_cubes((d, n), dyadic) if q.side == k]
             assert w.shape[0] == len(cubes)
             for row, q in zip(w, cubes):
                 assert np.array_equal(np.sort(row), np.sort(f.values[q.flat_cells(n)]))
-
-
-@pytest.mark.parametrize("side,dyadic", [(0, False), (-1, False), (9, False),
-                                         (0, True), (3, True), (16, True)])
-def test_cube_windows_reject_bad_side(side, dyadic):
-    with pytest.raises(GeometryError):
-        cube_windows(GridFunction(1, 8, np.arange(8.0)), side, dyadic)
 
 
 def test_stat_tables_match_scalar_ops(rng):
@@ -271,8 +277,8 @@ def test_1d_table_is_bit_identical_to_per_cube_reference(n, dyadic):
         t = CubeTable(f, dyadic)
         got = {"mean": t.mean, "sum": t.sum, "osc": t.osc, "osc_p(0.5)": t.osc_p(0.5),
                "osc_p(2)": t.osc_p(2.0), "do": t.do,
-               "qosc": np.concatenate([t.side_qosc(k, (0.05, 0.3)) for k in t.side_list],
-                                      axis=-1)}
+               "qosc": np.concatenate([t.side_qosc(k, (0.05, 0.3), np.arange(c))
+                                       for k, c in zip(t.side_list, t.counts)], axis=-1)}
         for stat, want in _per_cube_stats(f, dyadic).items():
             assert np.array_equal(got[stat], want), (name, stat)
 
@@ -286,7 +292,8 @@ def test_one_strided_view_per_full_table(monkeypatch, d, n):
     monkeypatch.setattr(grid_mod, "as_strided",
                         lambda *a, **kw: views.append(1) or strided(*a, **kw))
     table = CubeTable(generate("random_steps", d, n, seed=2))
-    table.osc, table.do, [table.side_qosc(k, (0.05,)) for k in table.side_list]
+    table.osc, table.do
+    [table.side_qosc(k, (0.05,), np.arange(c)) for k, c in zip(table.side_list, table.counts)]
     assert len(views) == 1
 
 
@@ -294,12 +301,12 @@ def test_one_strided_view_per_full_table(monkeypatch, d, n):
                          + [(2, n, False) for n in (1, 2, 7, 33)]
                          + [(1, 64, True), (2, 16, True)])
 def test_table_windows_equal_cube_windows(d, n, dyadic):
-    # the table's one reader and the public cube_windows share no code
-    # above _side_view: every side's windows agree byte for byte
+    # the table's one reader against oracles.window_rows, each cube's cells
+    # gathered through Cube.flat_cells: every side agrees byte for byte
     f = generate("random_steps", d, n, seed=n)
     table = CubeTable(f, dyadic)
     for k in table.side_list:
-        got, want = table._windows(k), cube_windows(f, k, dyadic)
+        got, want = table._windows(k), window_rows(f, k, dyadic)
         assert got.shape == want.shape and got.dtype == want.dtype, k
         assert got.tobytes() == want.tobytes(), k
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import brute_f_sharp
+from oracles import brute_f_sharp, window_rows
 
 from oscilab import (
     ConfigError,
@@ -18,7 +18,7 @@ from oscilab import (
     sharp_maximal,
     vitali_threshold_estimate,
 )
-from oscilab.grid import Cube, CubeTable, cube_windows, enumerate_cubes, sides_for
+from oscilab.grid import Cube, CubeTable, enumerate_cubes, sides_for
 from oscilab.kfunctional import KProfile, _level_search, running_max
 from oscilab.packing import max_measure_packing
 
@@ -286,7 +286,7 @@ def _level_search_f(f, ts, p, dyadic):
     n = f.res
     cubes, stats = [], []
     for k in sides_for(n, dyadic):
-        w = cube_windows(f, k, dyadic)
+        w = window_rows(f, k, dyadic)
         dev = np.abs(w - w.mean(axis=1)[:, None])
         stat = dev.mean(axis=1) if p is None else (dev**p).mean(axis=1) ** (1.0 / p)
         cubes += [Cube((o * (k if dyadic else 1),), k) for o in range(w.shape[0])]

@@ -22,10 +22,9 @@ from oscilab import (
     sharp_maximal,
     sharp_norm,
 )
-from oscilab.grid import CubeTable, _window_osc, cube_windows, sides_for
-from oscilab.maximal import (_qosc_sorted, _sup_over_cubes, exceedance_count,
-                             resolve_cube_mode)
-from oracles import cube_stats_map
+from oscilab.grid import CubeTable, _window_osc, sides_for
+from oscilab.maximal import _qosc_sorted, exceedance_count, resolve_cube_mode
+from oracles import cube_stats_map, window_rows
 
 
 def gf(vals, d=1):
@@ -85,7 +84,7 @@ def scatter_cover_max(stat, k, n, d, dyadic):
 
 
 def scatter_sup(f, stats, dyadic):
-    """Reference for _sup_over_cubes: the max over the sides of the
+    """Reference for CubeTable.sup: the max over the sides of the
     per-cube scatters of that side's statistics, one side at a time."""
     best = np.full((f.res,) * f.dim, -np.inf)
     for k in sides_for(f.res, dyadic):
@@ -114,9 +113,9 @@ def test_container_sweep_matches_per_cube_scatter(d, n_max):
                 rows.append(stats)
             flat = [np.concatenate([st[k] for k in sides_for(n, dyadic)]) for st in rows]
             for stats, stat in zip(rows, flat):
-                got = _sup_over_cubes(table, stat)
+                got = table.sup(stat)
                 assert np.array_equal(got, scatter_sup(f, stats, dyadic)), (n, dyadic)
-            got = _sup_over_cubes(table, np.stack(flat))
+            got = table.sup(np.stack(flat))
             assert got.shape == (2, n**d)
             for row, stats in zip(got, rows):
                 assert np.array_equal(row, scatter_sup(f, stats, dyadic)), (n, dyadic)
@@ -250,7 +249,7 @@ def sort_path_local_maximal(f, s, dyadic):
     however few cells they have, and scattered cube by cube."""
     best = np.full((f.res,) * f.dim, -np.inf)
     for k in sides_for(f.res, dyadic):
-        w = np.sort(cube_windows(f, k, dyadic), axis=1)
+        w = np.sort(window_rows(f, k, dyadic), axis=1)
         stat = _qosc_sorted(w, exceedance_count(s, k**f.dim))
         np.maximum(best, scatter_cover_max(stat, k, f.res, f.dim, dyadic), out=best)
     return best.ravel()
@@ -307,16 +306,16 @@ def test_cube_table_qosc_equals_quantile_oscillation(rng, d, n, mode):
         want = {s: [quantile_oscillation(f, q, s) for q in cubes] for s in steps}
         for svals in (steps, [s for s in steps if s < 0.13]):
             table = CubeTable(f, dyadic)
-            got = np.concatenate([table.side_qosc(k, svals) for k in table.side_list],
-                                 axis=-1)
+            got = np.concatenate([table.side_qosc(k, svals, np.arange(c))
+                                  for k, c in zip(table.side_list, table.counts)], axis=-1)
             assert got.shape == (len(svals), len(cubes))
             assert np.array_equal(got, [want[s] for s in svals])
 
 
 def window_path_maximal(f, stat, dyadic):
-    """Reference for hl/sharp: stat of each side's whole cube_windows array,
+    """Reference for hl/sharp: stat of each side's whole window_rows array,
     scattered cube by cube."""
-    stats = {k: stat(cube_windows(f, k, dyadic)) for k in sides_for(f.res, dyadic)}
+    stats = {k: stat(window_rows(f, k, dyadic)) for k in sides_for(f.res, dyadic)}
     return scatter_sup(f, stats, dyadic)
 
 
@@ -397,9 +396,8 @@ def test_pruned_sweep_equals_sort_path_on_boundary_grids(monkeypatch, rng, d, n,
     asked = []
     kernel = CubeTable.side_qosc
 
-    def counting(table, k, svals, origins=None):
-        asked.append(table.counts[table.side_list.index(k)] if origins is None
-                     else origins.size)
+    def counting(table, k, svals, origins):
+        asked.append(origins.size)
         return kernel(table, k, svals, origins)
 
     monkeypatch.setattr(CubeTable, "side_qosc", counting)
