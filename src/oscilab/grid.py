@@ -17,7 +17,9 @@ Every reader of a side's cube windows reads one layout, _side_view: a
 read-only view, origins first, of the cells of every cube of that side;
 CubeTable reads it through one method, CubeTable._view.  CubeTable.sup is
 the one container sweep: per cell, the max of a per-cube statistic over
-the family's cubes holding the cell, as the maximal operators and F take it.
+the family's cubes holding the cell, as the maximal operators and F take it;
+with a side rule, as the local maximal function takes it, it carries with
+each max a witness interval that certifies cubes without sorting them.
 
 It also holds the one reader of input files, _read_csv_rows with
 _csv_numbers; read_grid_csv, spaces.phi_from_csv and the CLI's profile
@@ -350,6 +352,11 @@ def _side_view(values: np.ndarray, n: int, d: int, k: int, dyadic: bool) -> np.n
 
 
 _WINDOW_BLOCK = 1 << 15  # floats per 2D full window block: 256 KB, inside L2
+# cells a side's cubes left after the half-range prune must hold for the
+# local-maximal sweep to count them against carried witnesses before it
+# sorts: on fewer, the count, the witnesses and the rank keys cost more
+# numpy calls than the sorts they save (CubeTable._bounded_qosc)
+_COUNT_CELLS = 1 << 15
 
 
 def _row_mean(w: np.ndarray) -> np.ndarray:
@@ -380,27 +387,59 @@ def exceedance_count(s: float, m: int) -> int:
     return max(math.ceil(s * m - 1e-9) - 1, 0)
 
 
+def _qosc_gaps(w_sorted: np.ndarray, kexc: int, values=None) -> np.ndarray:
+    """fl(w_(m-kexc-1+j) - w_(j)), j = 0..kexc, per row of sorted windows;
+    with values, the windows hold indices into it and only these 2(kexc+1)
+    order statistics are read through it."""
+    width = w_sorted.shape[1] - kexc
+    upper, lower = w_sorted[:, width - 1:], w_sorted[:, : kexc + 1]
+    if values is not None:
+        upper, lower = values[upper], values[lower]
+    return upper - lower
+
+
 def _qosc_sorted(w_sorted: np.ndarray, kexc: int) -> np.ndarray:
-    m = w_sorted.shape[1]
-    width = m - kexc
-    upper = w_sorted[:, width - 1: width + kexc]
-    lower = w_sorted[:, : kexc + 1]
-    return (upper - lower).min(axis=1) / 2.0
+    return _qosc_gaps(w_sorted, kexc).min(axis=1) / 2.0
 
 
-def _up_one_side(a: np.ndarray, d: int, op, dyadic: bool) -> np.ndarray:
+def _qosc_rows(w_sorted: np.ndarray, kexcs, values, witness: bool) -> tuple:
+    """(qosc, witnesses) of sorted key windows: qosc one row per exceedance
+    count of kexcs, each row as _qosc_sorted with values read as in
+    _qosc_gaps.  With witness, witnesses (2, rows, windows) holds each
+    window's keys [w_(j*), w_(m-kexc-1+j*)] at the first gap j* where the
+    minimum is attained, an interval whose half-width in values is the
+    statistic; else None."""
+    by_kexc, ends = {}, {}
+    for e in set(kexcs):
+        gaps = _qosc_gaps(w_sorted, e, values)
+        by_kexc[e] = gaps.min(axis=1) / 2.0
+        if witness:
+            at = gaps.argmin(axis=1)[:, None] + [0, w_sorted.shape[1] - 1 - e]
+            ends[e] = np.take_along_axis(w_sorted, at, axis=1).T
+    qosc = np.array([by_kexc[e] for e in kexcs])
+    return qosc, np.stack([ends[e] for e in kexcs], axis=1) if witness else None
+
+
+def _up_one_side(a: np.ndarray, d: int, op, dyadic: bool, witness=None):
     """Combine with op, for each cube of the next side up, the values of the
     2^d cubes of side k that cover it.  a holds one value per side-k cube,
     shaped (..., m, ..., m) by origin over its last d axes.  Dyadic: the
     children of each side-2k cube, at even and odd origins.  Full: the
     side-(k+1) cube at origin o is covered by the side-k cubes at o + e,
-    e in {0,1}^d, as k >= (k+1)/2; one axis at a time, d calls of op."""
+    e in {0,1}^d, as k >= (k+1)/2; one axis at a time, d calls of op.
+    With witness, shaped (2,) + a.shape, op is np.maximum and the result is
+    (max, the witness of a cube holding the max): np.maximum keeps its
+    second operand on ties, and so does the witness."""
     lo, hi = ((slice(0, None, 2), slice(1, None, 2)) if dyadic
               else (slice(0, -1), slice(1, None)))
     for axis in range(d):
-        post = (slice(None),) * (d - 1 - axis)
-        a = op(a[(Ellipsis, lo, *post)], a[(Ellipsis, hi, *post)])
-    return a
+        at = (slice(None),) * (d - 1 - axis)
+        a0, a1 = a[(Ellipsis, lo, *at)], a[(Ellipsis, hi, *at)]
+        if witness is not None:
+            witness = np.where(a0 > a1, witness[(Ellipsis, lo, *at)],
+                               witness[(Ellipsis, hi, *at)])
+        a = op(a0, a1)
+    return a if witness is None else (a, witness)
 
 
 class CubeTable:
@@ -418,17 +457,22 @@ class CubeTable:
     side_qosc(k, svals, origins) gives the quantile oscillations of side
     k's cubes at the flat origin positions origins, one row per s, as in
     maximal.quantile_oscillation, and keeps none: local_maximals reads each
-    side once through its bounded sweep.  sup(stat, bound) is the one
-    container sweep: per cell, the max of a statistic over the cubes
-    holding the cell.  Every statistic but half_range reads its windows
-    through one reader, _view(k): full sides are slices of one strided view
-    per table, dyadic sides a reshape of f's values.  mean, sum and the
-    oscillations reduce each side's windows through _window_stat, in
-    cache-sized blocks for 2D full cubes; side_qosc gathers the cubes it is
-    asked for.  The arrays are read-only, as every reader of the table
-    shares them.  by_side(stat) splits any such array along its last axis
-    into views, {side: per-origin array}, in ascending side order.  Each
-    call builds its own table and no statistic or view is kept on f:
+    side once through its sweep, whose side rule _bounded_qosc sorts only
+    the cubes that can still raise a cell.  sup(stat) is the one container
+    sweep: per cell, the max of a statistic over the cubes holding the
+    cell.  Every statistic but half_range reads its windows through one
+    reader, _view(k): full sides are slices of one strided view per table
+    and source, dyadic sides a reshape of it.  mean, sum and the
+    oscillations reduce each side's windows of f's values through
+    _window_stat, in cache-sized blocks for 2D full cubes; the quantile
+    sorts gather the cubes they are asked for, as sort keys (_sort_keys):
+    a full table on which the sweep may count ranks f's values once and
+    sorts integer ranks, while a dyadic table, a table too small to count
+    and a grid holding -0.0 sort f's floats.  The arrays are read-only, as
+    every reader of the table shares them.  by_side(stat) splits any such
+    array along its last axis into views, {side: per-origin array}, in
+    ascending side order.  Each call builds its own table and no
+    statistic or view is kept on f:
     f.values may alias the caller's array, so a kept one could go stale.
     """
 
@@ -448,22 +492,48 @@ class CubeTable:
             stat.flags.writeable = False
         return self._stats[name]
 
-    def _view(self, k: int) -> np.ndarray:
+    def _view(self, k: int, keys: bool = False) -> np.ndarray:
         """The table's one window reader: _side_view(f.values, N, d, k,
         dyadic), a read-only (m,)*d + (k,)*d view of every side-k cube's
-        cells.  A full side is the [:m]*d + [:k]*d slice, m = N-k+1, of one
-        side-N view per table over f's values zero-padded to (2N)^d, so no
-        window reaches past its buffer and every slice reads f's cells."""
+        cells; with keys, of their sort keys (_sort_keys) instead.  A full
+        side is the [:m]*d + [:k]*d slice, m = N-k+1, of one side-N view per
+        table and source over the source zero-padded to (2N)^d, so no window
+        reaches past its buffer and every slice reads f's cells."""
         f, n, d = self.f, self.f.res, self.f.dim
+        src = self._sort_keys()[1] if keys else f.values
         if self.dyadic:
-            return _side_view(f.values, n, d, k, True)
+            return _side_view(src, n, d, k, True)
 
         def padded_view():
-            buf = np.zeros((2 * n,) * d)
-            buf[(slice(n),) * d] = f.array
+            buf = np.zeros((2 * n,) * d, src.dtype)
+            buf[(slice(n),) * d] = src.reshape((n,) * d)
             return _side_view(buf.ravel(), 2 * n, d, n, False)
 
-        return self._lazy("view", padded_view)[(slice(n - k + 1),) * d + (slice(k),) * d]
+        name = "view" if src is f.values else "key view"
+        return self._lazy(name, padded_view)[(slice(n - k + 1),) * d + (slice(k),) * d]
+
+    def _sort_keys(self) -> tuple:
+        """(values, keys): the quantile sorts gather, count and sort windows
+        of keys and read their order statistics back as values[key] (the
+        keys themselves where values is None).  Where a side may count
+        (_count_from), a full table's keys are the dense ranks of f's
+        values, one np.unique per table, as uint16 where they fit: sorts
+        and counts then run on small integers.  A dyadic table reads each
+        cell once per side, which a global rank sort does not repay, and a
+        table where no side counts sorts too little to repay it, so both
+        keep f's floats; so does a grid holding -0.0, as a rank merges -0.0
+        with 0.0 while the float sort's order of the two sets the sign of a
+        zero statistic."""
+        if "keys" not in self._stats:
+            vals = self.f.values
+            if (self.dyadic or self._count_from() > self.f.res
+                    or np.signbit(vals[vals == 0]).any()):
+                self._stats["keys"] = None, vals
+            else:
+                u, ranks = np.unique(vals, return_inverse=True)
+                small = u.size <= 1 << 16
+                self._stats["keys"] = u, ranks.astype(np.uint16 if small else np.uint32)
+        return self._stats["keys"]
 
     def _windows(self, k: int) -> np.ndarray:
         """_view(k), one row per cube, its cells in Cube.flat_cells order."""
@@ -503,60 +573,71 @@ class CubeTable:
         last axis."""
         return {k: stat[..., sl] for k, sl in self._slices.items()}
 
-    def sup(self, stat, bound=None) -> np.ndarray:
+    def sup(self, stat) -> np.ndarray:
         """best[..., cell] = max of a per-cube statistic over every cube of
         the table holding the cell.
 
-        stat is an array (..., cubes) flat over the table's cubes.  With bound,
-        an array flat over the cubes with stat <= bound at each cube, stat
-        is instead a function stat(k, origins) giving the statistic, shape
-        (rows, origins.size), of side k's cubes at those flat origins, and is
-        called only for the cubes that can still raise a cell: those whose
-        bound exceeds the least row of what their containers carry (-inf at
-        the largest side).  Every other cube takes its bound in place of its
-        statistic.
+        stat is an array (..., cubes) flat over the table's cubes, or a side
+        rule stat(k, carried, witness) -> (part, witness) that gives each
+        side's part itself from what its cubes' containers carry
+        (local_maximals' rule is _bounded_qosc).  carried holds, per row,
+        the max over the cubes strictly containing each cube of side k
+        (-inf at the largest side); witness, with a leading axis of 2, holds
+        per row and cube an interval of sort keys (lo, hi) whose half-width
+        in values is at most that max, or is None.  Both flatten, after
+        their leading axes, to the side's origins in order.  The rule
+        returns part, (rows, origins), and the witnesses its cubes carry on,
+        each of half-width at most max(part, carried), or None to carry
+        none further.
 
         Sides are taken in descending order.  acc holds, per origin of the
         current side, the largest statistic over the cubes containing that
-        cube; at side 1 these are the cells.  carried holds the same max over
-        the cubes strictly containing it.  A full cube strictly inside another
-        lies in a cube of the next side up inside it too, so its carried is
-        the max of the previous acc over the 2^d cubes of side k+1 around it:
-        acc keeps a -inf border so that max is _up_one_side of it, d maxima.
-        A dyadic cube's carried is its parent's acc, broadcast against a
-        (m/2, 2)^d view of the side.  O(#cubes) work and no N^d temporary per
-        side; a max of the same floats is exact, whichever order it is taken
-        in.
+        cube; at side 1 these are the cells.  A full cube strictly inside
+        another lies in a cube of the next side up inside it too, so its
+        carried is the max of the previous acc over the 2^d cubes of side
+        k+1 around it: acc keeps a -inf border so that max is _up_one_side
+        of it, d maxima, which also pick the witness of a cube holding the
+        max.  A dyadic cube's carried is its parent's acc, broadcast against
+        a (m/2, 2)^d view of the side.  O(#cubes) work and no N^d temporary
+        per side; a max of the same floats is exact, whichever order it is
+        taken in.
         """
         n, d, dyadic = self.f.res, self.f.dim, self.dyadic
-        parts = self.by_side(stat if bound is None else bound)
+        parts = None if callable(stat) else self.by_side(stat)
         inner = (Ellipsis,) + (slice(1, -1),) * d
-        acc, carried = None, np.full(1, -np.inf)
+        acc, wit, carried = None, None, np.full(1, -np.inf)
         for k in reversed(self.side_list):
             m = n // k if dyadic else n - k + 1
             if acc is None:
                 shape = (1,) * d
             elif dyadic:
-                shape, carried = (m // 2, 2) * d, acc.reshape(lead + (m // 2, 1) * d)
-            else:
+                shape, up = (m // 2, 2) * d, lead + (m // 2, 1) * d
+                carried = acc.reshape(up)
+                if wit is not None:
+                    wit = np.broadcast_to(wit.reshape((2,) + up), (2,) + lead + shape)
+            elif wit is None:
                 shape, carried = (m,) * d, _up_one_side(acc, d, np.maximum, False)
-            part = parts[k]
-            if bound is not None:
-                need = np.flatnonzero(part.reshape(shape) > carried.min(axis=0))
-                if need.size == part.size:
-                    part = stat(k, need)
-                elif need.size == 0:
-                    part = np.broadcast_to(part, (carried.shape[0], part.size))
-                else:
-                    part = np.repeat(part[None], carried.shape[0], axis=0)
-                    part[:, need] = stat(k, need)
+            else:
+                shape = (m,) * d
+                carried, wit = _up_one_side(acc, d, np.maximum, False, wit)
+            if parts is None:
+                whole = np.broadcast_to(carried, carried.shape[:1] + shape) if dyadic else carried
+                part, wit = stat(k, whole, wit)
+            else:
+                part = parts[k]
             lead = part.shape[:-1]
             part = part.reshape(lead + shape)
+            if wit is not None:
+                wit = wit.reshape((2,) + lead + shape)
             if dyadic:
                 acc = np.maximum(part, carried)
-            else:
-                acc = np.full(lead + (m + 2,) * d, -np.inf)
-                np.maximum(part, carried, out=acc[inner])
+                continue
+            acc = np.full(lead + (m + 2,) * d, -np.inf)
+            np.maximum(part, carried, out=acc[inner])
+            if wit is not None:
+                border = np.empty((2,) + acc.shape, wit.dtype)
+                border[inner] = wit
+                wit = border
         return (acc if dyadic else acc[inner]).reshape(lead + (n**d,))
 
     @property
@@ -613,21 +694,99 @@ class CubeTable:
 
     def side_qosc(self, k: int, svals, origins: np.ndarray) -> np.ndarray:
         """Quantile oscillations of side k's cubes, one row per s of svals,
-        at the flat origin positions origins.
+        at the flat origin positions origins, as in
+        maximal.quantile_oscillation: each window sorted once
+        (_sorted_windows), then _qosc_rows once per distinct exceedance
+        count kexc."""
+        kexcs = [exceedance_count(s, k**self.f.dim) for s in svals]
+        w = self._sorted_windows(k, origins)
+        return _qosc_rows(w, kexcs, self._sort_keys()[0], False)[0]
 
-        A side with kexc = 0 at every s reads (max - min)/2 from half_range,
-        the same floats as the sort; the others gather the cubes' windows
-        from _view(k) into one copy, sort each row in place, and take
-        _qosc_sorted once per distinct exceedance count kexc."""
-        d, sl = self.f.dim, self._slices[k]
-        kexcs = [exceedance_count(s, k**d) for s in svals]
-        if max(kexcs) == 0:
-            return np.repeat(self.half_range[sl][origins][None], len(kexcs), axis=0)
-        view = self._view(k)
-        w = view[np.unravel_index(origins, view.shape[:d])].reshape(-1, k**d)
+    def _sorted_windows(self, k: int, origins: np.ndarray) -> np.ndarray:
+        """The sort-key windows of side k's cubes at flat origins (_gather),
+        each row sorted in place: the one place a quantile statistic sorts."""
+        w = self._gather(k, origins)
         w.sort(axis=1)
-        by_kexc = {e: _qosc_sorted(w, e) for e in set(kexcs)}
-        return np.array([by_kexc[e] for e in kexcs])
+        return w
+
+    def _gather(self, k: int, origins: np.ndarray) -> np.ndarray:
+        """The sort-key windows of side k's cubes at flat origins, one row
+        per cube, in one writeable copy."""
+        view = self._view(k, keys=True)
+        return view[np.unravel_index(origins, view.shape[:self.f.dim])].reshape(-1, k**self.f.dim)
+
+    def _bounded_qosc(self, k: int, svals, carried, witness) -> tuple:
+        """Side k's rule in local_maximals' sweep (see sup): its quantile
+        oscillations at every s, sorted only for the cubes that can still
+        raise a cell, and the witnesses the sweep carries on.
+
+        A side with kexc = 0 at every s takes its half-range, which is then
+        its statistic, and carries no witness on: every smaller side has
+        kexc = 0 too.  Otherwise a cube whose half-range h is <= the least
+        row of carried cannot raise a cell (maximal's docstring).
+
+        Count certificate.  A cube left counts, per row, its cells outside
+        the carried witness [lo, hi], whose half-width fl(fl(hi - lo)/2) in
+        values is at most the carried value c.  If at most kexc cells lie
+        outside, the cube's statistic is <= fl(fl(hi - lo)/2) <= c.  Proof:
+        let a cells of its sorted window w lie below lo and b above hi.
+        Then w_(a) >= lo, and as a + b <= kexc, w_(m-kexc-1+a) <= w_(m-1-b)
+        <= hi.  Rounded subtraction and halving are monotone, so term j = a
+        of the statistic's minimum, fl(fl(w_(m-kexc-1+a) - w_(a))/2), is at
+        most fl(fl(hi - lo)/2).  Ranks order cells as their values do, so
+        the count reads keys; an unsigned key below lo wraps past hi - lo.
+
+        A cube certified at every row, like one the half-range skips, is
+        not sorted: it takes min(h, carried), <= carried at every row, and
+        the sweep's max returns carried, the bits it returns for the
+        cube's statistic.  The cubes left are sorted (_sorted_windows) and
+        carry their own intervals on; every other cube keeps the carried
+        one.  The count and the rank keys pay only on many cells: a side
+        counts when its cubes left hold _COUNT_CELLS cells or more.
+        Witnesses start at the first such side, at zero width (every value
+        below the largest side is >= 0), and go down while a smaller side
+        may hold that many (_count_from); a side that carries none sorts
+        every cube left (side_qosc).
+        """
+        d, h, rows = self.f.dim, self.half_range[self._slices[k]], len(svals)
+        if exceedance_count(max(svals), k**d) == 0:
+            return np.broadcast_to(h, (rows, h.size)), None
+        carried = carried.reshape(len(carried), -1)
+        need = (h > carried.min(axis=0)).nonzero()[0]
+        many = need.size * k**d >= _COUNT_CELLS
+        if witness is not None and many:
+            kexcs = np.array([exceedance_count(s, k**d) for s in svals])[:, None]
+            lo, hi = witness.reshape(2, rows, -1)[:, :, need, None]
+            w = self._gather(k, need)
+            outside = (w < lo) | (w > hi) if w.dtype.kind == "f" else w - lo > hi - lo
+            count = np.add.reduce(outside, axis=-1, dtype=np.min_scalar_type(w.shape[1]))
+            need = need[(count > kexcs).any(axis=0)]
+        carry = k > self._count_from() and (witness is not None or many)
+        if need.size == h.size and not carry:
+            return self.side_qosc(k, svals, need), None
+        part = np.minimum(h, carried, out=np.empty((rows, h.size)))
+        if not carry:
+            if need.size:
+                part[:, need] = self.side_qosc(k, svals, need)
+            return part, None
+        if witness is None:
+            witness = np.zeros((2,) + part.shape, self._sort_keys()[1].dtype)
+        elif need.size:
+            witness = witness.reshape(2, rows, -1).copy()
+        if need.size:
+            kexcs = [exceedance_count(s, k**d) for s in svals]
+            part[:, need], witness[:, :, need] = _qosc_rows(
+                self._sorted_windows(k, need), kexcs, self._sort_keys()[0], True)
+        return part, witness
+
+    def _count_from(self) -> int:
+        """The smallest side whose windows hold _COUNT_CELLS cells or more
+        (N + 1 if none): below it no side counts, so no witness goes down."""
+        if "count from" not in self._stats:
+            d = self.f.dim
+            big = [k for k, c in zip(self.side_list, self.counts) if c * k**d >= _COUNT_CELLS]
+            self._stats["count from"] = min(big, default=self.f.res + 1)
+        return self._stats["count from"]
 
     @property
     def do(self) -> np.ndarray:

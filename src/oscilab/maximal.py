@@ -21,12 +21,25 @@ computed statistic is min_j fl(fl(w_(m-kexc-1+j) - w_(j))/2) over its
 sorted cells w; as w_(m-kexc-1+j) <= max, w_(j) >= min and rounding is
 monotone, every term, so the statistic, is <= h.  A cube whose h is <= the
 least s-row of what its containers already carry therefore cannot change
-any cell at any s: the sweep, CubeTable.sup bounded by half_range, skips
-it, and its h stands in for its statistic in a max that discards it.  Statistics are >= 0, so this skips
-every constant cube (h = 0) below the largest side; a side with kexc = 0
-at every s reads h itself, which is its statistic.  Only the cubes left
-are gathered and sorted (CubeTable.side_qosc), every cube of a side that
-prunes nothing.  hl_maximal and sharp_maximal sweep with no bound.
+any cell at any s: the sweep's side rule, CubeTable._bounded_qosc, skips
+it, and its h stands in for its statistic in a max that discards it.
+Statistics are >= 0, so this skips every constant cube (h = 0) below the
+largest side; a side with kexc = 0 at every s reads h itself, which is its
+statistic.
+
+A cube left is certified before it is sorted.  Next to each running max
+the sweep carries a witness: an interval [lo, hi] of f's values whose
+half-width fl(fl(hi - lo)/2) is at most that max, such as the interval
+[w_(j), w_(m-kexc-1+j)] on which a sorted container attains its
+statistic.  If at most kexc of the cube's cells lie outside the witness
+its containers carry, its statistic is at most that half-width, so at most
+what they carry (the proof, with rounding, is in _bounded_qosc's
+docstring): the cube is skipped as a half-range-pruned one is, at every s
+at once, and every output keeps its bits.  Only the cubes that fail the
+count are sorted.  The count runs on sides whose cubes left hold many
+cells (grid._COUNT_CELLS); there, on full-cube tables, the windows counted
+and sorted hold dense integer ranks of f's values (CubeTable._sort_keys).
+hl_maximal and sharp_maximal sweep a statistic array with no side rule.
 """
 
 from __future__ import annotations
@@ -105,9 +118,10 @@ def quantile_oscillation(f: GridFunction, q: Cube, s: float) -> float:
 def local_maximals(f: GridFunction, svals, cube_mode: str = "auto") -> list:
     """Local maximal functions M#_s f for every s of svals, in that order.
 
-    One container-max sweep, bounded by CubeTable.half_range, carries the
-    quantile oscillations at every s to the cells, sorting each cube it
-    cannot skip once (CubeTable.side_qosc).  Each result equals
+    One container-max sweep, whose side rule CubeTable._bounded_qosc skips
+    every cube that the half-range bound or the witness count shows cannot
+    raise a cell, carries the quantile oscillations at every s to the
+    cells, sorting each cube left once.  Each result equals
     local_maximal(f, s) bit for bit.
     """
     svals = list(svals)
@@ -116,8 +130,7 @@ def local_maximals(f: GridFunction, svals, cube_mode: str = "auto") -> list:
     if not svals:
         return []
     table = CubeTable(f, resolve_cube_mode(f, cube_mode))
-    best = table.sup(lambda k, origins: table.side_qosc(k, svals, origins),
-                     bound=table.half_range)
+    best = table.sup(lambda k, *carried: table._bounded_qosc(k, svals, *carried))
     return [f.with_values(row) for row in best]
 
 
