@@ -277,6 +277,24 @@ def suite_maximal(seed: int, s: float) -> list:
         worst <= 1e-12, measured=worst, tolerance=1e-12,
     ))
 
+    # M#_s end to end: the sweep against a per-cube scatter of
+    # quantile_oscillation over every cube, bit for bit, at the suite's s
+    svals, differ = [s, 0.1, 0.3], 0
+    for f in _corpus(seed, n_1d=(6, 12), n_2d=(3, 4)):
+        want = np.full((len(svals), f.ncells), -np.inf)
+        for q in enumerate_cubes((f.dim, f.res)):
+            cells = q.flat_cells(f.res)
+            for row, sv in zip(want, svals):
+                row[cells] = np.maximum(row[cells], quantile_oscillation(f, q, sv))
+        got = np.array([g.values for g in local_maximals(f, svals)])
+        differ += int(np.count_nonzero(got.view(np.int64) != want.view(np.int64)))
+    checks.append(check(
+        "local-maximal-end-to-end",
+        "M#_s f = max of quantile_oscillation over the cubes containing each "
+        "cell, bit for bit (cells differing), 1D N <= 12 and 2D N <= 4",
+        differ == 0, measured=differ, tolerance=0,
+    ))
+
     # every M#_s f the checks below read, one local_maximals call per grid:
     # s itself, 0.1 and 0.3 on the first nine, the s0 sweep on every third
     sweep = [float(sv) for sv in np.linspace(0.05, 0.95, 20)]

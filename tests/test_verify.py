@@ -41,9 +41,9 @@ def test_equivalence_report_shape():
 
 # the report digests of seeds 0, 1 and 2 per suite
 _DIGESTS = {
-    "maximal": ("a766ad76b86dd73c091726b9ee8e011c91ff8240cfb87f56de5b580367721f11",
-                "8a53ead1f6faf4a212125cac316ecc974d7bd0b442c3cabfbc7eb48b6011067f",
-                "89d6144f8749a56922c28dba21a190f563359c83aebc8a3de2bdabc870b8f045"),
+    "maximal": ("f0d8a7a408316e35c3780e68ff1663929a1250109d641d4a079cf87cf3cbf8d8",
+                "d8175032c1b7d6c98821c0c440f4a3e3f64871808bb76e100c542bd8c2ecf8a6",
+                "3c8ba1b2c598a812517f9fec6706f11cbbae041599cfb909285252b47430dcfe"),
     "blowup": ("6b1a82891845d5ff5b1c4dbcdb0d72a3bdc28f7b80a493763cc8009bd82c79ba",
                "32a856a5c79b8214aac8c46ca3b676d63d00bd35889b2a73f7d0875c2943ccb9",
                "a7c51badbec1c0a7be072f4b58e3a7f149a349bcdb45502cd06763c3fd6e28c7"),
