@@ -24,6 +24,7 @@ functions convert to and from Cube objects, through grid's helpers.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Iterable
 
@@ -58,14 +59,26 @@ def _require_exact(n: int, d: int) -> None:
                              f"N <= {EXACT_GUARD_2D}, got N={n}")
 
 
-def _blocks(sides, n: int, d: int) -> dict:
-    """{k: mask of the side-k cube at the origin of an N^d grid} for each
-    side k in the array sides, bit c = cell c: the row (1<<k)-1 times the
-    repunit (2^{kN}-1)/(2^N-1) of its k rows in 2D (one row in 1D), O(1)
-    int ops per side."""
-    unit = (1 << n) - 1
-    return {k: ((1 << k) - 1) * (((1 << (k if d == 2 else 1) * n) - 1) // unit)
-            for k in np.flatnonzero(np.bincount(sides)).tolist()}
+class _SideMasks(dict):
+    """{k: mask of the side-k cube at the origin of an N^d grid}, bit c =
+    cell c, each built on first read: the row (1<<k)-1 times the repunit
+    (2^{kN}-1)/(2^N-1) of its k rows in 2D (one row in 1D), O(1) int ops."""
+
+    def __init__(self, n: int, d: int):
+        super().__init__()
+        self.n, self.d = n, d
+
+    def __missing__(self, k: int) -> int:
+        rows = (1 << (k if self.d == 2 else 1) * self.n) - 1
+        mask = self[k] = ((1 << k) - 1) * (rows // ((1 << self.n) - 1))
+        return mask
+
+
+@functools.lru_cache(maxsize=64)
+def _blocks(n: int, d: int) -> _SideMasks:
+    """The one side-mask table of the N^d grid: a function of the geometry
+    alone, built once per (N, d) and shared by every greedy walk."""
+    return _SideMasks(n, d)
 
 
 def _misses(occ: int, sides, starts, n: int, d: int) -> np.ndarray:
@@ -109,7 +122,7 @@ def _greedy_disjoint(sides, starts, n: int, d: int) -> list:
     the positions are those of the plain walk, and each segment opens with
     a keep.
     """
-    blocks = _blocks(sides, n, d)
+    blocks = _blocks(n, d)
     full = (1 << n**d) - 1
     occ, kept = 0, []
     pos = np.arange(sides.size)
@@ -411,7 +424,7 @@ def _dp_budgeted_1d(sides, starts, w, n: int, op) -> tuple:
 
 def _union_cells(sides, starts, n: int, d: int) -> int:
     occ = 0
-    blocks = _blocks(sides, n, d)
+    blocks = _blocks(n, d)
     for k, s in zip(sides.tolist(), starts.tolist()):
         occ |= blocks[k] << s
     return occ.bit_count()
