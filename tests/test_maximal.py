@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
+import oscilab.grid as grid_mod
 from oscilab import (
     ConfigError,
     Cube,
@@ -13,6 +15,7 @@ from oscilab import (
     cube_mean,
     cubes_containing,
     enumerate_cubes,
+    generate,
     hl_maximal,
     local_maximal,
     local_maximals,
@@ -132,9 +135,9 @@ def test_maximal_ops_match_cube_stats_oracle(rng, n):
         for op, v in (("hl", cube_mean(absf, q)), ("sharp", osc),
                       ("local", quantile_oscillation(f, q, s))):
             want[op][cells] = np.maximum(want[op][cells], v)
-    for op, got in (("hl", hl_maximal(f, "full")), ("sharp", sharp_maximal(f, "full")),
-                    ("local", local_maximal(f, s, "full"))):
+    for op, got in (("hl", hl_maximal(f, "full")), ("sharp", sharp_maximal(f, "full"))):
         assert np.allclose(got.values, want[op], rtol=0, atol=1e-12), op
+    assert np.array_equal(local_maximal(f, s, "full").values, want["local"])
 
 
 def test_hl_dominates_pointwise(rng):
@@ -244,15 +247,22 @@ def test_exceedance_count_translation():
         exceedance_count(1.0, 4)
 
 
-def sort_path_local_maximal(f, s, dyadic):
-    """Reference for local_maximals at one s: every side's windows sorted,
-    however few cells they have, and scattered cube by cube."""
-    best = np.full((f.res,) * f.dim, -np.inf)
+def sort_path_local_maximals(f, svals, dyadic):
+    """Reference for local_maximals, {s: M#_s f} for each s of svals: every
+    side's windows sorted, however few cells they have, and scattered cube
+    by cube."""
+    best = {s: np.full((f.res,) * f.dim, -np.inf) for s in svals}
     for k in sides_for(f.res, dyadic):
         w = np.sort(window_rows(f, k, dyadic), axis=1)
-        stat = _qosc_sorted(w, exceedance_count(s, k**f.dim))
-        np.maximum(best, scatter_cover_max(stat, k, f.res, f.dim, dyadic), out=best)
-    return best.ravel()
+        for s, b in best.items():
+            stat = _qosc_sorted(w, exceedance_count(s, k**f.dim))
+            np.maximum(b, scatter_cover_max(stat, k, f.res, f.dim, dyadic), out=b)
+    return {s: b.ravel() for s, b in best.items()}
+
+
+def sort_path_local_maximal(f, s, dyadic):
+    """sort_path_local_maximals at the one level s."""
+    return sort_path_local_maximals(f, [s], dyadic)[s]
 
 
 def kexc_steps(f, dyadic):
@@ -278,13 +288,13 @@ def test_local_maximals_equal_one_sort_per_s(rng, d, n, mode):
     f = GridFunction(d, n, np.round(rng.normal(size=n**d), 1))  # with ties
     steps = kexc_steps(f, mode == "dyadic")
     small = [s for s in steps if s < 0.13]  # kexc = 0 up to sides 8 or 16
+    wants = sort_path_local_maximals(f, steps + [0.05], mode == "dyadic")
     for svals in (steps + steps[::3] + [0.05, 0.05], small + small[:2]):
         got = local_maximals(f, svals, mode)
         assert len(got) == len(svals)
         for s, g in zip(svals, got):
-            want = sort_path_local_maximal(f, s, mode == "dyadic")
-            assert np.array_equal(g.values, want), s
-            assert np.array_equal(local_maximal(f, s, mode).values, want), s
+            assert np.array_equal(g.values, wants[s]), s
+            assert np.array_equal(local_maximal(f, s, mode).values, wants[s]), s
 
 
 @pytest.mark.parametrize("d,n,mode", [
@@ -365,8 +375,9 @@ def test_dyadic_constant_cubes_skip_the_sort(rng, d, n):
     for vals in (blocks.ravel(), spikes):
         f = GridFunction(d, n, vals)
         steps = kexc_steps(f, True)
+        wants = sort_path_local_maximals(f, steps, True)
         for s, g in zip(steps, local_maximals(f, steps, "dyadic")):
-            assert np.array_equal(g.values, sort_path_local_maximal(f, s, True)), s
+            assert np.array_equal(g.values, wants[s]), s
 
 
 def prune_boundary_grids(rng, d, n):
@@ -405,8 +416,9 @@ def test_pruned_sweep_equals_sort_path_on_boundary_grids(monkeypatch, rng, d, n,
         f = GridFunction(d, n, vals)
         steps = kexc_steps(f, dyadic)
         svals = steps[::2] + steps[1::4] + [0.05, 0.05]
+        wants = sort_path_local_maximals(f, svals, dyadic)
         for s, g in zip(svals, local_maximals(f, svals, mode)):
-            assert np.array_equal(g.values, sort_path_local_maximal(f, s, dyadic)), (name, s)
+            assert np.array_equal(g.values, wants[s]), (name, s)
     f = GridFunction(d, n, prune_boundary_grids(rng, d, n)["two_valued"])
     asked.clear()
     for s, g in zip((0.05, 0.2, 0.05), local_maximals(f, [0.05, 0.2, 0.05], mode)):
@@ -419,3 +431,105 @@ def test_local_maximals_reject_any_invalid_s(bad):
     f = gf(np.arange(8.0))
     with pytest.raises(ConfigError):
         local_maximals(f, bad)
+
+
+def numpy_local_maximals(f, svals, dyadic):
+    """Reference for M#_s f at each s, from numpy alone: every side's
+    windows of f.array (sliding_window_view, every k-th origin for dyadic
+    cubes) sorted with np.sort, each cube's statistic from the sorted
+    window, and per cell the max over the cubes containing it, sides
+    descending."""
+    n, d = f.res, f.dim
+    best = np.full((len(svals),) + (n,) * d, -np.inf)
+    for k in sides_for(n, dyadic)[::-1]:
+        win = sliding_window_view(f.array, (k,) * d)
+        if dyadic:
+            win = win[(slice(None, None, k),) * d]
+        w = np.sort(win.reshape(-1, k**d), axis=1)
+        kexcs = [exceedance_count(s, k**d) for s in svals]
+        stat = np.array([(w[:, k**d - e - 1:] - w[:, :e + 1]).min(axis=1) / 2.0
+                         for e in kexcs]).reshape((len(svals),) + win.shape[:d])
+        for axis in range(1, d + 1):  # each cell's max over the cubes holding it
+            if dyadic:
+                stat = np.repeat(stat, k, axis=axis)
+            else:
+                pad = [(0, 0)] * (d + 1)
+                pad[axis] = (k - 1, k - 1)
+                stat = sliding_window_view(np.pad(stat, pad, constant_values=-np.inf),
+                                           k, axis=axis).max(axis=-1)
+        np.maximum(stat, best, out=best)
+    return best.reshape(len(svals), -1)
+
+
+def signed_zero_grid(d, n):
+    """Zeros of both signs and one 1.5: ranks would merge -0.0 with 0.0."""
+    rng = np.random.default_rng(n)
+    vals = np.where(rng.random(n**d) < 0.5, -0.0, 0.0)
+    vals[rng.integers(n**d)] = 1.5
+    return GridFunction(d, n, vals)
+
+
+def same_bits(a, b):
+    return np.array_equal(np.asarray(a).view(np.int64), np.asarray(b).view(np.int64))
+
+
+@pytest.mark.parametrize("d,n_max", [(1, 64), (2, 24)])
+def test_local_maximals_equal_numpy_reference_bit_for_bit(monkeypatch, d, n_max):
+    # every N, full cubes and dyadic ones where N is a power of two, on
+    # ties, smooth values, an indicator and signed zeros, sign bits
+    # included; each grid twice: as the library runs, and with
+    # _COUNT_CELLS = 1, where every side with a cube left counts it against
+    # the carried witnesses, so the certificate runs at every N
+    svals = [0.01, 0.05, 0.2, 0.45]
+    default = getattr(grid_mod, "_COUNT_CELLS", None)
+    for n in range(1, n_max + 1):
+        grids = [generate(kind, d, n, seed=n)
+                 for kind in ("random_steps", "cosine_mix", "indicator")]
+        for f in grids + [signed_zero_grid(d, n)]:
+            for dyadic in (False, True) if n & (n - 1) == 0 else (False,):
+                mode = "dyadic" if dyadic else "full"
+                want = numpy_local_maximals(f, svals, dyadic)
+                for count_cells in (default, 1):
+                    monkeypatch.setattr(grid_mod, "_COUNT_CELLS", count_cells, raising=False)
+                    for g, row in zip(local_maximals(f, svals, mode), want):
+                        assert same_bits(g.values, row), (n, mode, count_cells)
+                    i = n % len(svals)  # one single-s call a grid, each s in turn
+                    assert same_bits(local_maximal(f, svals[i], mode).values, want[i])
+
+
+values_with_ties = st.lists(st.sampled_from([-2.0, -0.5, -0.0, 0.0, 0.5, 1.0, 3.0])
+                            | st.floats(-100, 100), min_size=1, max_size=16)
+
+
+@settings(max_examples=150, deadline=None)
+@given(values_with_ties, st.data())
+def test_count_certificate_bounds_the_statistic(values, data):
+    # the certificate of CubeTable._bounded_qosc: at most kexc cells outside
+    # an interval [lo, hi] of the window's own values bound the quantile
+    # oscillation by the interval's half-width, rounding included
+    w = np.array(values)
+    lo, hi = sorted(data.draw(st.sampled_from(values)) for _ in range(2))
+    outside = int(np.count_nonzero((w < lo) | (w > hi)))  # < m: lo is a cell
+    kexc = data.draw(st.integers(outside, w.size - 1))
+    assert _qosc_sorted(np.sort(w)[None], kexc)[0] <= (hi - lo) / 2.0
+
+
+def test_witness_count_sorts_few_cells(monkeypatch):
+    # on this grid the half-range bound alone leaves 60% of the family's
+    # window cells to sort; the witness count leaves under a quarter, and
+    # M#_s keeps every bit of the numpy reference
+    f = generate("cosine_mix", 2, 48, seed=2)
+    table = CubeTable(f)
+    family = sum(c * k**2 for k, c in zip(table.side_list, table.counts))
+    sorted_cells = []
+    kernel = CubeTable._sorted_windows
+
+    def counting(table, k, origins):
+        w = kernel(table, k, origins)
+        sorted_cells.append(w.size)
+        return w
+
+    monkeypatch.setattr(CubeTable, "_sorted_windows", counting)
+    got = local_maximal(f, 0.05, "full").values
+    assert sum(sorted_cells) <= 0.25 * family
+    assert same_bits(got, numpy_local_maximals(f, [0.05], False)[0])
