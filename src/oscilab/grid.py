@@ -387,37 +387,28 @@ def exceedance_count(s: float, m: int) -> int:
     return max(math.ceil(s * m - 1e-9) - 1, 0)
 
 
-def _qosc_gaps(w_sorted: np.ndarray, kexc: int, values=None) -> np.ndarray:
-    """fl(w_(m-kexc-1+j) - w_(j)), j = 0..kexc, per row of sorted windows;
-    with values, the windows hold indices into it and only these 2(kexc+1)
-    order statistics are read through it."""
-    width = w_sorted.shape[1] - kexc
-    upper, lower = w_sorted[:, width - 1:], w_sorted[:, : kexc + 1]
-    if values is not None:
-        upper, lower = values[upper], values[lower]
-    return upper - lower
-
-
-def _qosc_sorted(w_sorted: np.ndarray, kexc: int) -> np.ndarray:
-    return _qosc_gaps(w_sorted, kexc).min(axis=1) / 2.0
-
-
-def _qosc_rows(w_sorted: np.ndarray, kexcs, values, witness: bool) -> tuple:
-    """(qosc, witnesses) of sorted key windows: qosc one row per exceedance
-    count of kexcs, each row as _qosc_sorted with values read as in
-    _qosc_gaps.  With witness, witnesses (2, rows, windows) holds each
-    window's keys [w_(j*), w_(m-kexc-1+j*)] at the first gap j* where the
-    minimum is attained, an interval whose half-width in values is the
-    statistic; else None."""
-    by_kexc, ends = {}, {}
+def _qosc_rows(w_sorted: np.ndarray, kexcs, values=None, witness: bool = False) -> tuple:
+    """(qosc, witnesses) of sorted windows, one qosc row per exceedance
+    count of kexcs: min over j of fl(fl(w_(m-kexc-1+j) - w_(j))/2).  With
+    values, the windows hold keys into it, and only these 2(kexc+1) order
+    statistics are read through it.  With witness, witnesses (2, rows,
+    windows) holds each window's keys [w_(j*), w_(m-kexc-1+j*)] at the
+    first j* where the minimum is attained, an interval whose half-width
+    in values is the statistic; else None."""
+    m, by_kexc, ends = w_sorted.shape[1], {}, {}
     for e in set(kexcs):
-        gaps = _qosc_gaps(w_sorted, e, values)
+        upper, lower = w_sorted[:, m - e - 1:], w_sorted[:, : e + 1]
+        gaps = upper - lower if values is None else values[upper] - values[lower]
         by_kexc[e] = gaps.min(axis=1) / 2.0
         if witness:
-            at = gaps.argmin(axis=1)[:, None] + [0, w_sorted.shape[1] - 1 - e]
+            at = gaps.argmin(axis=1)[:, None] + [0, m - e - 1]
             ends[e] = np.take_along_axis(w_sorted, at, axis=1).T
     qosc = np.array([by_kexc[e] for e in kexcs])
     return qosc, np.stack([ends[e] for e in kexcs], axis=1) if witness else None
+
+
+def _qosc_sorted(w_sorted: np.ndarray, kexc: int) -> np.ndarray:
+    return _qosc_rows(w_sorted, [kexc])[0][0]
 
 
 def _up_one_side(a: np.ndarray, d: int, op, dyadic: bool, witness=None):
@@ -700,7 +691,7 @@ class CubeTable:
         count kexc."""
         kexcs = [exceedance_count(s, k**self.f.dim) for s in svals]
         w = self._sorted_windows(k, origins)
-        return _qosc_rows(w, kexcs, self._sort_keys()[0], False)[0]
+        return _qosc_rows(w, kexcs, self._sort_keys()[0])[0]
 
     def _sorted_windows(self, k: int, origins: np.ndarray) -> np.ndarray:
         """The sort-key windows of side k's cubes at flat origins (_gather),
@@ -776,7 +767,7 @@ class CubeTable:
         if need.size:
             kexcs = [exceedance_count(s, k**d) for s in svals]
             part[:, need], witness[:, :, need] = _qosc_rows(
-                self._sorted_windows(k, need), kexcs, self._sort_keys()[0], True)
+                self._sorted_windows(k, need), kexcs, self._sort_keys()[0], witness=True)
         return part, witness
 
     def _count_from(self) -> int:
