@@ -280,7 +280,7 @@ def suite_maximal(seed: int, s: float) -> list:
     # M#_s end to end: the sweep against a per-cube scatter of
     # quantile_oscillation over every cube, bit for bit, at the suite's s
     svals, differ = [s, 0.1, 0.3], 0
-    for f in _corpus(seed, n_1d=(6, 12), n_2d=(3, 4)):
+    for f in _corpus(seed, n_1d=(12,), n_2d=(4,)):
         want = np.full((len(svals), f.ncells), -np.inf)
         for q in enumerate_cubes((f.dim, f.res)):
             cells = q.flat_cells(f.res)
