@@ -387,14 +387,20 @@ def exceedance_count(s: float, m: int) -> int:
     return max(math.ceil(s * m - 1e-9) - 1, 0)
 
 
+def _qosc_sorted(w_sorted: np.ndarray, kexc: int) -> np.ndarray:
+    m = w_sorted.shape[1]
+    return (w_sorted[:, m - kexc - 1:] - w_sorted[:, : kexc + 1]).min(axis=1) / 2.0
+
+
 def _qosc_rows(w_sorted: np.ndarray, kexcs, values=None, witness: bool = False) -> tuple:
     """(qosc, witnesses) of sorted windows, one qosc row per exceedance
-    count of kexcs: min over j of fl(fl(w_(m-kexc-1+j) - w_(j))/2).  With
-    values, the windows hold keys into it, and only these 2(kexc+1) order
-    statistics are read through it.  With witness, witnesses (2, rows,
-    windows) holds each window's keys [w_(j*), w_(m-kexc-1+j*)] at the
-    first j* where the minimum is attained, an interval whose half-width
-    in values is the statistic; else None."""
+    count of kexcs, each as _qosc_sorted: min over j of
+    fl(fl(w_(m-kexc-1+j) - w_(j))/2).  With values, the windows hold keys
+    into it, and only these 2(kexc+1) order statistics are read through
+    it.  With witness, witnesses (2, rows, windows) holds each window's
+    keys [w_(j*), w_(m-kexc-1+j*)] at the first j* where the minimum is
+    attained, an interval whose half-width in values is the statistic;
+    else None."""
     m, by_kexc, ends = w_sorted.shape[1], {}, {}
     for e in set(kexcs):
         upper, lower = w_sorted[:, m - e - 1:], w_sorted[:, : e + 1]
@@ -405,10 +411,6 @@ def _qosc_rows(w_sorted: np.ndarray, kexcs, values=None, witness: bool = False) 
             ends[e] = np.take_along_axis(w_sorted, at, axis=1).T
     qosc = np.array([by_kexc[e] for e in kexcs])
     return qosc, np.stack([ends[e] for e in kexcs], axis=1) if witness else None
-
-
-def _qosc_sorted(w_sorted: np.ndarray, kexc: int) -> np.ndarray:
-    return _qosc_rows(w_sorted, [kexc])[0][0]
 
 
 def _up_one_side(a: np.ndarray, d: int, op, dyadic: bool, witness=None):
