@@ -291,7 +291,7 @@ def suite_maximal(seed: int, s: float) -> list:
     checks.append(check(
         "local-maximal-end-to-end",
         "M#_s f = max of quantile_oscillation over the cubes containing each "
-        "cell, bit for bit (cells differing), 1D N <= 12 and 2D N <= 4",
+        "cell, bit for bit (cells differing), 1D N = 8 and 2D N = 4",
         differ == 0, measured=differ, tolerance=0,
     ))
 

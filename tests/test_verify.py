@@ -41,9 +41,9 @@ def test_equivalence_report_shape():
 
 # the report digests of seeds 0, 1 and 2 per suite
 _DIGESTS = {
-    "maximal": ("f0d8a7a408316e35c3780e68ff1663929a1250109d641d4a079cf87cf3cbf8d8",
-                "d8175032c1b7d6c98821c0c440f4a3e3f64871808bb76e100c542bd8c2ecf8a6",
-                "3c8ba1b2c598a812517f9fec6706f11cbbae041599cfb909285252b47430dcfe"),
+    "maximal": ("f5b9dee07a47dafd91b4c8299bdcfe8dd1a19dc4e69ab8c2095ee64ae34d79f3",
+                "8eabd7db21330984fb497e31e926c63f3e4144c5b754c8ea33efd57b75d97af0",
+                "8af910902ea58311c09848ce56e7c97e169caffc4a8e2e920a8973f5862ec4a1"),
     "blowup": ("6b1a82891845d5ff5b1c4dbcdb0d72a3bdc28f7b80a493763cc8009bd82c79ba",
                "32a856a5c79b8214aac8c46ca3b676d63d00bd35889b2a73f7d0875c2943ccb9",
                "a7c51badbec1c0a7be072f4b58e3a7f149a349bcdb45502cd06763c3fd6e28c7"),
